@@ -10,16 +10,17 @@ later quorum; failures are permanent for the engine's lifetime (there is
 deliberately no un-fail operation).
 
 Batch variants of the interactive operations share one round, which is
-what a real implementation would do; per-call variants are conveniences
-that wrap a batch of one.  Determinism: all randomness flows from the
-seed given at construction, and parties are driven in lockstep by the
-calling thread.  A party-per-thread driver would have to reproduce the
-same message schedule to stay contract-compatible; this engine does not
-provide one.
+what a real implementation would do; per-call variants (``product``,
+``open`` and the local ``lincomb``) are conveniences that wrap a batch of
+one.  Determinism: all randomness flows from the seed given at
+construction, and parties are driven in lockstep by the calling thread.
+A party-per-thread driver would have to reproduce the same message
+schedule to stay contract-compatible; this engine does not provide one.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dfield, fields as dfields
+from operator import mul
 import random
 
 from . import field
@@ -32,6 +33,8 @@ from .errors import (
 from .shamir import SHARE_BYTES, SharingParams, lagrange_at, share_values
 
 PRIME = field.PRIME
+# randrange(PRIME) draws words of this many bits and rejects those >= PRIME
+RAND_BITS = PRIME.bit_length()
 
 Handle = int
 
@@ -226,21 +229,70 @@ class Engine:
 
     def lincomb(self, terms: list[tuple[int, Handle]], const: int = 0) -> Handle:
         """Affine combination of sharings; free of interaction."""
+        return self.lincomb_batch([(terms, const)])[0]
+
+    def lincomb_batch(self, combos: list[tuple[list[tuple[int, Handle]], int]]
+                      ) -> list[Handle]:
+        """Affine combinations ``(terms, const)``, registered in list order.
+
+        Each party applies the combination to its own shares, so a result
+        lives at exactly the parties holding every term.  A share is summed
+        unreduced and reduced mod p once.  Combinations of up to three fully
+        held terms (the gate glue) take unrolled paths; the rest (region
+        sums, partial holders) sum each party's column in one pass.
+        """
         n = self.n
-        mask = (1 << n) - 1
-        vals = [const % PRIME] * n
-        for coef, h in terms:
-            hv, hm = self._h[h]
-            mask &= hm
-            c = coef % PRIME
-            for i in range(n):
-                v = hv[i]
-                if v is not None:
-                    vals[i] = (vals[i] + c * v) % PRIME
-        out = [vals[i] if mask >> i & 1 else None for i in range(n)]
-        if mask.bit_count() < self.t + 1:
-            raise InsufficientShares("combination survives at fewer than t+1 parties")
-        return self._register(out, mask)
+        full = (1 << n) - 1
+        p = PRIME
+        shares = self._h
+        first = h = self._next_handle
+        try:
+            for terms, const in combos:
+                vals = None
+                k = len(terms)
+                if k == 1:
+                    (c, a), = terms
+                    av, mask = shares[a]
+                    if mask == full:
+                        vals = [(c * x + const) % p for x in av]
+                elif k == 2:
+                    (c, a), (d, b) = terms
+                    av, am = shares[a]
+                    bv, bm = shares[b]
+                    mask = am & bm
+                    if mask == full:
+                        vals = [(c * x + d * y + const) % p
+                                for x, y in zip(av, bv)]
+                elif k == 3:
+                    (c, a), (d, b), (e, g) = terms
+                    av, am = shares[a]
+                    bv, bm = shares[b]
+                    gv, gm = shares[g]
+                    mask = am & bm & gm
+                    if mask == full:
+                        vals = [(c * x + d * y + e * z + const) % p
+                                for x, y, z in zip(av, bv, gv)]
+                if vals is None:
+                    rows = [shares[x] for _, x in terms]
+                    mask = full
+                    for _, m in rows:
+                        mask &= m
+                    if mask.bit_count() < self.t + 1:
+                        raise InsufficientShares(
+                            "combination survives at fewer than t+1 parties"
+                        )
+                    coefs = [c for c, _ in terms]
+                    cols = zip(*[v for v, _ in rows]) if rows else [()] * n
+                    vals = [
+                        (sum(map(mul, coefs, col)) + const) % p
+                        if mask >> i & 1 else None
+                        for i, col in enumerate(cols)
+                    ]
+                shares[h] = (vals, mask)
+                h += 1
+        finally:
+            self._next_handle = h
+        return list(range(first, h))
 
     def add(self, a: Handle, b: Handle) -> Handle:
         return self.lincomb([(1, a), (1, b)])
@@ -259,9 +311,22 @@ class Engine:
     def product_batch(self, pairs: list[tuple[Handle, Handle]]) -> list[Handle]:
         """One round of multiplications with degree reduction.
 
-        Each party multiplies its shares locally (degree 2t), reshares the
-        product with a fresh degree-t polynomial, and the recombination
-        weights fold the 2t+1-point interpolation back to degree t.
+        Each of 2t+1 senders i multiplies its shares locally, giving
+        d_i = a_i*b_i on the degree-2t product polynomial, and reshares d_i
+        with a fresh degree-t polynomial f_i(x) = d_i + r_i1*x + ... +
+        r_it*x^t.  Target j keeps sum_i lam_i*f_i(j), lam being the Lagrange
+        weights at 0 over the senders, which folds the 2t+1-point
+        interpolation back to a degree-t sharing of the same product
+        (Gennaro, Rabin, Rabin, PODC 1998).
+
+        Evaluation at j is linear in the coefficients, so that sum equals
+        F(j) for the one combined polynomial F = sum_i lam_i*f_i, with
+        F_0 = sum_i lam_i*d_i and F_k = sum_i lam_i*r_ik.  The engine forms F
+        once per product and evaluates it once per target by Horner instead
+        of evaluating all 2t+1 sender polynomials at every target.  The
+        shares are the same field values, from the same draws: sender-major,
+        then k, each by ``randrange(p)``'s rule of redrawing 63-bit words
+        until one falls below p.
         """
         if not pairs:
             return []
@@ -271,71 +336,72 @@ class Engine:
         p = PRIME
         quorum_size = 2 * t + 1
         active = self._active
-        rng = self.rng
+        shares = self._h
+        getrandbits = self.rng.getrandbits
+        # F is kept highest degree first: the draw r_ik adds to comb[t - k]
+        draw_slots = range(t - 1, -1, -1)
         pc = self.meter.bucket(self._phase)
         self._round += 1
         pc.rounds += 1
         pc.multiplications += len(pairs)
-        record = self.transcript is not None
+        transcript = self.transcript
+        rnd = self._round
 
         plan_cache: dict[int, tuple] = {}
-        out: list[Handle] = []
-        for ha, hb in pairs:
-            av, am = self._h[ha]
-            bv, bm = self._h[hb]
-            q = am & bm & active
-            plan = plan_cache.get(q)
-            if plan is None:
-                if q.bit_count() < quorum_size:
-                    raise InsufficientShares(
-                        "fewer than 2t+1 parties hold both factors"
+        msgs = 0
+        first = h = self._next_handle
+        try:
+            for ha, hb in pairs:
+                av, am = shares[ha]
+                bv, bm = shares[hb]
+                q = am & bm & active
+                plan = plan_cache.get(q)
+                if plan is None:
+                    if q.bit_count() < quorum_size:
+                        raise InsufficientShares(
+                            "fewer than 2t+1 parties hold both factors"
+                        )
+                    senders = [i for i in range(n) if q >> i & 1][:quorum_size]
+                    targets = [j for j in range(n) if active >> j & 1]
+                    lam = lagrange_at(tuple(i + 1 for i in senders), 0)
+                    plan = plan_cache[q] = (
+                        list(zip(senders, lam)),
+                        [j + 1 if active >> j & 1 else None for j in range(n)],
+                        len(senders) * (len(targets) - 1),
+                        [(f"p{i + 1}", f"p{j + 1}")
+                         for i in senders for j in targets if j != i],
                     )
-                senders = []
-                for i in range(n):
-                    if q >> i & 1:
-                        senders.append(i)
-                        if len(senders) == quorum_size:
-                            break
-                targets = [i for i in range(n) if active >> i & 1]
-                lam = lagrange_at(tuple(i + 1 for i in senders), 0)
-                plan = (senders, targets, lam)
-                plan_cache[q] = plan
-            senders, targets, lam = plan
+                weights, xs, sent, links = plan
 
-            new = [None] * n
-            for idx, i in enumerate(senders):
-                d = av[i] * bv[i] % p
-                w = lam[idx]
-                if t == 1:
-                    c1 = rng.randrange(p)
-                    for j in targets:
-                        prev = new[j]
-                        contrib = w * (d + c1 * (j + 1)) % p
-                        new[j] = contrib if prev is None else (prev + contrib) % p
-                else:
-                    coeffs = [d] + [rng.randrange(p) for _ in range(t)]
-                    for j in targets:
-                        x = j + 1
-                        acc = 0
-                        for c in reversed(coeffs):
-                            acc = (acc * x + c) % p
-                        contrib = w * acc % p
-                        prev = new[j]
-                        new[j] = contrib if prev is None else (prev + contrib) % p
-            mask = 0
-            for j in targets:
-                mask |= 1 << j
-            h = self._register(new, mask)
-            out.append(h)
-            msgs = len(senders) * (len(targets) - 1)
+                comb = [0] * (t + 1)
+                for i, w in weights:
+                    comb[t] += w * av[i] * bv[i]
+                    for k in draw_slots:
+                        r = getrandbits(RAND_BITS)
+                        while r >= p:
+                            r = getrandbits(RAND_BITS)
+                        comb[k] += w * r
+                new = []
+                for x in xs:
+                    if x is None:
+                        new.append(None)
+                        continue
+                    acc = 0
+                    for c in comb:
+                        acc = acc * x + c
+                    new.append(acc % p)
+                shares[h] = (new, active)
+                msgs += sent
+                if transcript is not None:
+                    transcript.extend(
+                        (rnd, snd, rcv, h, SHARE_BYTES) for snd, rcv in links
+                    )
+                h += 1
+        finally:
+            self._next_handle = h
             pc.msgs_between_dcc += msgs
             pc.bytes_between_dcc += msgs * SHARE_BYTES
-            if record:
-                for i in senders:
-                    for j in targets:
-                        if j != i:
-                            self._record(f"p{i + 1}", f"p{j + 1}", h, SHARE_BYTES)
-        return out
+        return list(range(first, h))
 
     def open(self, h: Handle, kind: str = "value") -> int:
         return self.open_batch([h], kind)[0]
@@ -404,9 +470,6 @@ class Engine:
             self.opened_log.append((self._phase, kind, value))
             out.append(value)
         return out
-
-    def random_shared_bit(self) -> Handle:
-        return self.random_bits_batch(1)[0]
 
     def random_bits_batch(self, k: int) -> list[Handle]:
         """Uniform secret bits nobody knows: 2 mult-equivalents each.

@@ -37,40 +37,37 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
             raise LengthMismatch(f"{public_id} does not fit {width} bits")
 
     # affine XOR with the public bit: x + y - 2xy collapses to x or 1-x
-    nodes: list[list[Handle]] = []
     zero = engine.constant(0)
-    for bits, public_id in queries:
-        diffs = [zero]
-        for k, bh in enumerate(bits):
-            y = public_id >> (width - 1 - k) & 1
-            if y:
-                diffs.append(engine.lincomb([(-1, bh)], const=1))
-            else:
-                diffs.append(bh)
-        nodes.append(diffs)
+    flipped = iter(engine.lincomb_batch([
+        ([(-1, bh)], 1)
+        for bits, public_id in queries
+        for k, bh in enumerate(bits)
+        if public_id >> (width - 1 - k) & 1
+    ]))
+    nodes = [
+        [zero] + [
+            next(flipped) if public_id >> (width - 1 - k) & 1 else bh
+            for k, bh in enumerate(bits)
+        ]
+        for bits, public_id in queries
+    ]
 
     # levelled OR fold: a OR b = a + b - ab, one product per pair
-    while any(len(lst) > 1 for lst in nodes):
-        pair_at: list[list[int]] = []
-        pairs = []
-        for qi, lst in enumerate(nodes):
-            here = []
-            for k in range(0, len(lst) - 1, 2):
-                here.append(len(pairs))
-                pairs.append((lst[k], lst[k + 1]))
-            pair_at.append(here)
+    size = width + 1
+    while size > 1:
+        half = size // 2
+        pairs = [pair for lst in nodes
+                 for pair in zip(lst[0:2 * half:2], lst[1:2 * half:2])]
         products = engine.product_batch(pairs)
-        for qi, lst in enumerate(nodes):
-            merged = []
-            for slot, k in zip(pair_at[qi], range(0, len(lst) - 1, 2)):
-                merged.append(engine.lincomb(
-                    [(1, lst[k]), (1, lst[k + 1]), (-1, products[slot])]
-                ))
-            if len(lst) % 2:
-                merged.append(lst[-1])
-            nodes[qi] = merged
+        merged = engine.lincomb_batch([
+            ([(1, a), (1, b), (-1, ab)], 0)
+            for (a, b), ab in zip(pairs, products)
+        ])
+        nodes = [merged[qi * half:(qi + 1) * half] + lst[2 * half:]
+                 for qi, lst in enumerate(nodes)]
+        size -= half
 
-    return [engine.lincomb([(-1, lst[0])], const=1) for lst in nodes]
+    return engine.lincomb_batch([([(-1, lst[0])], 1) for lst in nodes])
 
 
 def compose_bits(engine: Engine, bits: BitSharedId) -> Handle:

@@ -2,6 +2,7 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from metershare import field
@@ -11,7 +12,13 @@ from metershare.errors import (
     InsufficientShares,
     TooManyFailures,
 )
-from metershare.shamir import SHARE_BYTES, Share, SharingParams, reconstruct
+from metershare.shamir import (
+    SHARE_BYTES,
+    Share,
+    SharingParams,
+    lagrange_at,
+    reconstruct,
+)
 
 
 def open_via_shamir(engine, h):
@@ -198,3 +205,279 @@ def test_meter_merge_and_matching():
     assert a.meter.matching("region_aggregation").multiplications == 2
     assert a.meter.matching("region_aggregation/1").multiplications == 1
     assert a.meter.total().multiplications == 2
+
+
+# -- share-exact references ---------------------------------------------------
+#
+# The loops below are the engine's earlier, direct forms: every sender's
+# reshare polynomial evaluated at every target (with a separate t == 1
+# loop), and a lincomb reducing after every term.  The engine must produce
+# the very same shares and leave its random generator in the same state.
+
+def reference_reshare(engine, pairs):
+    """Per-sender degree reduction; returns (values, mask) per product."""
+    n, t, p = engine.n, engine.t, field.PRIME
+    active = engine._active
+    rng = engine.rng
+    out = []
+    for ha, hb in pairs:
+        av, am = engine._h[ha]
+        bv, bm = engine._h[hb]
+        q = am & bm & active
+        senders = [i for i in range(n) if q >> i & 1][: 2 * t + 1]
+        targets = [i for i in range(n) if active >> i & 1]
+        lam = lagrange_at(tuple(i + 1 for i in senders), 0)
+        new = [None] * n
+        for idx, i in enumerate(senders):
+            d = av[i] * bv[i] % p
+            w = lam[idx]
+            if t == 1:
+                c1 = rng.randrange(p)
+                for j in targets:
+                    prev = new[j]
+                    contrib = w * (d + c1 * (j + 1)) % p
+                    new[j] = contrib if prev is None else (prev + contrib) % p
+            else:
+                coeffs = [d] + [rng.randrange(p) for _ in range(t)]
+                for j in targets:
+                    x = j + 1
+                    acc = 0
+                    for c in reversed(coeffs):
+                        acc = (acc * x + c) % p
+                    contrib = w * acc % p
+                    prev = new[j]
+                    new[j] = contrib if prev is None else (prev + contrib) % p
+        mask = 0
+        for j in targets:
+            mask |= 1 << j
+        out.append((new, mask))
+    return out
+
+
+def reference_lincomb(engine, terms, const=0):
+    """Term-by-term affine combination; returns (values, mask)."""
+    n, p = engine.n, field.PRIME
+    mask = (1 << n) - 1
+    vals = [const % p] * n
+    for coef, h in terms:
+        hv, hm = engine._h[h]
+        mask &= hm
+        c = coef % p
+        for i in range(n):
+            v = hv[i]
+            if v is not None:
+                vals[i] = (vals[i] + c * v) % p
+    return [vals[i] if mask >> i & 1 else None for i in range(n)], mask
+
+
+def loaded_engine(n, t, degrade):
+    """Engine holding 12 sharings, optionally with a failed party or with
+    sharings missing one party's share."""
+    engine = Engine(SharingParams(n, t), seed=n * 100 + t)
+    draw = random.Random(n * 7 + t)
+    handles = []
+    for k in range(12):
+        h = engine.input(draw.randrange(field.PRIME))
+        if degrade == "gapped" and k % 2:
+            values = [engine.handle_share(h, i) for i in range(1, n + 1)]
+            values[k % n] = None
+            h = engine.input_shares(values)
+        handles.append(h)
+    if degrade == "failed":
+        engine.fail_party(2)
+    return engine, handles
+
+
+RESHARE_CASES = [
+    (3, 1, None), (5, 2, None), (7, 3, None),
+    # a lost share or failed party needs a spare sender beyond 2t+1
+    (5, 1, "failed"), (7, 2, "failed"), (9, 3, "failed"),
+    (5, 1, "gapped"), (7, 2, "gapped"), (9, 3, "gapped"),
+]
+
+
+@pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
+def test_product_batch_is_share_exact(n, t, degrade):
+    engine, handles = loaded_engine(n, t, degrade)
+    ref, _ = loaded_engine(n, t, degrade)
+    pairs = [(handles[k], handles[(5 * k + 3) % 12]) for k in range(12)]
+    pairs.append((handles[0], handles[0]))
+
+    out = engine.product_batch(pairs)
+    assert [engine._h[h] for h in out] == reference_reshare(ref, pairs)
+    assert engine.rng.getstate() == ref.rng.getstate()
+    for h, (ha, hb) in zip(out, pairs):
+        want = engine.open(ha) * engine.open(hb) % field.PRIME
+        assert engine.open(h) == want
+
+
+@pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
+@pytest.mark.parametrize("n_terms", [0, 1, 3, 1000])
+def test_lincomb_is_share_exact(n, t, degrade, n_terms):
+    engine, handles = loaded_engine(n, t, degrade)
+    draw = random.Random(n_terms)
+    if degrade == "gapped":
+        # two gapped sharings leave too few holders for t = 3 at n = 9
+        handles = handles[:2] + handles[2::2]
+    terms = [
+        (draw.choice([1, -1, 2, draw.randrange(field.PRIME)]),
+         handles[draw.randrange(len(handles))])
+        for _ in range(n_terms)
+    ]
+    const = draw.randrange(-5, field.PRIME)
+    want = reference_lincomb(engine, terms, const)
+    assert engine._h[engine.lincomb(terms, const)] == want
+    batch = engine.lincomb_batch([(terms, const), (terms[:1], 0)])
+    assert engine._h[batch[0]] == want
+    assert engine._h[batch[1]] == reference_lincomb(engine, terms[:1])
+
+
+def test_lincomb_batch_registers_in_order(engine):
+    a, b = engine.input(4), engine.input(9)
+    first = engine.lincomb([(1, a)])
+    out = engine.lincomb_batch([([(1, a), (1, b)], 0), ([(3, b)], 1), ([], 5)])
+    assert out == [first + 1, first + 2, first + 3]
+    assert engine.open_batch(out) == [13, 28, 5]
+    assert engine.lincomb_batch([]) == []
+
+
+def test_lincomb_below_quorum_raises(engine5):
+    full = engine5.input(3)
+    values = [engine5.handle_share(full, i) for i in range(1, 6)]
+    left = engine5.input_shares(values[:3] + [None, None])
+    right = engine5.input_shares([None, None] + values[2:])
+    with pytest.raises(InsufficientShares):
+        engine5.lincomb([(1, left), (1, right)])
+
+
+# -- fuzz: random engine circuits against the plaintext circuit ------------
+
+FUZZ_PARAMS = [(3, 1), (5, 2), (7, 3), (5, 1), (7, 2)]
+P = field.PRIME
+coefs = st.one_of(st.integers(-3, 3), st.integers(0, P - 1))
+slots = st.integers(0, 10 ** 6)
+fuzz_ops = st.lists(st.one_of(
+    st.tuples(st.just("input"), st.integers(0, P - 1)),
+    st.tuples(st.just("input_shares"), st.integers(0, P - 1),
+              st.sets(st.integers(1, 7), max_size=2)),
+    st.tuples(st.just("lincomb"),
+              st.lists(st.tuples(coefs, slots), max_size=4), coefs),
+    st.tuples(st.just("lincomb_batch"),
+              st.lists(st.tuples(st.lists(st.tuples(coefs, slots), max_size=4),
+                                 coefs), max_size=4)),
+    st.tuples(st.just("product_batch"),
+              st.lists(st.tuples(slots, slots), min_size=1, max_size=5)),
+    st.tuples(st.just("open_batch"), st.lists(slots, min_size=1, max_size=4)),
+), min_size=4, max_size=25)
+
+
+def share_values_for(value, n, t, seed):
+    """A valid degree-t sharing of ``value`` drawn outside the engine."""
+    poly = [value] + [random.Random(seed + value).randrange(P) for _ in range(t)]
+    return [sum(c * x ** k for k, c in enumerate(poly)) % P
+            for x in range(1, n + 1)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(params=st.sampled_from(FUZZ_PARAMS), ops=fuzz_ops,
+       fail=st.none() | st.tuples(st.integers(0, 25), st.integers(1, 7)),
+       seed=st.integers(0, 2 ** 32))
+def test_fuzz_engine_circuits_match_plaintext(params, ops, fail, seed):
+    n, t = params
+    if fail is not None:
+        ops = list(ops)
+        ops.insert(min(fail[0], len(ops)), ("fail_party", fail[1]))
+    engine = Engine(SharingParams(n, t), seed=seed)
+    full = (1 << n) - 1
+    active = full
+    # plaintext model: handle -> (value, mask of parties holding a share)
+    plain: dict = {}
+    handles: list = []
+    products = batches = opens = 0
+
+    def pick(slot):
+        return handles[slot % len(handles)]
+
+    def combine(terms, const):
+        value, mask = const, full
+        for c, h in terms:
+            value += c * plain[h][0]
+            mask &= plain[h][1]
+        return value % P, mask
+
+    for op, *args in ops:
+        if op == "input":
+            h = engine.input(args[0])
+            plain[h] = (args[0], full)
+        elif op == "input_shares":
+            value, lost = args
+            mask = full
+            for party in lost:
+                mask &= ~(1 << (party - 1))
+            shares = share_values_for(value, n, t, seed)
+            values = [v if mask >> i & 1 else None for i, v in enumerate(shares)]
+            if mask.bit_count() < t + 1:
+                with pytest.raises(InsufficientShares):
+                    engine.input_shares(values)
+                continue
+            h = engine.input_shares(values)
+            plain[h] = (value, mask)
+        elif not handles:
+            continue
+        elif op in ("lincomb", "lincomb_batch"):
+            combos = [args] if op == "lincomb" else args[0]
+            combos = [([(c, pick(s)) for c, s in terms], const)
+                      for terms, const in combos]
+            want = [combine(terms, const) for terms, const in combos]
+            if any(m.bit_count() < t + 1 for _, m in want):
+                with pytest.raises(InsufficientShares):
+                    engine.lincomb_batch(combos)
+                continue
+            if op == "lincomb":
+                got = [engine.lincomb(*combos[0])]
+            else:
+                got = engine.lincomb_batch(combos)
+            plain.update(zip(got, want))
+        elif op == "product_batch":
+            pairs = [
+                (pick(a), pick(b)) for a, b in args[0]
+                if (plain[pick(a)][1] & plain[pick(b)][1]
+                    & active).bit_count() >= 2 * t + 1
+            ]
+            if not pairs:
+                continue
+            got = engine.product_batch(pairs)
+            for h, (a, b) in zip(got, pairs):
+                plain[h] = (plain[a][0] * plain[b][0] % P, active)
+            products += len(pairs)
+            batches += 1
+        elif op == "open_batch":
+            hs = [pick(s) for s in args[0]
+                  if (plain[pick(s)][1] & active).bit_count() >= t + 1]
+            if not hs:
+                continue
+            assert engine.open_batch(hs) == [plain[h][0] for h in hs]
+            opens += len(hs)
+            batches += 1
+        elif op == "fail_party":
+            party = args[0]
+            if party > n:
+                continue
+            bit = 1 << (party - 1)
+            if active & bit and (active & ~bit).bit_count() < t + 1:
+                with pytest.raises(TooManyFailures):
+                    engine.fail_party(party)
+                continue
+            engine.fail_party(party)
+            active &= ~bit
+        handles = sorted(plain)
+
+    readable = [h for h in handles if (plain[h][1] & active).bit_count() >= t + 1]
+    if readable:
+        assert engine.open_batch(readable) == [plain[h][0] for h in readable]
+        opens += len(readable)
+        batches += 1
+    total = engine.meter.total()
+    assert total.multiplications == products
+    assert total.opens == opens
+    assert total.rounds == batches
