@@ -16,6 +16,16 @@ one.  Determinism: all randomness flows from the seed given at
 construction, and parties are driven in lockstep by the calling thread.
 A party-per-thread driver would have to reproduce the same message
 schedule to stay contract-compatible; this engine does not provide one.
+
+Handle lifetime: handles are numbered from 1 upwards and a number is
+never reused, so a handle names one sharing for the engine's lifetime and
+transcripts stay comparable across runs.  ``release`` forgets sharings
+that no later step reads.  It is strict: releasing a handle that was
+never issued or is already released raises ``KeyError``, so an ownership
+mistake fails loudly instead of freeing a caller's sharing.  The rule
+every gate and region circuit follows: a routine releases only handles
+it registered itself, which by monotonic numbering are those at or above
+the first handle it registered, and never its own outputs.
 """
 
 from contextlib import contextmanager
@@ -171,6 +181,12 @@ class Engine:
 
     def live_handles(self) -> list[Handle]:
         return list(self._h.keys())
+
+    def release(self, handles) -> None:
+        """Forget sharings; each handle must be live and listed once."""
+        shares = self._h
+        for h in handles:
+            del shares[h]
 
     def handle_share(self, h: Handle, party: int) -> int | None:
         values, mask = self._h[h]
@@ -477,7 +493,8 @@ class Engine:
         Parties jointly hold a random field element, square it, open the
         square, and normalise the element by the public root; the result
         is a sharing of +-1 mapped affinely to {0, 1}.  A zero draw is
-        rejected and retried.
+        rejected and retried.  Each attempt's random elements and their
+        squares are released once its bits exist.
         """
         out: list[Handle | None] = [None] * k
         pending = list(range(k))
@@ -503,5 +520,7 @@ class Engine:
                 coef = pow(2 * root % p, -1, p)
                 out[slot] = self.lincomb([(coef, hr)], const=inv2)
                 pc.random_bits += 1
+            self.release(rs)
+            self.release(squares)
             pending = retry
         return out  # type: ignore[return-value]

@@ -144,6 +144,7 @@ def naa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int],
                 for i, rec in enumerate(tuples)
                 for k in range(len(suppliers))
             ])
+            engine.release(matches)
             cells = []
             for k in range(len(suppliers)):
                 terms = [
@@ -151,6 +152,7 @@ def naa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int],
                     for i in range(len(tuples))
                 ]
                 cells.append([engine.lincomb(terms)])
+            engine.release(gated)
             if stream == "imp":
                 rows.imp = cells
             else:
@@ -182,6 +184,7 @@ def ncaa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int]
                 (compose_bits(engine, bits_of(rec)), energy_of(rec))
                 for rec in tuples
             ]
+            mark = rows[0][0]
             # control bits open blinded squares; keep those opens out of
             # this phase so it reveals supplier IDs and nothing else
             shuffled = oblivious_permute(
@@ -204,6 +207,10 @@ def ncaa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int]
                     cells.append([engine.lincomb(buckets[u])])
                 else:
                     cells.append([engine.constant(0)])
+            # a single row comes back unshuffled, so dedupe; meter inputs
+            # (below mark) stay live
+            engine.release({h for row in rows + shuffled for h in row
+                            if h >= mark})
             out[stream] = cells
             leaked[stream] = counts
     return RegionRows(region=region, imp=out["imp"], exp=out["exp"],
@@ -270,49 +277,30 @@ def export_rows(engine: Engine, rows: RegionRows) -> RegionShares:
 
 @dataclass
 class SharedMatrix:
-    """Grid-wide aggregate, cells and derived totals all still shared."""
+    """Grid-wide aggregate: the region-by-supplier cells, still shared."""
 
     n_regions: int
     n_suppliers: int
     imp: list            # [region][supplier] -> CompositeCell
     exp: list
-    imp_region_totals: list
-    exp_region_totals: list
-    imp_supplier_totals: list
-    exp_supplier_totals: list
-    imp_grid_total: CompositeCell = dfield(default_factory=dict)
-    exp_grid_total: CompositeCell = dfield(default_factory=dict)
     empty_regions: list = dfield(default_factory=list)
 
 
 def grid_aggregate(regions: list[RegionShares], n_suppliers: int) -> SharedMatrix:
-    """Assemble the region rows into the full matrix plus share-level totals.
+    """Assemble the region rows into the full matrix, in region order.
 
-    All derived totals are local share additions; this step exchanges no
-    messages, which is why the communication tables carry no grid term.
+    Totals are not formed here: each recipient sums the cells it receives
+    (see ``distribute_outputs``), so this step exchanges no messages, which
+    is why the communication tables carry no grid term.
     """
     regions = sorted(regions, key=lambda r: r.region)
-    n_regions = len(regions)
-    matrix = SharedMatrix(
-        n_regions=n_regions,
+    return SharedMatrix(
+        n_regions=len(regions),
         n_suppliers=n_suppliers,
         imp=[r.imp for r in regions],
         exp=[r.exp for r in regions],
-        imp_region_totals=[{} for _ in range(n_regions)],
-        exp_region_totals=[{} for _ in range(n_regions)],
-        imp_supplier_totals=[{} for _ in range(n_suppliers)],
-        exp_supplier_totals=[{} for _ in range(n_suppliers)],
         empty_regions=[r.region for r in regions if r.empty],
     )
-    for j, r in enumerate(regions):
-        for k in range(n_suppliers):
-            merge_cells(matrix.imp_region_totals[j], r.imp[k])
-            merge_cells(matrix.exp_region_totals[j], r.exp[k])
-            merge_cells(matrix.imp_supplier_totals[k], r.imp[k])
-            merge_cells(matrix.exp_supplier_totals[k], r.exp[k])
-            merge_cells(matrix.imp_grid_total, r.imp[k])
-            merge_cells(matrix.exp_grid_total, r.exp[k])
-    return matrix
 
 
 @dataclass

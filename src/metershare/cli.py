@@ -242,12 +242,15 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
         offset = 0
         for o in outcomes:
             top = 0
+            # a handle's records are contiguous: format its label once
+            last = label = None
             for rnd, snd, rcv, h, nb in o.transcript:
                 top = max(top, rnd)
-                transcript.append(
-                    (rnd + offset, snd, rcv, f"r{o.region}.h{h}", nb)
-                )
+                if h != last:
+                    last, label = h, f"r{o.region}.h{h}"
+                transcript.append((rnd + offset, snd, rcv, label, nb))
             offset += top
+            o.transcript = None  # keep only the merged copy
         for snd, rcv, label, nb in dist.records:
             transcript.append((offset + 1, snd, rcv, label, nb))
 

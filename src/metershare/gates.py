@@ -29,6 +29,9 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
     accumulator, exactly width interactive products deep in a tree of
     ceil(log2(width+1)) rounds.  The fold yields 1 on any difference; the
     final negation back to "equal" is affine.
+
+    Each level releases its products and the gate-owned nodes it merged,
+    so at most one level's worth of intermediates is live at a time.
     """
     for bits, public_id in queries:
         if len(bits) != width:
@@ -37,7 +40,7 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
             raise LengthMismatch(f"{public_id} does not fit {width} bits")
 
     # affine XOR with the public bit: x + y - 2xy collapses to x or 1-x
-    zero = engine.constant(0)
+    zero = mark = engine.constant(0)
     flipped = iter(engine.lincomb_batch([
         ([(-1, bh)], 1)
         for bits, public_id in queries
@@ -66,8 +69,14 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
         nodes = [merged[qi * half:(qi + 1) * half] + lst[2 * half:]
                  for qi, lst in enumerate(nodes)]
         size -= half
+        engine.release(products)
+        # zero sits in every query's first pair: release each handle once
+        engine.release({h for pair in pairs for h in pair if h >= mark})
 
-    return engine.lincomb_batch([([(-1, lst[0])], 1) for lst in nodes])
+    out = engine.lincomb_batch([([(-1, lst[0])], 1) for lst in nodes])
+    # the fold roots; at width 0 every root is the shared zero
+    engine.release({lst[0] for lst in nodes})
+    return out
 
 
 def compose_bits(engine: Engine, bits: BitSharedId) -> Handle:
@@ -137,7 +146,9 @@ def oblivious_permute(engine: Engine, rows: list[tuple],
     about the applied permutation.  Layers are applied in network order;
     control bits are drawn once up front in a single batch.  Bit
     generation opens blinded squares; callers that audit what a phase
-    reveals can shunt it into ``setup_phase``.
+    reveals can shunt it into ``setup_phase``.  Each layer releases its
+    deltas, products and control bits and the gate-owned rows it
+    replaced; the caller's rows are never released.
     """
     width = {len(r) for r in rows}
     if len(width) > 1:
@@ -163,6 +174,9 @@ def oblivious_permute(engine: Engine, rows: list[tuple],
             bits = draw()
     else:
         bits = draw()
+    # every handle the gate still holds was registered after the caller's
+    # rows; the bit generator has already released its own scratch
+    mark = min(bits)
     pc = engine.meter.bucket(engine.current_phase)
     pc.exchange_gates += n_gates
     rows = list(rows)
@@ -178,6 +192,7 @@ def oblivious_permute(engine: Engine, rows: list[tuple],
                     [(1, rows[b][s]), (-1, rows[a][s])]
                 )))
         moved = engine.product_batch(deltas)
+        replaced = []
         for gi, ((a, b), c) in enumerate(zip(layer, ctrls)):
             ra, rb = rows[a], rows[b]
             na, nb = [], []
@@ -188,4 +203,9 @@ def oblivious_permute(engine: Engine, rows: list[tuple],
                 nb.append(engine.lincomb([(1, ra[s]), (1, rb[s]), (-1, ha)]))
             rows[a] = tuple(na)
             rows[b] = tuple(nb)
+            replaced += ra + rb
+        engine.release(d for _, d in deltas)
+        engine.release(moved)
+        engine.release(ctrls)
+        engine.release(h for h in replaced if h >= mark)
     return rows

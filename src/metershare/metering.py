@@ -20,7 +20,6 @@ from .errors import (
     InsufficientShares,
     ScenarioError,
     UnknownSupplier,
-    VectorLengthMismatch,
 )
 from .shamir import SHARE_BYTES, SharingParams, share_values
 
@@ -353,24 +352,3 @@ def plaintext_totals(meters: list[SmartMeter], readings: dict,
         "imp_grid_total": sum(sum(row) for row in imp),
         "exp_grid_total": sum(sum(row) for row in exp),
     }
-
-
-def audit_tuples(engine: Engine, tuples: list, scenario: Scenario) -> None:
-    """Open and sanity-check submitted tuples.  Test harness use only:
-    this reveals inputs and must never run inside a protocol phase.
-    """
-    with engine.phase("audit"):
-        for rec in tuples:
-            if isinstance(rec, BitwiseTuple):
-                for h in rec.imp_bits + rec.exp_bits:
-                    if engine.open(h, kind="audit") not in (0, 1):
-                        raise IdOverflow(f"meter {rec.sm} sent a non-bit")
-            else:
-                for vec in (rec.imp_vector, rec.exp_vector):
-                    nonzero = sum(
-                        1 for h in vec if engine.open(h, kind="audit") != 0
-                    )
-                    if nonzero > 1:
-                        raise VectorLengthMismatch(
-                            f"meter {rec.sm} sent more than one active entry"
-                        )

@@ -255,3 +255,25 @@ def test_empty_region_contributes_zero_row():
     dist = distribute_outputs(matrix, scenario.params)
     assert dist.bundles["dno:2"]["imp_by_supplier"] == [0, 0, 0]
     assert dist.bundles["tso"]["imp_matrix"] == oracle["imp_matrix"]
+
+
+@pytest.mark.parametrize("alg,m", [("naa", 6), ("ncaa", 6), ("ncaa", 1)])
+def test_region_leaves_only_cells_live(alg, m):
+    scenario = small_scenario(alg, m=(m,))
+    meters = build_meters(scenario)
+    readings = generate_readings(scenario, meters)
+    engine = Engine(scenario.params, seed=5)
+    rng = random.Random(5)
+    enc = [encode(sm, readings[sm.sm_id][0], readings[sm.sm_id][1],
+                  scenario, rng) for sm in meters]
+    tuples, _ = submit(engine, scenario, enc, rng)
+    inputs = engine.live_handles()
+    region = naa_region if alg == "naa" else ncaa_region
+    rows = region(engine, tuples, scenario.suppliers, scenario.sigma)
+    # meter inputs stay live; every intermediate sharing is gone
+    cells = {h for cell in rows.imp + rows.exp for h in cell}
+    assert set(engine.live_handles()) == set(inputs) | cells
+    oracle = plaintext_totals(meters, readings, {sm.sm_id for sm in meters},
+                              1, scenario.n_suppliers)
+    imp, exp = opened_matrix([(engine, export_rows(engine, rows))], scenario)
+    assert imp == oracle["imp_matrix"] and exp == oracle["exp_matrix"]

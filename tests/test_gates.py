@@ -163,3 +163,52 @@ def test_oblivious_permute_single_row_noop():
     engine = Engine(SharingParams(3, 1), seed=1)
     rows = [(engine.input(5),)]
     assert oblivious_permute(engine, rows) == rows
+    assert engine.live_handles() == [rows[0][0]]
+
+
+# -- handle lifetime: a gate leaves only its outputs newly live -------------
+
+def test_equals_public_batch_leaves_only_outputs(rng):
+    width = 6
+    engine = Engine(SharingParams(3, 1), seed=31)
+    queries = [(input_bits(engine, rng.randrange(1 << width), width), y)
+               for y in (0, 5, (1 << width) - 1, 42)]
+    caller = engine.live_handles()
+    out = equals_public_batch(engine, queries, width)
+    assert engine.live_handles() == caller + out
+    assert set(engine.open_batch(caller)) <= {0, 1}
+
+
+def test_equals_public_batch_in_flight_bound(rng):
+    width, n_queries = 8, 12
+    engine = Engine(SharingParams(3, 1), seed=32)
+    queries = [(input_bits(engine, rng.randrange(1 << width), width),
+                (1 << width) - 1 if q % 2 else rng.randrange(1 << width))
+               for q in range(n_queries)]
+    caller = len(engine.live_handles())
+    inner = engine.product_batch
+    in_flight = []
+
+    def counting(pairs):
+        in_flight.append(len(engine.live_handles()) - caller)
+        return inner(pairs)
+
+    engine.product_batch = counting
+    equals_public_batch(engine, queries, width)
+    assert len(in_flight) == 4                 # one call per fold level
+    # one level's nodes plus the shared zero; keeping every level alive
+    # would reach 14 per query by the last level
+    assert max(in_flight) <= n_queries * (width + 1) + 1
+
+
+@pytest.mark.parametrize("dedicated", [False, True])
+def test_oblivious_permute_leaves_only_output_rows(dedicated):
+    engine = Engine(SharingParams(3, 1), seed=33)
+    rows = [tuple(engine.input(v) for v in (i, 100 + i)) for i in range(7)]
+    caller = engine.live_handles()
+    rng = random.Random(5) if dedicated else None
+    out = oblivious_permute(engine, rows, rng=rng)
+    made = [h for row in out for h in row]
+    assert sorted(engine.live_handles()) == sorted(caller + made)
+    assert sorted(engine.open_batch(caller)) == sorted(
+        v for i in range(7) for v in (i, 100 + i))
