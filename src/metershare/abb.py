@@ -25,7 +25,10 @@ never issued or is already released raises ``KeyError``, so an ownership
 mistake fails loudly instead of freeing a caller's sharing.  The rule
 every gate and region circuit follows: a routine releases only handles
 it registered itself, which by monotonic numbering are those at or above
-the first handle it registered, and never its own outputs.
+the first handle it registered, and never its own outputs.  A fused
+round (``product_batch(..., as_or=True)``) issues numbers for its
+products but never stores them, so those numbers are never live and must
+not be released; the transcript still names them.
 """
 
 from contextlib import contextmanager
@@ -324,7 +327,8 @@ class Engine:
     def product(self, a: Handle, b: Handle) -> Handle:
         return self.product_batch([(a, b)])[0]
 
-    def product_batch(self, pairs: list[tuple[Handle, Handle]]) -> list[Handle]:
+    def product_batch(self, pairs: list[tuple[Handle, Handle]], *,
+                      as_or: bool = False) -> list[Handle]:
         """One round of multiplications with degree reduction.
 
         Each of 2t+1 senders i multiplies its shares locally, giving
@@ -343,6 +347,16 @@ class Engine:
         shares are the same field values, from the same draws: sender-major,
         then k, each by ``randrange(p)``'s rule of redrawing 63-bit words
         until one falls below p.
+
+        ``as_or=True`` returns sharings of a + b - ab (the OR of two shared
+        bits) instead of ab.  Every target holds its reduced product share
+        after the round, so it applies the merge locally to the same share
+        rows; the result equals ``lincomb_batch([(1, a), (1, b), (-1, ab)])``
+        in values and masks (held where a, b and the party are all live).
+        The products are never stored, but their numbers are still issued:
+        products take ``first..first+K-1``, which the transcript records
+        name, and the merges ``first+K..first+2K-1``, as if the products had
+        been registered, merged and released.
         """
         if not pairs:
             return []
@@ -366,6 +380,8 @@ class Engine:
         plan_cache: dict[int, tuple] = {}
         msgs = 0
         first = h = self._next_handle
+        # product h is stored under h + shift: a fused merge skips K numbers
+        shift = len(pairs) if as_or else 0
         try:
             for ha, hb in pairs:
                 av, am = shares[ha]
@@ -380,14 +396,17 @@ class Engine:
                     senders = [i for i in range(n) if q >> i & 1][:quorum_size]
                     targets = [j for j in range(n) if active >> j & 1]
                     lam = lagrange_at(tuple(i + 1 for i in senders), 0)
+                    # a merge lives where both factors and the party do
+                    held = q if as_or else active
                     plan = plan_cache[q] = (
                         list(zip(senders, lam)),
-                        [j + 1 if active >> j & 1 else None for j in range(n)],
+                        [j + 1 if held >> j & 1 else None for j in range(n)],
+                        held,
                         len(senders) * (len(targets) - 1),
                         [(f"p{i + 1}", f"p{j + 1}")
                          for i in senders for j in targets if j != i],
                     )
-                weights, xs, sent, links = plan
+                weights, xs, held, sent, links = plan
 
                 comb = [0] * (t + 1)
                 for i, w in weights:
@@ -398,15 +417,15 @@ class Engine:
                             r = getrandbits(RAND_BITS)
                         comb[k] += w * r
                 new = []
-                for x in xs:
+                for x, ai, bi in zip(xs, av, bv):
                     if x is None:
                         new.append(None)
                         continue
                     acc = 0
                     for c in comb:
                         acc = acc * x + c
-                    new.append(acc % p)
-                shares[h] = (new, active)
+                    new.append((ai + bi - acc) % p if as_or else acc % p)
+                shares[h + shift] = (new, held)
                 msgs += sent
                 if transcript is not None:
                     transcript.extend(
@@ -414,10 +433,10 @@ class Engine:
                     )
                 h += 1
         finally:
-            self._next_handle = h
+            self._next_handle = h + shift
             pc.msgs_between_dcc += msgs
             pc.bytes_between_dcc += msgs * SHARE_BYTES
-        return list(range(first, h))
+        return list(range(first + shift, h + shift))
 
     def open(self, h: Handle, kind: str = "value") -> int:
         return self.open_batch([h], kind)[0]
@@ -511,15 +530,17 @@ class Engine:
                 ))
             squares = self.product_batch([(h, h) for h in rs])
             opened = self.open_batch(squares, kind="rand")
-            retry = []
-            for slot, hr, sq in zip(pending, rs, opened):
-                if sq == 0:
-                    retry.append(slot)
-                    continue
-                root = field.sqrt(sq)
-                coef = pow(2 * root % p, -1, p)
-                out[slot] = self.lincomb([(coef, hr)], const=inv2)
-                pc.random_bits += 1
+            kept = [(slot, hr, sq)
+                    for slot, hr, sq in zip(pending, rs, opened) if sq]
+            coefs = field.inv_batch([2 * field.sqrt(sq) % p
+                                     for _, _, sq in kept])
+            bits = self.lincomb_batch([
+                ([(coef, hr)], inv2) for (_, hr, _), coef in zip(kept, coefs)
+            ])
+            for (slot, _, _), bit in zip(kept, bits):
+                out[slot] = bit
+            pc.random_bits += len(kept)
+            retry = [slot for slot, sq in zip(pending, opened) if not sq]
             self.release(rs)
             self.release(squares)
             pending = retry

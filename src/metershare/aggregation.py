@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dfield
 from . import field
 from .abb import Engine, Handle
 from .errors import InsufficientShares, OpenedIdInvalid, VectorLengthMismatch
-from .gates import compose_bits, equals_public_batch, oblivious_permute
+from .gates import compose_bits_batch, equals_public_batch, oblivious_permute
 from .shamir import SHARE_BYTES, Share, SharingParams, reconstruct
 
 STREAMS = ("imp", "exp")
@@ -180,10 +180,8 @@ def ncaa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int]
         with engine.phase(f"region_aggregation/{region}/{stream}"):
             bits_of = (lambda r: r.imp_bits) if stream == "imp" else (lambda r: r.exp_bits)
             energy_of = (lambda r: r.imp_energy) if stream == "imp" else (lambda r: r.exp_energy)
-            rows = [
-                (compose_bits(engine, bits_of(rec)), energy_of(rec))
-                for rec in tuples
-            ]
+            ids = compose_bits_batch(engine, [bits_of(rec) for rec in tuples])
+            rows = [(h, energy_of(rec)) for h, rec in zip(ids, tuples)]
             mark = rows[0][0]
             # control bits open blinded squares; keep those opens out of
             # this phase so it reveals supplier IDs and nothing else

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import random
 import sys
@@ -136,21 +135,27 @@ def _run_region(scenario: Scenario, region: int, meters, readings,
 def _mult_rows(scenario: Scenario, meter: CostMeter, region: int,
                included: int) -> list:
     """Per-region measured multiplication counters with analytic references."""
-    ns = scenario.n_suppliers
+    alg = scenario.algorithm
+
+    def formula(variant="table"):
+        # CostParams needs a positive region size; an empty region costs 0
+        if not included:
+            return 0.0 if alg == "ncaa" else 0
+        return costs.formula_mults(alg, CostParams(
+            n_dno=1, n_suppliers=scenario.n_suppliers, sigma=scenario.sigma,
+            sm_per_region=included,
+        ), variant)
+
     rows = []
-    if scenario.algorithm in ("naa", "niaa"):
+    if alg in ("naa", "niaa"):
         for stream in ("imp", "exp"):
             pc = meter.matching(f"region_aggregation/{region}/{stream}")
-            formula = (
-                scenario.sigma * included * ns + included * ns
-                if scenario.algorithm == "naa" else 0
-            )
             rows.append({
                 "region": region,
                 "stream": stream,
                 "included_sms": included,
                 "measured_mults": pc.multiplications,
-                "formula_mults": formula,
+                "formula_mults": formula(),
                 "opens": pc.opens,
                 "rounds": pc.rounds,
             })
@@ -166,17 +171,15 @@ def _mult_rows(scenario: Scenario, meter: CostMeter, region: int,
         gates_total += pc.exchange_gates
         measured_eq += pc.mult_equivalents + rnd.mult_equivalents
         opens += pc.opens
-    m = included
-    lg = math.log2(m) if m > 1 else 0.0
     gates_one = gates_total // 2 if gates_total else 0
     rows.append({
         "region": region,
-        "included_sms": m,
+        "included_sms": included,
         "exchange_gates_per_stream": gates_one,
         "measured_mult_equivalents": measured_eq,
-        "formula_table": 2 * (m * lg + m),
-        "formula_batcher": 2 * (3 * m * lg * lg + m),
-        "nominal_three_per_item": 2 * (gates_one * 3 * 2 + m),
+        "formula_table": formula("table"),
+        "formula_batcher": formula("batcher"),
+        "nominal_three_per_item": 2 * (gates_one * 3 * 2 + included),
         "opens": opens,
     })
     return rows

@@ -52,6 +52,27 @@ def inv(a: int) -> int:
     return pow(a, -1, PRIME)
 
 
+def inv_batch(values: list[int]) -> list[int]:
+    """Inverses of nonzero elements with one modular inversion in total.
+
+    Montgomery's trick: invert the running product once, then peel each
+    inverse off it walking back down the list.
+    """
+    prefix = []
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % PRIME
+    if acc == 0:
+        raise ZeroInverse("0 has no multiplicative inverse")
+    inv_acc = pow(acc, -1, PRIME)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv_acc * prefix[i] % PRIME
+        inv_acc = inv_acc * values[i] % PRIME
+    return out
+
+
 def sqrt(a: int) -> int:
     """A square root of ``a``, which must be a quadratic residue.
 

@@ -30,7 +30,8 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
     ceil(log2(width+1)) rounds.  The fold yields 1 on any difference; the
     final negation back to "equal" is affine.
 
-    Each level releases its products and the gate-owned nodes it merged,
+    Each level is one fused ``product_batch(..., as_or=True)`` round, whose
+    products are never stored; it releases the gate-owned nodes it merged,
     so at most one level's worth of intermediates is live at a time.
     """
     for bits, public_id in queries:
@@ -55,21 +56,16 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
         for bits, public_id in queries
     ]
 
-    # levelled OR fold: a OR b = a + b - ab, one product per pair
+    # levelled OR fold: a OR b = a + b - ab, merged inside the product round
     size = width + 1
     while size > 1:
         half = size // 2
         pairs = [pair for lst in nodes
                  for pair in zip(lst[0:2 * half:2], lst[1:2 * half:2])]
-        products = engine.product_batch(pairs)
-        merged = engine.lincomb_batch([
-            ([(1, a), (1, b), (-1, ab)], 0)
-            for (a, b), ab in zip(pairs, products)
-        ])
+        merged = engine.product_batch(pairs, as_or=True)
         nodes = [merged[qi * half:(qi + 1) * half] + lst[2 * half:]
                  for qi, lst in enumerate(nodes)]
         size -= half
-        engine.release(products)
         # zero sits in every query's first pair: release each handle once
         engine.release({h for pair in pairs for h in pair if h >= mark})
 
@@ -81,30 +77,15 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
 
 def compose_bits(engine: Engine, bits: BitSharedId) -> Handle:
     """Pack shared bits (MSB first) into one shared field element."""
-    width = len(bits)
-    return engine.lincomb(
-        [(1 << (width - 1 - k), bh) for k, bh in enumerate(bits)]
-    )
+    return compose_bits_batch(engine, [bits])[0]
 
 
-def exchange_gate(engine: Engine, row_a: tuple, row_b: tuple,
-                  ctrl: Handle) -> tuple[tuple, tuple]:
-    """Swap two tuple rows iff the shared control bit is 1.
-
-    Costs one product per stream: a' = a + c*(b - a), b' = a + b - a'.
-    """
-    if len(row_a) != len(row_b):
-        raise LengthMismatch("rows carry different stream counts")
-    deltas = [engine.lincomb([(1, b), (-1, a)]) for a, b in zip(row_a, row_b)]
-    moved = engine.product_batch([(ctrl, d) for d in deltas])
-    out_a = tuple(
-        engine.lincomb([(1, a), (1, m)]) for a, m in zip(row_a, moved)
-    )
-    out_b = tuple(
-        engine.lincomb([(1, a), (1, b), (-1, na)])
-        for a, b, na in zip(row_a, row_b, out_a)
-    )
-    return out_a, out_b
+def compose_bits_batch(engine: Engine, rows: list[BitSharedId]) -> list[Handle]:
+    """``compose_bits`` for many bit vectors, registered in list order."""
+    return engine.lincomb_batch([
+        ([(1 << (len(bits) - 1 - k), bh) for k, bh in enumerate(bits)], 0)
+        for bits in rows
+    ])
 
 
 def exchange_layers(m: int) -> list[list[tuple[int, int]]]:
@@ -143,8 +124,13 @@ def oblivious_permute(engine: Engine, rows: list[tuple],
 
     Every comparator of the exchange network becomes an exchange gate
     driven by a fresh shared bit, so no single party learns anything
-    about the applied permutation.  Layers are applied in network order;
-    control bits are drawn once up front in a single batch.  Bit
+    about the applied permutation: per stream, m = c*(b - a) is one
+    product, then a' = a + m and b' = b - m.  Layers are applied in
+    network order, each as one batch of deltas, one product round and one
+    batch of updates; control bits are drawn once up front in a single
+    batch.  Precondition: every row handle has the same holder mask
+    (true for region rows, which are admitted only on the full live set);
+    otherwise b' would be held more widely than a + b - a' was.  Bit
     generation opens blinded squares; callers that audit what a phase
     reveals can shunt it into ``setup_phase``.  Each layer releases its
     deltas, products and control bits and the gate-owned rows it
@@ -185,26 +171,29 @@ def oblivious_permute(engine: Engine, rows: list[tuple],
     for layer in layers:
         ctrls = bits[used:used + len(layer)]
         used += len(layer)
-        deltas = []
-        for (a, b), c in zip(layer, ctrls):
-            for s in range(streams):
-                deltas.append((c, engine.lincomb(
-                    [(1, rows[b][s]), (-1, rows[a][s])]
-                )))
-        moved = engine.product_batch(deltas)
+        deltas = engine.lincomb_batch([
+            ([(1, rows[b][s]), (-1, rows[a][s])], 0)
+            for a, b in layer for s in range(streams)
+        ])
+        moved = engine.product_batch([
+            (c, d) for gi, c in enumerate(ctrls)
+            for d in deltas[gi * streams:(gi + 1) * streams]
+        ])
+        # a' = a + m and b' = b - m, interleaved per stream
+        updated = engine.lincomb_batch([
+            combo
+            for gi, (a, b) in enumerate(layer)
+            for s, m in enumerate(moved[gi * streams:(gi + 1) * streams])
+            for combo in (([(1, rows[a][s]), (1, m)], 0),
+                          ([(1, rows[b][s]), (-1, m)], 0))
+        ])
         replaced = []
-        for gi, ((a, b), c) in enumerate(zip(layer, ctrls)):
-            ra, rb = rows[a], rows[b]
-            na, nb = [], []
-            for s in range(streams):
-                m = moved[gi * streams + s]
-                ha = engine.lincomb([(1, ra[s]), (1, m)])
-                na.append(ha)
-                nb.append(engine.lincomb([(1, ra[s]), (1, rb[s]), (-1, ha)]))
-            rows[a] = tuple(na)
-            rows[b] = tuple(nb)
-            replaced += ra + rb
-        engine.release(d for _, d in deltas)
+        for gi, (a, b) in enumerate(layer):
+            replaced += rows[a] + rows[b]
+            pair = updated[2 * gi * streams:2 * (gi + 1) * streams]
+            rows[a] = tuple(pair[0::2])
+            rows[b] = tuple(pair[1::2])
+        engine.release(deltas)
         engine.release(moved)
         engine.release(ctrls)
         engine.release(h for h in replaced if h >= mark)

@@ -19,6 +19,7 @@ from metershare.shamir import (
     extend_to_secret,
     lagrange_at,
     reconstruct,
+    share_values,
 )
 
 
@@ -328,10 +329,11 @@ def reference_lincomb(engine, terms, const=0):
     return [vals[i] if mask >> i & 1 else None for i in range(n)], mask
 
 
-def loaded_engine(n, t, degrade):
+def loaded_engine(n, t, degrade, record_transcript=False):
     """Engine holding 12 sharings, optionally with a failed party or with
     sharings missing one party's share."""
-    engine = Engine(SharingParams(n, t), seed=n * 100 + t)
+    engine = Engine(SharingParams(n, t), seed=n * 100 + t,
+                    record_transcript=record_transcript)
     draw = random.Random(n * 7 + t)
     handles = []
     for k in range(12):
@@ -367,6 +369,124 @@ def test_product_batch_is_share_exact(n, t, degrade):
     for h, (ha, hb) in zip(out, pairs):
         want = engine.open(ha) * engine.open(hb) % field.PRIME
         assert engine.open(h) == want
+
+
+class StoreLog(dict):
+    """Handle table that remembers every number ever stored in it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.stored = []
+
+    def __setitem__(self, h, value):
+        self.stored.append(h)
+        super().__setitem__(h, value)
+
+
+@pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
+def test_product_batch_as_or_is_share_exact(n, t, degrade):
+    # the fused OR round against a plain round, the per-sender reshare and
+    # the term-by-term merge a + b - ab it replaces
+    engine, handles = loaded_engine(n, t, degrade, record_transcript=True)
+    plain, _ = loaded_engine(n, t, degrade, record_transcript=True)
+    ref, _ = loaded_engine(n, t, degrade)
+    pairs = [(handles[k], handles[(5 * k + 3) % 12]) for k in range(12)]
+    pairs.append((handles[0], handles[0]))
+    k = len(pairs)
+    first = engine._next_handle
+    engine._h = StoreLog(engine._h)
+
+    with engine.phase("probe"):
+        out = engine.product_batch(pairs, as_or=True)
+    with plain.phase("probe"):
+        products = plain.product_batch(pairs)
+    assert products == list(range(first, first + k))
+    for h, product in zip(products, reference_reshare(ref, pairs)):
+        ref._h[h] = product
+    want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)])
+            for (a, b), ab in zip(pairs, products)]
+
+    assert out == list(range(first + k, first + 2 * k))
+    assert [engine._h[h] for h in out] == want
+    assert engine._next_handle == first + 2 * k
+    assert engine.rng.getstate() == ref.rng.getstate() == plain.rng.getstate()
+    # records name the products; counters match the plain round
+    assert engine.transcript == plain.transcript
+    assert engine.meter.as_dict() == plain.meter.as_dict()
+    # no product number was ever live
+    assert engine._h.stored == out
+    opened = engine.open_batch(out)
+    for value, (a, b) in zip(opened, pairs):
+        x, y = engine.open(a), engine.open(b)
+        assert value == (x + y - x * y) % field.PRIME
+
+
+def reference_random_bits(engine, k):
+    """The earlier form of ``random_bits_batch``: one lincomb and one
+    inversion per bit."""
+    out = [None] * k
+    pending = list(range(k))
+    p = field.PRIME
+    inv2 = pow(2, -1, p)
+    pc = engine.meter.bucket(engine.current_phase)
+    while pending:
+        rs = []
+        for _ in pending:
+            r = engine.rng.randrange(p)
+            rs.append(engine._register(
+                share_values(r, engine.n, engine.t, engine.rng),
+                engine._active,
+            ))
+        squares = engine.product_batch([(h, h) for h in rs])
+        opened = engine.open_batch(squares, kind="rand")
+        retry = []
+        for slot, hr, sq in zip(pending, rs, opened):
+            if sq == 0:
+                retry.append(slot)
+                continue
+            root = field.sqrt(sq)
+            coef = pow(2 * root % p, -1, p)
+            out[slot] = engine.lincomb([(coef, hr)], const=inv2)
+            pc.random_bits += 1
+        engine.release(rs)
+        engine.release(squares)
+        pending = retry
+    return out
+
+
+@pytest.mark.parametrize("retry", [False, True])
+@pytest.mark.parametrize("n,t,failed", [(3, 1, False), (5, 1, True)])
+def test_random_bits_batch_is_share_exact(n, t, failed, retry):
+    def make():
+        engine = Engine(SharingParams(n, t), seed=40 + n)
+        for v in (3, 4):
+            engine.input(v)
+        if failed:
+            engine.fail_party(2)
+        if retry:
+            # the first random element is 0, so its square opens to 0
+            draw = engine.rng.randrange
+            calls = []
+
+            def zero_first(*args):
+                calls.append(args)
+                return 0 if len(calls) == 1 else draw(*args)
+
+            engine.rng.randrange = zero_first
+        return engine
+
+    engine, ref = make(), make()
+    with engine.phase("bits"):
+        out = engine.random_bits_batch(9)
+    with ref.phase("bits"):
+        want = reference_random_bits(ref, 9)
+    assert out == want
+    assert list(engine._h.items()) == list(ref._h.items())
+    assert engine._next_handle == ref._next_handle
+    assert engine.rng.getstate() == ref.rng.getstate()
+    assert engine.meter.as_dict() == ref.meter.as_dict()
+    assert engine.opened_log == ref.opened_log
+    assert engine.meter.bucket("bits").opens == (10 if retry else 9)
 
 
 @pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)

@@ -66,6 +66,15 @@ def test_inverse():
         field.inv(0)
 
 
+def test_inv_batch_matches_single_inverses():
+    rng = random.Random(3)
+    values = [rng.randrange(1, field.PRIME) for _ in range(20)] + [1, 2]
+    assert field.inv_batch(values) == [pow(v, -1, field.PRIME) for v in values]
+    assert field.inv_batch([]) == []
+    with pytest.raises(ZeroInverse):
+        field.inv_batch([3, 0, 5])
+
+
 def test_sqrt_of_squares():
     rng = random.Random(3)
     for _ in range(100):

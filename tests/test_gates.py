@@ -11,7 +11,6 @@ from metershare.gates import (
     compose_bits,
     equals_public,
     equals_public_batch,
-    exchange_gate,
     exchange_layers,
     oblivious_permute,
 )
@@ -61,18 +60,6 @@ def test_compose_bits(rng):
         v = rng.randrange(1 << 8)
         h = compose_bits(engine, input_bits(engine, v, 8))
         assert engine.open(h) == v
-
-
-def test_exchange_gate_swaps_on_control():
-    engine = Engine(SharingParams(3, 1), seed=4)
-    a = (engine.input(10), engine.input(100))
-    b = (engine.input(20), engine.input(200))
-    keep = exchange_gate(engine, a, b, engine.input(0))
-    swap = exchange_gate(engine, a, b, engine.input(1))
-    assert [engine.open(h) for h in keep[0]] == [10, 100]
-    assert [engine.open(h) for h in keep[1]] == [20, 200]
-    assert [engine.open(h) for h in swap[0]] == [20, 200]
-    assert [engine.open(h) for h in swap[1]] == [10, 100]
 
 
 def test_exchange_layers_known_size():
@@ -189,9 +176,9 @@ def test_equals_public_batch_in_flight_bound(rng):
     inner = engine.product_batch
     in_flight = []
 
-    def counting(pairs):
+    def counting(pairs, **kwargs):
         in_flight.append(len(engine.live_handles()) - caller)
-        return inner(pairs)
+        return inner(pairs, **kwargs)
 
     engine.product_batch = counting
     equals_public_batch(engine, queries, width)
@@ -212,3 +199,68 @@ def test_oblivious_permute_leaves_only_output_rows(dedicated):
     assert sorted(engine.live_handles()) == sorted(caller + made)
     assert sorted(engine.open_batch(caller)) == sorted(
         v for i in range(7) for v in (i, 100 + i))
+
+
+# -- share-exact reference: the earlier per-gate exchange loop --------------
+
+def reference_permute(engine, rows):
+    """The earlier form of ``oblivious_permute``: three lincombs per gate
+    and stream, b' formed as a + b - a'."""
+    layers = exchange_layers(len(rows))
+    n_gates = sum(len(layer) for layer in layers)
+    bits = engine.random_bits_batch(n_gates)
+    mark = min(bits)
+    engine.meter.bucket(engine.current_phase).exchange_gates += n_gates
+    rows = list(rows)
+    used = 0
+    streams = len(rows[0])
+    for layer in layers:
+        ctrls = bits[used:used + len(layer)]
+        used += len(layer)
+        deltas = []
+        for (a, b), c in zip(layer, ctrls):
+            for s in range(streams):
+                deltas.append((c, engine.lincomb(
+                    [(1, rows[b][s]), (-1, rows[a][s])]
+                )))
+        moved = engine.product_batch(deltas)
+        replaced = []
+        for gi, (a, b) in enumerate(layer):
+            ra, rb = rows[a], rows[b]
+            na, nb = [], []
+            for s in range(streams):
+                m = moved[gi * streams + s]
+                ha = engine.lincomb([(1, ra[s]), (1, m)])
+                na.append(ha)
+                nb.append(engine.lincomb([(1, ra[s]), (1, rb[s]), (-1, ha)]))
+            rows[a] = tuple(na)
+            rows[b] = tuple(nb)
+            replaced += ra + rb
+        engine.release(d for _, d in deltas)
+        engine.release(moved)
+        engine.release(ctrls)
+        engine.release(h for h in replaced if h >= mark)
+    return rows
+
+
+@pytest.mark.parametrize("n,t,failed", [(3, 1, False), (5, 1, True)])
+def test_oblivious_permute_is_share_exact(n, t, failed):
+    def make():
+        engine = Engine(SharingParams(n, t), seed=50 + n)
+        rows = [tuple(engine.input(v) for v in (i, 100 + i)) for i in range(9)]
+        if failed:
+            engine.fail_party(2)
+        return engine, rows
+
+    (engine, rows), (ref, ref_rows) = make(), make()
+    with engine.phase("perm"):
+        out = oblivious_permute(engine, rows)
+    with ref.phase("perm"):
+        want = reference_permute(ref, ref_rows)
+    assert out == want
+    assert list(engine._h.items()) == list(ref._h.items())
+    assert engine._next_handle == ref._next_handle
+    assert engine.rng.getstate() == ref.rng.getstate()
+    assert engine.meter.as_dict() == ref.meter.as_dict()
+    assert engine.meter.bucket("perm").exchange_gates > 0
+
