@@ -62,11 +62,21 @@ class PhaseCount:
     random_bits: int = 0
     exchange_gates: int = 0
     msgs_sm_to_dcc: int = 0
-    bytes_sm_to_dcc: int = 0
     msgs_between_dcc: int = 0
-    bytes_between_dcc: int = 0
     msgs_dcc_to_recipients: int = 0
-    bytes_dcc_to_recipients: int = 0
+
+    # every message carries one wire share, so bytes follow from messages
+    @property
+    def bytes_sm_to_dcc(self) -> int:
+        return self.msgs_sm_to_dcc * SHARE_BYTES
+
+    @property
+    def bytes_between_dcc(self) -> int:
+        return self.msgs_between_dcc * SHARE_BYTES
+
+    @property
+    def bytes_dcc_to_recipients(self) -> int:
+        return self.msgs_dcc_to_recipients * SHARE_BYTES
 
     @property
     def mult_equivalents(self) -> int:
@@ -79,7 +89,9 @@ class PhaseCount:
 
     def as_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in dfields(self)}
-        d["mult_equivalents"] = self.mult_equivalents
+        for name in ("bytes_sm_to_dcc", "bytes_between_dcc",
+                     "bytes_dcc_to_recipients", "mult_equivalents"):
+            d[name] = getattr(self, name)
         return d
 
 
@@ -229,10 +241,7 @@ class Engine:
         if mask.bit_count() < self.t + 1:
             raise InsufficientShares("sharing arrived at fewer than t+1 parties")
         h = self._register(list(values), mask)
-        pc = self.meter.bucket(self._phase)
-        delivered = mask.bit_count()
-        pc.msgs_sm_to_dcc += delivered
-        pc.bytes_sm_to_dcc += delivered * SHARE_BYTES
+        self.meter.bucket(self._phase).msgs_sm_to_dcc += mask.bit_count()
         if self.transcript is not None:
             for i in range(self.n):
                 if mask >> i & 1:
@@ -312,15 +321,6 @@ class Engine:
         finally:
             self._next_handle = h
         return list(range(first, h))
-
-    def add(self, a: Handle, b: Handle) -> Handle:
-        return self.lincomb([(1, a), (1, b)])
-
-    def add_const(self, a: Handle, c: int) -> Handle:
-        return self.lincomb([(1, a)], const=c)
-
-    def scale(self, a: Handle, c: int) -> Handle:
-        return self.lincomb([(c, a)])
 
     # -- interactive operations --------------------------------------------
 
@@ -435,7 +435,6 @@ class Engine:
         finally:
             self._next_handle = h + shift
             pc.msgs_between_dcc += msgs
-            pc.bytes_between_dcc += msgs * SHARE_BYTES
         return list(range(first + shift, h + shift))
 
     def open(self, h: Handle, kind: str = "value") -> int:
@@ -494,9 +493,7 @@ class Engine:
                     raise InconsistentShares(
                         f"party {i + 1} broadcast a share off the polynomial"
                     )
-            msgs = len(holders) * (n_active - 1)
-            pc.msgs_between_dcc += msgs
-            pc.bytes_between_dcc += msgs * SHARE_BYTES
+            pc.msgs_between_dcc += len(holders) * (n_active - 1)
             if record:
                 for i in holders:
                     for j in range(n):

@@ -12,6 +12,11 @@ readings:
 * ``niaa_region``   receives one-hot vectors and only adds shares, at
                     zero interactive cost.
 
+Every per-stream field below (tuples, region rows, the grid matrix) is
+a list indexed in ``STREAMS`` order, so each layer loops over the flows
+instead of naming them; the stream names appear only in phase labels,
+transcript labels and output keys.
+
 Cells are kept as share groups keyed by the set of servers holding them,
 so partial deliveries under transport faults stay reconstructable group
 by group.  Nothing here opens an energy value: outputs leave the servers
@@ -21,7 +26,7 @@ as shares and are reconstructed by their recipients.
 from dataclasses import dataclass, field as dfield
 
 from . import field
-from .abb import Engine, Handle
+from .abb import Engine
 from .errors import InsufficientShares, OpenedIdInvalid, VectorLengthMismatch
 from .gates import compose_bits_batch, equals_public_batch, oblivious_permute
 from .shamir import SHARE_BYTES, Share, SharingParams, reconstruct
@@ -70,19 +75,16 @@ class BitwiseTuple:
     """Per-meter submission in bit-shared form (equality-test algorithms)."""
 
     sm: int
-    imp_bits: list
-    exp_bits: list
-    imp_energy: Handle
-    exp_energy: Handle
+    bits: list           # per stream: supplier ID bit handles, MSB first
+    energy: list         # per stream: reading handle
 
 
 @dataclass
 class OneHotTuple:
-    """Per-meter submission as two one-hot share vectors."""
+    """Per-meter submission as one one-hot share vector per stream."""
 
     sm: int
-    imp_vector: list
-    exp_vector: list
+    vectors: list        # per stream: one handle per supplier
 
 
 @dataclass
@@ -90,8 +92,7 @@ class RegionRows:
     """Aggregated per-supplier cells of one region, still as handles."""
 
     region: int
-    imp: list            # per supplier: list of group handles
-    exp: list
+    cells: list          # [stream][supplier] -> list of group handles
     leaked_counts: dict | None = None
     empty: bool = False
 
@@ -101,8 +102,7 @@ class RegionShares:
     """Region rows exported from the engine as raw share groups."""
 
     region: int
-    imp: list            # per supplier: CompositeCell
-    exp: list
+    cells: list          # [stream][supplier] -> CompositeCell
     leaked_counts: dict | None = None
     empty: bool = False
 
@@ -112,8 +112,7 @@ def _zero_rows(engine: Engine, n_suppliers: int, region: int,
     zero = engine.constant(0)
     return RegionRows(
         region=region,
-        imp=[[zero] for _ in range(n_suppliers)],
-        exp=[[zero] for _ in range(n_suppliers)],
+        cells=[[[zero] for _ in range(n_suppliers)] for _ in STREAMS],
         leaked_counts=leaked,
         empty=True,
     )
@@ -130,34 +129,27 @@ def naa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int],
     """
     if not tuples:
         return _zero_rows(engine, len(suppliers), region)
-    rows = RegionRows(region=region, imp=[], exp=[])
-    for stream in STREAMS:
+    cells = []
+    for s, stream in enumerate(STREAMS):
         with engine.phase(f"region_aggregation/{region}/{stream}"):
-            bits_of = (lambda r: r.imp_bits) if stream == "imp" else (lambda r: r.exp_bits)
-            energy_of = (lambda r: r.imp_energy) if stream == "imp" else (lambda r: r.exp_energy)
-            queries = [
-                (bits_of(rec), u) for rec in tuples for u in suppliers
-            ]
+            queries = [(rec.bits[s], u) for rec in tuples for u in suppliers]
             matches = equals_public_batch(engine, queries, sigma)
             gated = engine.product_batch([
-                (matches[i * len(suppliers) + k], energy_of(rec))
+                (matches[i * len(suppliers) + k], rec.energy[s])
                 for i, rec in enumerate(tuples)
                 for k in range(len(suppliers))
             ])
             engine.release(matches)
-            cells = []
+            stream_cells = []
             for k in range(len(suppliers)):
                 terms = [
                     (1, gated[i * len(suppliers) + k])
                     for i in range(len(tuples))
                 ]
-                cells.append([engine.lincomb(terms)])
+                stream_cells.append([engine.lincomb(terms)])
             engine.release(gated)
-            if stream == "imp":
-                rows.imp = cells
-            else:
-                rows.exp = cells
-    return rows
+            cells.append(stream_cells)
+    return RegionRows(region=region, cells=cells)
 
 
 def ncaa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int],
@@ -175,13 +167,11 @@ def ncaa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int]
                           leaked={s: {u: 0 for u in suppliers} for s in STREAMS})
     registry = set(suppliers)
     leaked: dict = {}
-    out: dict = {}
-    for stream in STREAMS:
+    cells = []
+    for s, stream in enumerate(STREAMS):
         with engine.phase(f"region_aggregation/{region}/{stream}"):
-            bits_of = (lambda r: r.imp_bits) if stream == "imp" else (lambda r: r.exp_bits)
-            energy_of = (lambda r: r.imp_energy) if stream == "imp" else (lambda r: r.exp_energy)
-            ids = compose_bits_batch(engine, [bits_of(rec) for rec in tuples])
-            rows = [(h, energy_of(rec)) for h, rec in zip(ids, tuples)]
+            ids = compose_bits_batch(engine, [rec.bits[s] for rec in tuples])
+            rows = [(h, rec.energy[s]) for h, rec in zip(ids, tuples)]
             mark = rows[0][0]
             # control bits open blinded squares; keep those opens out of
             # this phase so it reveals supplier IDs and nothing else
@@ -199,20 +189,19 @@ def ncaa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int]
                     )
                 counts[opened] += 1
                 buckets[opened].append((1, payload))
-            cells = []
+            stream_cells = []
             for u in suppliers:
                 if buckets[u]:
-                    cells.append([engine.lincomb(buckets[u])])
+                    stream_cells.append([engine.lincomb(buckets[u])])
                 else:
-                    cells.append([engine.constant(0)])
+                    stream_cells.append([engine.constant(0)])
             # a single row comes back unshuffled, so dedupe; meter inputs
             # (below mark) stay live
             engine.release({h for row in rows + shuffled for h in row
                             if h >= mark})
-            out[stream] = cells
+            cells.append(stream_cells)
             leaked[stream] = counts
-    return RegionRows(region=region, imp=out["imp"], exp=out["exp"],
-                      leaked_counts=leaked)
+    return RegionRows(region=region, cells=cells, leaked_counts=leaked)
 
 
 def niaa_region(engine: Engine, tuples: list[OneHotTuple], n_suppliers: int,
@@ -225,33 +214,26 @@ def niaa_region(engine: Engine, tuples: list[OneHotTuple], n_suppliers: int,
     if not tuples:
         return _zero_rows(engine, n_suppliers, region)
     for rec in tuples:
-        if len(rec.imp_vector) != n_suppliers or len(rec.exp_vector) != n_suppliers:
-            raise VectorLengthMismatch(
-                f"meter {rec.sm} sent a vector of the wrong length"
-            )
-    rows = RegionRows(region=region, imp=[], exp=[])
-    for stream in STREAMS:
+        for vector in rec.vectors:
+            if len(vector) != n_suppliers:
+                raise VectorLengthMismatch(
+                    f"meter {rec.sm} sent a vector of the wrong length"
+                )
+    cells = []
+    for s, stream in enumerate(STREAMS):
         with engine.phase(f"region_aggregation/{region}/{stream}"):
-            vec_of = (lambda r: r.imp_vector) if stream == "imp" else (lambda r: r.exp_vector)
-            cells = []
+            stream_cells = []
             for k in range(n_suppliers):
                 by_mask: dict = {}
                 for rec in tuples:
-                    h = vec_of(rec)[k]
+                    h = rec.vectors[s][k]
                     by_mask.setdefault(tuple(engine.handle_mask(h)), []).append((1, h))
-                if by_mask:
-                    groups = [
-                        engine.lincomb(terms)
-                        for _, terms in sorted(by_mask.items())
-                    ]
-                else:
-                    groups = [engine.constant(0)]
-                cells.append(groups)
-            if stream == "imp":
-                rows.imp = cells
-            else:
-                rows.exp = cells
-    return rows
+                stream_cells.append([
+                    engine.lincomb(terms)
+                    for _, terms in sorted(by_mask.items())
+                ])
+            cells.append(stream_cells)
+    return RegionRows(region=region, cells=cells)
 
 
 def export_rows(engine: Engine, rows: RegionRows) -> RegionShares:
@@ -266,8 +248,8 @@ def export_rows(engine: Engine, rows: RegionRows) -> RegionShares:
 
     return RegionShares(
         region=rows.region,
-        imp=[export_cell(c) for c in rows.imp],
-        exp=[export_cell(c) for c in rows.exp],
+        cells=[[export_cell(c) for c in stream_cells]
+               for stream_cells in rows.cells],
         leaked_counts=rows.leaked_counts,
         empty=rows.empty,
     )
@@ -279,8 +261,7 @@ class SharedMatrix:
 
     n_regions: int
     n_suppliers: int
-    imp: list            # [region][supplier] -> CompositeCell
-    exp: list
+    cells: list          # [stream][region][supplier] -> CompositeCell
     empty_regions: list = dfield(default_factory=list)
 
 
@@ -295,10 +276,24 @@ def grid_aggregate(regions: list[RegionShares], n_suppliers: int) -> SharedMatri
     return SharedMatrix(
         n_regions=len(regions),
         n_suppliers=n_suppliers,
-        imp=[r.imp for r in regions],
-        exp=[r.exp for r in regions],
+        cells=[[r.cells[s] for r in regions] for s in range(len(STREAMS))],
         empty_regions=[r.region for r in regions if r.empty],
     )
+
+
+def grid_view(matrices: list) -> dict:
+    """The grid operator's view of per-stream [region][supplier] matrices.
+
+    Per stream: the matrix itself and its region, supplier and grid
+    totals.  The plaintext oracle has the same shape.
+    """
+    view: dict = {}
+    for stream, matrix in zip(STREAMS, matrices):
+        view[f"{stream}_matrix"] = matrix
+        view[f"{stream}_region_totals"] = [sum(row) for row in matrix]
+        view[f"{stream}_supplier_totals"] = [sum(col) for col in zip(*matrix)]
+        view[f"{stream}_grid_total"] = sum(sum(row) for row in matrix)
+    return view
 
 
 @dataclass
@@ -307,8 +302,11 @@ class Distribution:
 
     bundles: dict
     records: list        # (sender, receiver, label, bytes) transcript lines
-    messages: int
-    bytes: int
+
+    @property
+    def messages(self) -> int:
+        """One share per record."""
+        return len(self.records)
 
 
 def distribute_outputs(matrix: SharedMatrix, params: SharingParams,
@@ -318,87 +316,36 @@ def distribute_outputs(matrix: SharedMatrix, params: SharingParams,
     Per cell, every live holder sends its share; recipients interpolate
     and derive their own totals locally, so totals travel as zero extra
     shares.  The grid operator sees the whole matrix, each region
-    operator its row, each supplier its column.
+    operator its row, each supplier its column.  Each recipient pulls
+    its stream views in ``STREAMS`` order.
     """
     t = params.t
     records: list = []
-    messages = 0
+    regions, suppliers = range(matrix.n_regions), range(matrix.n_suppliers)
 
-    def pull(cell: CompositeCell, receiver: str, label: str) -> int:
-        nonlocal messages
-        for mask, shares in sorted(cell.items()):
+    def pull(s: int, j: int, k: int, receiver: str) -> int:
+        cell = matrix.cells[s][j][k]
+        label = f"cell/{STREAMS[s]}/{j + 1}/{k + 1}"
+        for _, shares in sorted(cell.items()):
             for party in sorted(shares):
-                if party in failed:
-                    continue
-                records.append((f"p{party}", receiver, label, SHARE_BYTES))
-                messages += 1
+                if party not in failed:
+                    records.append((f"p{party}", receiver, label, SHARE_BYTES))
         return reconstruct_cell(cell, t, failed)
 
-    n_regions, n_suppliers = matrix.n_regions, matrix.n_suppliers
-    bundles: dict = {}
-
-    imp_cells = [
-        [pull(matrix.imp[j][k], "tso", f"cell/imp/{j + 1}/{k + 1}")
-         for k in range(n_suppliers)]
-        for j in range(n_regions)
-    ]
-    exp_cells = [
-        [pull(matrix.exp[j][k], "tso", f"cell/exp/{j + 1}/{k + 1}")
-         for k in range(n_suppliers)]
-        for j in range(n_regions)
-    ]
-    bundles["tso"] = {
-        "imp_matrix": imp_cells,
-        "exp_matrix": exp_cells,
-        "imp_region_totals": [sum(row) for row in imp_cells],
-        "exp_region_totals": [sum(row) for row in exp_cells],
-        "imp_supplier_totals": [
-            sum(imp_cells[j][k] for j in range(n_regions))
-            for k in range(n_suppliers)
-        ],
-        "exp_supplier_totals": [
-            sum(exp_cells[j][k] for j in range(n_regions))
-            for k in range(n_suppliers)
-        ],
-        "imp_grid_total": sum(sum(row) for row in imp_cells),
-        "exp_grid_total": sum(sum(row) for row in exp_cells),
-    }
-
-    for j in range(n_regions):
-        imp_row = [
-            pull(matrix.imp[j][k], f"dno{j + 1}", f"cell/imp/{j + 1}/{k + 1}")
-            for k in range(n_suppliers)
-        ]
-        exp_row = [
-            pull(matrix.exp[j][k], f"dno{j + 1}", f"cell/exp/{j + 1}/{k + 1}")
-            for k in range(n_suppliers)
-        ]
-        bundles[f"dno:{j + 1}"] = {
-            "imp_by_supplier": imp_row,
-            "exp_by_supplier": exp_row,
-            "imp_total": sum(imp_row),
-            "exp_total": sum(exp_row),
-        }
-
-    for k in range(n_suppliers):
-        imp_col = [
-            pull(matrix.imp[j][k], f"sup{k + 1}", f"cell/imp/{j + 1}/{k + 1}")
-            for j in range(n_regions)
-        ]
-        exp_col = [
-            pull(matrix.exp[j][k], f"sup{k + 1}", f"cell/exp/{j + 1}/{k + 1}")
-            for j in range(n_regions)
-        ]
-        bundles[f"supplier:{k + 1}"] = {
-            "imp_by_region": imp_col,
-            "exp_by_region": exp_col,
-            "imp_total": sum(imp_col),
-            "exp_total": sum(exp_col),
-        }
-
-    return Distribution(
-        bundles=bundles,
-        records=records,
-        messages=messages,
-        bytes=messages * SHARE_BYTES,
-    )
+    bundles: dict = {"tso": grid_view([
+        [[pull(s, j, k, "tso") for k in suppliers] for j in regions]
+        for s in range(len(STREAMS))
+    ])}
+    for j in regions:
+        bundle = bundles[f"dno:{j + 1}"] = {}
+        for s, stream in enumerate(STREAMS):
+            row = [pull(s, j, k, f"dno{j + 1}") for k in suppliers]
+            bundle[f"{stream}_by_supplier"] = row
+            bundle[f"{stream}_total"] = sum(row)
+    for k in suppliers:
+        bundle = bundles[f"supplier:{k + 1}"] = {}
+        for s, stream in enumerate(STREAMS):
+            col = [pull(s, j, k, f"sup{k + 1}") for j in regions]
+            bundle[f"{stream}_by_region"] = col
+            bundle[f"{stream}_total"] = sum(col)
+    return Distribution(bundles=bundles, records=records)

@@ -19,12 +19,12 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import costs, field
 from .abb import CostMeter, Engine
 from .aggregation import (
+    STREAMS,
     distribute_outputs,
     export_rows,
     grid_aggregate,
@@ -44,7 +44,7 @@ from .metering import (
     plaintext_totals,
     submit,
 )
-from .shamir import SharingParams, reconstruct, share
+from .shamir import SHARE_BYTES, SharingParams, reconstruct, share
 
 SEED_ENV = "METERSHARE_SEED"
 HANDLE_SAMPLES_PER_RUN = 100
@@ -78,10 +78,6 @@ class RunResult:
     submit_stats: dict
     mult_rows: list
     wall_seconds: float
-
-
-def _region_meters(meters, region):
-    return [m for m in meters if m.region == region]
 
 
 def _run_region(scenario: Scenario, region: int, meters, readings,
@@ -148,7 +144,7 @@ def _mult_rows(scenario: Scenario, meter: CostMeter, region: int,
 
     rows = []
     if alg in ("naa", "niaa"):
-        for stream in ("imp", "exp"):
+        for stream in STREAMS:
             pc = meter.matching(f"region_aggregation/{region}/{stream}")
             rows.append({
                 "region": region,
@@ -165,7 +161,7 @@ def _mult_rows(scenario: Scenario, meter: CostMeter, region: int,
     gates_total = 0
     measured_eq = 0
     opens = 0
-    for stream in ("imp", "exp"):
+    for stream in STREAMS:
         pc = meter.matching(f"region_aggregation/{region}/{stream}")
         rnd = meter.matching(f"randomness_setup/{region}/{stream}")
         gates_total += pc.exchange_gates
@@ -187,20 +183,15 @@ def _mult_rows(scenario: Scenario, meter: CostMeter, region: int,
 
 def run_scenario(scenario: Scenario, record_transcript: bool = False,
                  threads: int = 1) -> RunResult:
+    # threads is unread, kept while bench/run.py passes it; drop both together
     meters = build_meters(scenario)
     readings = generate_readings(scenario, meters, slot=0)
-    regions = list(range(1, scenario.n_dno + 1))
     started = time.perf_counter()
-
-    def work(j):
-        return _run_region(scenario, j, _region_meters(meters, j),
-                           readings, record_transcript)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, regions))
-    else:
-        outcomes = [work(j) for j in regions]
+    outcomes = [
+        _run_region(scenario, j, [m for m in meters if m.region == j],
+                    readings, record_transcript)
+        for j in range(1, scenario.n_dno + 1)
+    ]
 
     meter = CostMeter()
     for o in outcomes:
@@ -210,23 +201,19 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
                                    scenario.n_suppliers)
     dist = distribute_outputs(matrix_shares, scenario.params,
                               failed=frozenset(scenario.fail_servers))
-    pc = meter.bucket("output_distribution")
-    pc.msgs_dcc_to_recipients += dist.messages
-    pc.bytes_dcc_to_recipients += dist.bytes
+    meter.bucket("output_distribution").msgs_dcc_to_recipients += dist.messages
     wall = time.perf_counter() - started
 
     included = set()
     excluded = []
     submit_stats = {
-        "delivered_bundles": 0, "dropped_bundles": 0,
-        "delivered_shares": 0, "four_field_shares": 0,
+        "delivered_bundles": 0, "dropped_bundles": 0, "four_field_shares": 0,
     }
     for o in outcomes:
         included.update(o.submit_report.included)
         excluded.extend(o.submit_report.excluded)
         submit_stats["delivered_bundles"] += o.submit_report.delivered_bundles
         submit_stats["dropped_bundles"] += o.submit_report.dropped_bundles
-        submit_stats["delivered_shares"] += o.submit_report.delivered_shares
         submit_stats["four_field_shares"] += o.submit_report.four_field_shares
 
     oracle = plaintext_totals(meters, readings, included,
@@ -300,18 +287,15 @@ def check_result(run: RunResult) -> list[str]:
     o = run.oracle
     for j in range(run.scenario.n_dno):
         b = run.bundles[f"dno:{j + 1}"]
-        if b["imp_by_supplier"] != o["imp_matrix"][j] \
-                or b["exp_by_supplier"] != o["exp_matrix"][j] \
-                or b["imp_total"] != o["imp_region_totals"][j] \
-                or b["exp_total"] != o["exp_region_totals"][j]:
+        if any(b[f"{s}_by_supplier"] != o[f"{s}_matrix"][j]
+               or b[f"{s}_total"] != o[f"{s}_region_totals"][j]
+               for s in STREAMS):
             problems.append(f"dno:{j + 1} bundle mismatch")
     for k in range(run.scenario.n_suppliers):
         b = run.bundles[f"supplier:{k + 1}"]
-        col_imp = [o["imp_matrix"][j][k] for j in range(run.scenario.n_dno)]
-        col_exp = [o["exp_matrix"][j][k] for j in range(run.scenario.n_dno)]
-        if b["imp_by_region"] != col_imp or b["exp_by_region"] != col_exp \
-                or b["imp_total"] != o["imp_supplier_totals"][k] \
-                or b["exp_total"] != o["exp_supplier_totals"][k]:
+        if any(b[f"{s}_by_region"] != [row[k] for row in o[f"{s}_matrix"]]
+               or b[f"{s}_total"] != o[f"{s}_supplier_totals"][k]
+               for s in STREAMS):
             problems.append(f"supplier:{k + 1} bundle mismatch")
     return problems
 
@@ -387,7 +371,7 @@ def build_report(run: RunResult, threads: int = 1) -> dict:
         "metadata": {
             "prime": field.PRIME,
             "share_bits": share_bits,
-            "share_bytes": 10,
+            "share_bytes": SHARE_BYTES,
             "byte_accounting": sc.byte_accounting,
             "network": "batcher_odd_even_merge",
             "algorithm": alg,
@@ -431,13 +415,11 @@ def build_report(run: RunResult, threads: int = 1) -> dict:
 def write_matrix_csv(run: RunResult, path: str) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["region", "supplier", "imp", "exp"])
+        w.writerow(["region", "supplier", *STREAMS])
         for j in range(run.scenario.n_dno):
             for k in range(run.scenario.n_suppliers):
-                w.writerow([
-                    j + 1, k + 1,
-                    run.matrix["imp_matrix"][j][k],
-                    run.matrix["exp_matrix"][j][k],
+                w.writerow([j + 1, k + 1] + [
+                    run.matrix[f"{s}_matrix"][j][k] for s in STREAMS
                 ])
 
 
@@ -539,8 +521,7 @@ def cmd_run(args) -> int:
         return 1
 
     try:
-        run = run_scenario(scenario, record_transcript=bool(args.out),
-                           threads=args.threads)
+        run = run_scenario(scenario, record_transcript=bool(args.out))
     except MeterShareError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -745,7 +726,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--format", choices=("csv", "json"), default="json",
                        help="cost report format")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="regions processed in parallel")
+                       help="threads the cost report's CPU projection assumes")
     p_run.set_defaults(func=cmd_run)
 
     def add_cost_flags(p):

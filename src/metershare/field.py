@@ -29,29 +29,6 @@ def validate(value: int) -> int:
     return value
 
 
-def add(a: int, b: int) -> int:
-    return (a + b) % PRIME
-
-
-def sub(a: int, b: int) -> int:
-    return (a - b) % PRIME
-
-
-def neg(a: int) -> int:
-    return (-a) % PRIME
-
-
-def mul(a: int, b: int) -> int:
-    return (a * b) % PRIME
-
-
-def inv(a: int) -> int:
-    """Multiplicative inverse; zero has none."""
-    if a % PRIME == 0:
-        raise ZeroInverse("0 has no multiplicative inverse")
-    return pow(a, -1, PRIME)
-
-
 def inv_batch(values: list[int]) -> list[int]:
     """Inverses of nonzero elements with one modular inversion in total.
 

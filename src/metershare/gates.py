@@ -75,13 +75,11 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
     return out
 
 
-def compose_bits(engine: Engine, bits: BitSharedId) -> Handle:
-    """Pack shared bits (MSB first) into one shared field element."""
-    return compose_bits_batch(engine, [bits])[0]
-
-
 def compose_bits_batch(engine: Engine, rows: list[BitSharedId]) -> list[Handle]:
-    """``compose_bits`` for many bit vectors, registered in list order."""
+    """Pack shared bits (MSB first) into one shared field element per row.
+
+    The packed elements are registered in list order.
+    """
     return engine.lincomb_batch([
         ([(1 << (len(bits) - 1 - k), bh) for k, bh in enumerate(bits)], 0)
         for bits in rows

@@ -14,14 +14,14 @@ import random
 
 from . import field
 from .abb import Engine
-from .aggregation import BitwiseTuple, OneHotTuple
+from .aggregation import STREAMS, BitwiseTuple, OneHotTuple, grid_view
 from .errors import (
     IdOverflow,
     InsufficientShares,
     ScenarioError,
     UnknownSupplier,
 )
-from .shamir import SHARE_BYTES, SharingParams, share_values
+from .shamir import SharingParams, share_values
 
 ALGORITHMS = ("naa", "ncaa", "niaa")
 BYTE_ACCOUNTING = ("paper", "measured")
@@ -143,6 +143,11 @@ class SmartMeter:
     imp_level: int = DEFAULT_IMP_LEVEL
     exp_level: int = DEFAULT_EXP_LEVEL
 
+    @property
+    def suppliers(self) -> tuple:
+        """The supplier of each stream, in ``STREAMS`` order."""
+        return (self.supplier_imp, self.supplier_exp)
+
 
 def build_meters(scenario: Scenario) -> list[SmartMeter]:
     """Deterministic meter population; supplier choice per meter, per flow."""
@@ -208,7 +213,7 @@ def encode_bitwise(meter: SmartMeter, imp: int, exp: int, scenario: Scenario,
     """
     n, t = scenario.n_servers, scenario.threshold
     secrets = []
-    for supplier in (meter.supplier_imp, meter.supplier_exp):
+    for supplier in meter.suppliers:
         _check_supplier(meter, supplier, scenario)
         for k in range(scenario.sigma - 1, -1, -1):
             secrets.append(share_values(supplier >> k & 1, n, t, rng))
@@ -222,9 +227,7 @@ def encode_onehot(meter: SmartMeter, imp: int, exp: int, scenario: Scenario,
     """Share one reading-or-zero entry per supplier: 2*N_s sharings."""
     n, t = scenario.n_servers, scenario.threshold
     secrets = []
-    for supplier, reading in (
-        (meter.supplier_imp, imp), (meter.supplier_exp, exp)
-    ):
+    for supplier, reading in zip(meter.suppliers, (imp, exp)):
         _check_supplier(meter, supplier, scenario)
         value = field.encode_reading(reading)
         for u in range(1, scenario.n_suppliers + 1):
@@ -275,6 +278,13 @@ def submit(engine: Engine, scenario: Scenario, encoded: list[EncodedTuple],
     tuples = []
     per_bundle_four = 4 if scenario.algorithm in ("naa", "ncaa") \
         else 2 * scenario.n_suppliers
+    # where each stream's fields sit in a submission, as the encoder lays
+    # them down: ID bits or one-hot entries, stream by stream
+    cuts = {
+        form: [slice(s * w, (s + 1) * w) for s in range(len(STREAMS))]
+        for form, w in (("bitwise", scenario.sigma),
+                        ("onehot", scenario.n_suppliers))
+    }
     for rec in encoded:
         received = [
             s for s in alive
@@ -283,6 +293,7 @@ def submit(engine: Engine, scenario: Scenario, encoded: list[EncodedTuple],
         report.delivered_bundles += len(received)
         report.dropped_bundles += n - len(received)
         report.four_field_shares += per_bundle_four * len(received)
+        report.delivered_shares += len(received) * len(rec.secrets)
         if scenario.algorithm == "naa":
             # equality circuits only ever mix shares of the same meter,
             # so any 2t+1 live holders form a workable quorum
@@ -296,13 +307,9 @@ def submit(engine: Engine, scenario: Scenario, encoded: list[EncodedTuple],
         if not ok:
             # traffic still happened; the servers just cannot use it
             report.excluded.append(rec.sm)
-            delivered = len(received) * len(rec.secrets)
-            report.delivered_shares += delivered
-            pc.msgs_sm_to_dcc += delivered
-            pc.bytes_sm_to_dcc += delivered * SHARE_BYTES
+            pc.msgs_sm_to_dcc += len(received) * len(rec.secrets)
             continue
         report.included.append(rec.sm)
-        report.delivered_shares += len(received) * len(rec.secrets)
         keep = set(received)
         handles = [
             engine.input_shares(
@@ -312,43 +319,24 @@ def submit(engine: Engine, scenario: Scenario, encoded: list[EncodedTuple],
             )
             for values in rec.secrets
         ]
+        streams = [handles[c] for c in cuts[rec.form]]
         if rec.form == "bitwise":
-            sigma = scenario.sigma
             tuples.append(BitwiseTuple(
                 sm=rec.sm,
-                imp_bits=handles[:sigma],
-                exp_bits=handles[sigma:2 * sigma],
-                imp_energy=handles[2 * sigma],
-                exp_energy=handles[2 * sigma + 1],
+                bits=streams,
+                energy=handles[len(STREAMS) * scenario.sigma:],
             ))
         else:
-            ns = scenario.n_suppliers
-            tuples.append(OneHotTuple(
-                sm=rec.sm,
-                imp_vector=handles[:ns],
-                exp_vector=handles[ns:],
-            ))
+            tuples.append(OneHotTuple(sm=rec.sm, vectors=streams))
     return tuples, report
 
 
 def plaintext_totals(meters: list[SmartMeter], readings: dict,
                      included: set, n_dno: int, n_suppliers: int) -> dict:
     """Group-by oracle over the plaintext readings of admitted meters."""
-    imp = [[0] * n_suppliers for _ in range(n_dno)]
-    exp = [[0] * n_suppliers for _ in range(n_dno)]
-    for m in meters:
-        if m.sm_id not in included:
-            continue
-        r_imp, r_exp = readings[m.sm_id]
-        imp[m.region - 1][m.supplier_imp - 1] += r_imp
-        exp[m.region - 1][m.supplier_exp - 1] += r_exp
-    return {
-        "imp_matrix": imp,
-        "exp_matrix": exp,
-        "imp_region_totals": [sum(row) for row in imp],
-        "exp_region_totals": [sum(row) for row in exp],
-        "imp_supplier_totals": [sum(col) for col in zip(*imp)] if imp else [],
-        "exp_supplier_totals": [sum(col) for col in zip(*exp)] if exp else [],
-        "imp_grid_total": sum(sum(row) for row in imp),
-        "exp_grid_total": sum(sum(row) for row in exp),
-    }
+    matrices = [[[0] * n_suppliers for _ in range(n_dno)] for _ in STREAMS]
+    admitted = [m for m in meters if m.sm_id in included]
+    for s, matrix in enumerate(matrices):
+        for m in admitted:
+            matrix[m.region - 1][m.suppliers[s] - 1] += readings[m.sm_id][s]
+    return grid_view(matrices)

@@ -93,10 +93,6 @@ def lagrange_at(xs: tuple[int, ...], x: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def lagrange_at_zero(xs: tuple[int, ...]) -> tuple[int, ...]:
-    return lagrange_at(xs, 0)
-
-
 def interpolate(points: list[tuple[int, int]], x: int = 0) -> int:
     """Value at ``x`` of the unique polynomial through ``points``."""
     xs = tuple(px for px, _ in points)
@@ -144,30 +140,6 @@ def reconstruct(shares: list[Share], check_consistency: bool = True) -> int:
                     f"share of party {extra.party} is off the polynomial"
                 )
     return secret
-
-
-def add_local(a: list[Share], b: list[Share]) -> list[Share]:
-    """Share-wise sum: a sharing of the sum of the two secrets."""
-    if len(a) != len(b):
-        raise PartyMismatch("share vectors differ in length")
-    out = []
-    for sa, sb in zip(a, b):
-        if sa.party != sb.party:
-            raise PartyMismatch(f"parties {sa.party} and {sb.party} do not line up")
-        if sa.degree != sb.degree:
-            raise DegreeMismatch("cannot add shares of different degree")
-        out.append(Share(sa.party, (sa.value + sb.value) % PRIME, sa.degree))
-    return out
-
-
-def add_const(a: list[Share], c: int) -> list[Share]:
-    """Add a public constant: shifts the constant coefficient only."""
-    return [Share(s.party, (s.value + c) % PRIME, s.degree) for s in a]
-
-
-def scale_local(a: list[Share], c: int) -> list[Share]:
-    """Multiply by a public constant."""
-    return [Share(s.party, s.value * c % PRIME, s.degree) for s in a]
 
 
 def extend_to_secret(known: list[Share], alt_secret: int,

@@ -43,13 +43,6 @@ def test_input_and_lincomb_oracle(engine, rng):
     assert engine.open(out) == want
 
 
-def test_add_scale_const_helpers(engine):
-    a, b = engine.input(20), engine.input(22)
-    assert engine.open(engine.add(a, b)) == 42
-    assert engine.open(engine.add_const(a, 5)) == 25
-    assert engine.open(engine.scale(a, 3)) == 60
-
-
 def test_constant_handle(engine):
     h = engine.constant(17)
     assert set(engine.export_shares(h).values()) == {17}

@@ -103,15 +103,19 @@ def test_run_artifacts_are_deterministic(tmp_path):
 
 
 def test_threads_do_not_change_results(tmp_path):
+    # --threads only feeds the report's CPU projection
     path = write_scenario(tmp_path, n_dno=3, sm_per_region=[6, 5, 4])
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["run", "--scenario", str(path), "--out", str(out_a)]) == 0
     assert cli.main(["run", "--scenario", str(path), "--out", str(out_b),
                      "--threads", "3"]) == 0
-    assert (out_a / "aggregates.csv").read_bytes() == \
-        (out_b / "aggregates.csv").read_bytes()
-    assert (out_a / "bundles.json").read_bytes() == \
-        (out_b / "bundles.json").read_bytes()
+    for name in ("aggregates.csv", "bundles.json", "transcript.log"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    rep_a = json.loads((out_a / "cost_report.json").read_text())
+    rep_b = json.loads((out_b / "cost_report.json").read_text())
+    assert rep_a["cpu"]["threads"] == 1 and rep_b["cpu"]["threads"] == 3
+    del rep_a["cpu"], rep_b["cpu"]
+    assert rep_a == rep_b
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from metershare.abb import Engine
 from metershare.errors import LengthMismatch
 from metershare.gates import (
-    compose_bits,
+    compose_bits_batch,
     equals_public,
     equals_public_batch,
     exchange_layers,
@@ -56,10 +56,9 @@ def test_equality_batch_matches_singles(rng):
 
 def test_compose_bits(rng):
     engine = Engine(SharingParams(3, 1), seed=9)
-    for _ in range(20):
-        v = rng.randrange(1 << 8)
-        h = compose_bits(engine, input_bits(engine, v, 8))
-        assert engine.open(h) == v
+    values = [rng.randrange(1 << 8) for _ in range(20)]
+    hs = compose_bits_batch(engine, [input_bits(engine, v, 8) for v in values])
+    assert engine.open_batch(hs) == values
 
 
 def test_exchange_layers_known_size():

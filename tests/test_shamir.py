@@ -16,15 +16,12 @@ from metershare.shamir import (
     SHARE_BYTES,
     Share,
     SharingParams,
-    add_const,
-    add_local,
     deserialize_share,
     extend_to_secret,
     interpolate,
-    lagrange_at_zero,
+    lagrange_at,
     poly_eval,
     reconstruct,
-    scale_local,
     serialize_share,
     share,
     share_values,
@@ -100,19 +97,10 @@ def test_reconstruct_rejects_mixed_sets(rng):
         reconstruct([a[0], b[1]])
 
 
-def test_local_linear_ops(rng):
-    params = SharingParams(3, 1)
-    x, y, c = 1234, 5678, 31
-    sx, sy = share(x, params, rng), share(y, params, rng)
-    assert reconstruct(add_local(sx, sy)) == (x + y) % field.PRIME
-    assert reconstruct(add_const(sx, c)) == (x + c) % field.PRIME
-    assert reconstruct(scale_local(sx, c)) == (x * c) % field.PRIME
-
-
 def test_lagrange_weights_sum_property(rng):
     # weights at zero applied to a constant polynomial give the constant
     xs = (1, 3, 4)
-    lam = lagrange_at_zero(xs)
+    lam = lagrange_at(xs, 0)
     assert sum(lam) % field.PRIME == 1
 
 
