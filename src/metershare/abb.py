@@ -43,11 +43,15 @@ from .errors import (
     InsufficientShares,
     TooManyFailures,
 )
-from .shamir import SHARE_BYTES, SharingParams, lagrange_at, share_values
+from .shamir import (
+    RAND_BITS,
+    SHARE_BYTES,
+    SharingParams,
+    lagrange_at,
+    share_values,
+)
 
 PRIME = field.PRIME
-# randrange(PRIME) draws words of this many bits and rejects those >= PRIME
-RAND_BITS = PRIME.bit_length()
 
 Handle = int
 
@@ -209,9 +213,9 @@ class Engine:
             return None
         return values[party - 1]
 
-    def handle_mask(self, h: Handle) -> list[int]:
-        _, mask = self._h[h]
-        return [i + 1 for i in range(self.n) if mask >> i & 1]
+    def handle_mask(self, h: Handle) -> int:
+        """Holder bitmask of a sharing: bit i is set if party i+1 holds it."""
+        return self._h[h][1]
 
     def export_shares(self, h: Handle) -> dict[int, int]:
         """Shares held by live parties, keyed by party index."""
@@ -232,18 +236,21 @@ class Engine:
 
     def input_shares(self, values: list, sender: str = "dealer") -> Handle:
         """Register an externally produced sharing; None marks a lost share."""
-        if len(values) != self.n:
-            raise InsufficientShares(f"expected {self.n} share slots")
-        mask = 0
-        for i, v in enumerate(values):
+        n = self.n
+        if len(values) != n:
+            raise InsufficientShares(f"expected {n} share slots")
+        mask, bit = 0, 1
+        for v in values:
             if v is not None:
-                mask |= 1 << i
-        if mask.bit_count() < self.t + 1:
+                mask |= bit
+            bit <<= 1
+        held = mask.bit_count()
+        if held < self.t + 1:
             raise InsufficientShares("sharing arrived at fewer than t+1 parties")
         h = self._register(list(values), mask)
-        self.meter.bucket(self._phase).msgs_sm_to_dcc += mask.bit_count()
+        self.meter.bucket(self._phase).msgs_sm_to_dcc += held
         if self.transcript is not None:
-            for i in range(self.n):
+            for i in range(n):
                 if mask >> i & 1:
                     self._record(sender, f"p{i + 1}", h, SHARE_BYTES)
         return h
@@ -345,8 +352,9 @@ class Engine:
         once per product and evaluates it once per target by Horner instead
         of evaluating all 2t+1 sender polynomials at every target.  The
         shares are the same field values, from the same draws: sender-major,
-        then k, each by ``randrange(p)``'s rule of redrawing 63-bit words
-        until one falls below p.
+        then k, each by ``randrange(p)``'s rule (see ``shamir.RAND_BITS``).
+        The loop inlines that rule: drawing through a shared function once
+        per product made this method about 8% slower at (3,1).
 
         ``as_or=True`` returns sharings of a + b - ab (the OR of two shared
         bits) instead of ab.  Every target holds its reduced product share

@@ -219,20 +219,29 @@ def niaa_region(engine: Engine, tuples: list[OneHotTuple], n_suppliers: int,
                 raise VectorLengthMismatch(
                     f"meter {rec.sm} sent a vector of the wrong length"
                 )
+    mask_of = engine.handle_mask
+    parties = range(engine.n)
+
+    def holders(group) -> list:
+        mask, _ = group
+        return [i for i in parties if mask >> i & 1]
+
     cells = []
     for s, stream in enumerate(STREAMS):
         with engine.phase(f"region_aggregation/{region}/{stream}"):
-            stream_cells = []
-            for k in range(n_suppliers):
-                by_mask: dict = {}
-                for rec in tuples:
-                    h = rec.vectors[s][k]
-                    by_mask.setdefault(tuple(engine.handle_mask(h)), []).append((1, h))
-                stream_cells.append([
-                    engine.lincomb(terms)
-                    for _, terms in sorted(by_mask.items())
-                ])
-            cells.append(stream_cells)
+            # one {holder mask -> handles} table per supplier, in one pass;
+            # the (1, h) terms are built one group at a time
+            by_mask = [{} for _ in range(n_suppliers)]
+            for rec in tuples:
+                for groups, h in zip(by_mask, rec.vectors[s]):
+                    groups.setdefault(mask_of(h), []).append(h)
+            # groups are summed in the order of their sorted holder lists
+            # ({1,2,3} before {1,3}), which fixes the sums' handle numbers
+            cells.append([
+                [engine.lincomb([(1, h) for h in hs])
+                 for _, hs in sorted(groups.items(), key=holders)]
+                for groups in by_mask
+            ])
     return RegionRows(region=region, cells=cells)
 
 

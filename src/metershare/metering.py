@@ -39,6 +39,11 @@ def derive_seed(*parts) -> int:
     )
 
 
+def _is_int(value) -> bool:
+    """A plain integer; bool is an int subclass but no count or index."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class Scenario:
     n_dno: int
@@ -57,6 +62,25 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
+        # types first: JSON hands over floats and booleans as readily as ints
+        for name in ("n_dno", "n_suppliers", "seed", "n_servers",
+                     "threshold", "sigma"):
+            if not _is_int(getattr(self, name)):
+                raise ScenarioError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                )
+        for name in ("sm_per_region", "fail_servers"):
+            entries = getattr(self, name)
+            if not isinstance(entries, (list, tuple)) \
+                    or not all(_is_int(e) for e in entries):
+                raise ScenarioError(
+                    f"{name} must be a list of integers, got {entries!r}"
+                )
+        if isinstance(self.fault_rate, bool) \
+                or not isinstance(self.fault_rate, (int, float)):
+            raise ScenarioError(
+                f"fault_rate must be a number, got {self.fault_rate!r}"
+            )
         if self.threshold < 1 or self.n_servers < 2 * self.threshold + 1:
             raise ScenarioError(
                 f"need n_servers >= 2*threshold+1, got "
@@ -212,11 +236,11 @@ def encode_bitwise(meter: SmartMeter, imp: int, exp: int, scenario: Scenario,
     the secret equality tests affordable.
     """
     n, t = scenario.n_servers, scenario.threshold
+    shifts = range(scenario.sigma - 1, -1, -1)
     secrets = []
     for supplier in meter.suppliers:
         _check_supplier(meter, supplier, scenario)
-        for k in range(scenario.sigma - 1, -1, -1):
-            secrets.append(share_values(supplier >> k & 1, n, t, rng))
+        secrets += [share_values(supplier >> k & 1, n, t, rng) for k in shifts]
     for reading in (imp, exp):
         secrets.append(share_values(field.encode_reading(reading), n, t, rng))
     return EncodedTuple(sm=meter.sm_id, form="bitwise", secrets=secrets)
@@ -229,11 +253,9 @@ def encode_onehot(meter: SmartMeter, imp: int, exp: int, scenario: Scenario,
     secrets = []
     for supplier, reading in zip(meter.suppliers, (imp, exp)):
         _check_supplier(meter, supplier, scenario)
-        value = field.encode_reading(reading)
-        for u in range(1, scenario.n_suppliers + 1):
-            secrets.append(
-                share_values(value if u == supplier else 0, n, t, rng)
-            )
+        entries = [0] * scenario.n_suppliers
+        entries[supplier - 1] = field.encode_reading(reading)
+        secrets += [share_values(v, n, t, rng) for v in entries]
     return EncodedTuple(sm=meter.sm_id, form="onehot", secrets=secrets)
 
 
@@ -285,11 +307,12 @@ def submit(engine: Engine, scenario: Scenario, encoded: list[EncodedTuple],
         for form, w in (("bitwise", scenario.sigma),
                         ("onehot", scenario.n_suppliers))
     }
+    rate = scenario.fault_rate
+    input_shares = engine.input_shares
     for rec in encoded:
         received = [
-            s for s in alive
-            if not (scenario.fault_rate and fault_rng.random() < scenario.fault_rate)
-        ] if scenario.fault_rate else list(alive)
+            s for s in alive if not fault_rng.random() < rate
+        ] if rate else alive
         report.delivered_bundles += len(received)
         report.dropped_bundles += n - len(received)
         report.four_field_shares += per_bundle_four * len(received)
@@ -310,15 +333,14 @@ def submit(engine: Engine, scenario: Scenario, encoded: list[EncodedTuple],
             pc.msgs_sm_to_dcc += len(received) * len(rec.secrets)
             continue
         report.included.append(rec.sm)
-        keep = set(received)
-        handles = [
-            engine.input_shares(
-                [v if s in keep else None for s, v in
-                 zip(range(1, n + 1), values)],
-                sender=f"sm{rec.sm}",
-            )
-            for values in rec.secrets
-        ]
+        sender = f"sm{rec.sm}"
+        lost = [i for i in range(n) if i + 1 not in received]
+        handles = []
+        for values in rec.secrets:
+            values = list(values)
+            for i in lost:
+                values[i] = None
+            handles.append(input_shares(values, sender))
         streams = [handles[c] for c in cuts[rec.form]]
         if rec.form == "bitwise":
             tuples.append(BitwiseTuple(

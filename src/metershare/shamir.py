@@ -24,6 +24,11 @@ PRIME = field.PRIME
 # Wire form of one share: party index byte, degree byte, 8-byte value.
 SHARE_BYTES = 10
 
+# randrange(PRIME) draws words of this many bits and rejects those >= PRIME.
+# share_values and Engine.product_batch draw by that rule; the shares of
+# every golden scenario depend on it matching randrange draw for draw.
+RAND_BITS = PRIME.bit_length()
+
 
 @dataclass(frozen=True)
 class SharingParams:
@@ -48,28 +53,47 @@ class Share:
     degree: int
 
 
-def poly_eval(coeffs: list[int], x: int) -> int:
-    """Evaluate a polynomial given as [a0, a1, ...] at x (Horner)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % PRIME
-    return acc
-
-
 def share_values(secret: int, n: int, t: int, rng: random.Random,
                  coeffs: list[int] | None = None) -> list[int]:
     """Share values at x = 1..n as a plain list (index i holds party i+1).
 
+    The t random coefficients a_1..a_t are drawn in that order, each by
+    ``rng.randrange(PRIME)``'s rule (see ``RAND_BITS``), so the values and
+    the rng state afterwards equal those of t ``randrange`` calls.  Each
+    share is summed unreduced and reduced mod p once: at t = 1 by stepping
+    secret + a_1*x along x, above by Horner.
+
     ``coeffs`` overrides the random non-constant coefficients; tests use
     it to force the zero polynomial.
     """
-    field.validate(secret)
+    p = PRIME
+    if not (isinstance(secret, int) and 0 <= secret < p):
+        field.validate(secret)
     if coeffs is None:
-        coeffs = [rng.randrange(PRIME) for _ in range(t)]
+        getrandbits = rng.getrandbits
+        coeffs = []
+        for _ in range(t):
+            c = getrandbits(RAND_BITS)
+            while c >= p:
+                c = getrandbits(RAND_BITS)
+            coeffs.append(c)
     elif len(coeffs) != t:
         raise InvalidParams(f"expected {t} coefficients, got {len(coeffs)}")
-    poly = [secret] + list(coeffs)
-    return [poly_eval(poly, x) for x in range(1, n + 1)]
+    out = []
+    if t == 1:
+        c, = coeffs
+        v = secret
+        for _ in range(n):
+            v += c
+            out.append(v % p)
+        return out
+    top = coeffs[::-1]
+    for x in range(1, n + 1):
+        acc = 0
+        for c in top:
+            acc = acc * x + c
+        out.append((acc * x + secret) % p)
+    return out
 
 
 def share(secret: int, params: SharingParams, rng: random.Random,

@@ -33,7 +33,7 @@ from metershare.metering import (
     plaintext_totals,
     submit,
 )
-from metershare.shamir import SharingParams
+from metershare.shamir import SharingParams, share_values
 
 
 def small_scenario(alg, seed=31, m=(11, 7)):
@@ -173,6 +173,47 @@ def test_niaa_rejects_wrong_vector_length():
     bad = OneHotTuple(sm=1, vectors=[[engine.input(0)] * 3] * 2)
     with pytest.raises(VectorLengthMismatch):
         niaa_region(engine, [bad], scenario.n_suppliers)
+
+
+def test_niaa_groups_follow_sorted_holder_lists():
+    # meters reach {2,3}, {1,3} and {1,2,3}, in that order.  The group sums
+    # are issued in the order of the sorted holder lists, (1,2,3) < (1,3)
+    # < (2,3): neither arrival order nor the masks' integer order (5, 6, 7)
+    engine = Engine(SharingParams(3, 1), seed=6)
+    rng = random.Random(6)
+    lost_party = [0, 1, None, 0, None, 1]
+    tuples, sums = [], {}
+    for sm, lost in enumerate(lost_party, start=1):
+        vectors = []
+        for s in range(len(STREAMS)):
+            vector = []
+            for k in range(2):
+                secret = rng.randrange(1000)
+                values = [None if i == lost else v for i, v in
+                          enumerate(share_values(secret, 3, 1, rng))]
+                vector.append(engine.input_shares(values))
+                key = (s, k, lost)
+                sums[key] = sums.get(key, 0) + secret
+            vectors.append(vector)
+        tuples.append(OneHotTuple(sm=sm, vectors=vectors))
+    first = len(lost_party) * len(STREAMS) * 2 + 1
+    rows = niaa_region(engine, tuples, 2)
+    order = [None, 1, 0]          # lost party of {1,2,3}, {1,3}, {2,3}
+    for s in range(len(STREAMS)):
+        for k in range(2):
+            cell = rows.cells[s][k]
+            assert cell == list(range(first, first + 3))
+            first += 3
+            masks = [engine.handle_mask(h) for h in cell]
+            assert masks == [0b111, 0b101, 0b110]
+    shares = export_rows(engine, rows)
+    for s in range(len(STREAMS)):
+        for k in range(2):
+            groups = list(shares.cells[s][k].items())
+            assert [holders for holders, _ in groups] == \
+                [(1, 2, 3), (1, 3), (2, 3)]
+            assert [reconstruct_cell(dict([g]), 1) for g in groups] == \
+                [sums[s, k, lost] for lost in order]
 
 
 def test_composite_cell_merges_heterogeneous_masks():

@@ -71,6 +71,18 @@ def test_run_invalid_scenario_exits_1(tmp_path, capsys):
     assert cli.main(["run", "--scenario", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sm_per_region", [2.5, 6]),
+    ("n_servers", 3.0),
+    ("n_suppliers", 2.0),
+    ("fail_servers", [2.0]),
+])
+def test_run_mistyped_scenario_field_exits_1(tmp_path, capsys, field, value):
+    path = write_scenario(tmp_path, **{field: value})
+    assert cli.main(["run", "--scenario", str(path), "--check"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+
 def test_run_infeasible_failures_exit_1(tmp_path, capsys):
     path = write_scenario(tmp_path, n_servers=3, fail_servers=[3])
     assert cli.main(["run", "--scenario", str(path)]) == 1

@@ -1,5 +1,6 @@
 """Scenario handling, meter population, encoding, and submission rules."""
 
+import copy
 import json
 import random
 
@@ -54,10 +55,31 @@ def test_derive_seed_is_stable():
     dict(byte_accounting="guess"),
     dict(fail_servers=[9]),
     dict(fail_servers=[2, 3]),             # leaves < t+1 alive
+    # wrong types, as a JSON scenario file can carry them
+    dict(sm_per_region=[2.5, 5]),
+    dict(sm_per_region=9),
+    dict(n_servers=3.0),
+    dict(n_suppliers=2.0),
+    dict(fail_servers=[2.0]),
+    dict(fail_servers=2),
+    dict(seed=1.5),
+    dict(threshold=1.0),
+    dict(sigma=8.0),
+    dict(n_dno=True, sm_per_region=[4]),
+    dict(sm_per_region=[True, 5]),
+    dict(fault_rate=True),
+    dict(fault_rate="0.1"),
 ])
 def test_scenario_validation_rejects(bad):
     with pytest.raises(ScenarioError):
         scenario(**bad)
+
+
+def test_scenario_accepts_tuples_for_lists():
+    # only the entry types are checked; callers may pass tuples
+    sc = scenario(sm_per_region=(4, 5), fail_servers=(2,))
+    assert build_meters(sc) == build_meters(
+        scenario(sm_per_region=[4, 5], fail_servers=[2]))
 
 
 def test_scenario_rejects_population_overflow():
@@ -259,3 +281,116 @@ def test_submit_excluded_traffic_still_counted(rng):
     assert pc.msgs_sm_to_dcc == report.delivered_shares
     assert report.delivered_shares == \
         (len(enc) - 1) * len(enc[0].secrets) * 3 + len(enc[0].secrets) * 2
+
+
+# -- share-exactness against the per-entry code the encoders replaced --------
+
+def reference_share_values(secret, n, t, rng):
+    """Sharing as the encoders used to do it: randrange draws, Horner mod p."""
+    poly = [secret] + [rng.randrange(field.PRIME) for _ in range(t)]
+    out = []
+    for x in range(1, n + 1):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * x + c) % field.PRIME
+        out.append(acc)
+    return out
+
+
+def reference_onehot(meter, imp, exp, sc, rng):
+    n, t = sc.n_servers, sc.threshold
+    secrets = []
+    for supplier, reading in zip(meter.suppliers, (imp, exp)):
+        for u in range(1, sc.n_suppliers + 1):
+            secrets.append(reference_share_values(
+                reading if u == supplier else 0, n, t, rng))
+    return secrets
+
+
+def reference_bitwise(meter, imp, exp, sc, rng):
+    n, t = sc.n_servers, sc.threshold
+    secrets = []
+    for supplier in meter.suppliers:
+        for k in range(sc.sigma - 1, -1, -1):
+            secrets.append(
+                reference_share_values(supplier >> k & 1, n, t, rng))
+    for reading in (imp, exp):
+        secrets.append(reference_share_values(reading, n, t, rng))
+    return secrets
+
+
+@pytest.mark.parametrize("n, t", [(3, 1), (5, 2), (7, 3)])
+def test_encoders_match_per_entry_reference(n, t):
+    sc = scenario(n_servers=n, threshold=t, sigma=4)
+    meters = build_meters(sc)
+    readings = generate_readings(sc, meters)
+    for encoder, reference in ((encode_onehot, reference_onehot),
+                               (encode_bitwise, reference_bitwise)):
+        ours, ref = random.Random(n), random.Random(n)
+        for m in meters:
+            imp, exp = readings[m.sm_id]
+            got = encoder(m, imp, exp, sc, ours).secrets
+            assert got == reference(m, imp, exp, sc, ref)
+        assert ours.getstate() == ref.getstate()
+
+
+def reference_intake(engine, sc, enc, script):
+    """Per-share intake as submit used to do it, for the quorum rules of
+    naa and niaa: a lost leg is a None put in by a membership test."""
+    n, t = sc.n_servers, sc.threshold
+    alive = [s for s in range(1, n + 1) if s not in sc.fail_servers]
+    need = t + 1 if sc.algorithm == "niaa" else 2 * t + 1
+    script = list(script)
+    for rec in enc:
+        received = [s for s in alive if not script.pop(0)]
+        if len(received) < need:
+            engine.meter.bucket(engine.current_phase).msgs_sm_to_dcc += \
+                len(received) * len(rec.secrets)
+            continue
+        keep = set(received)
+        for values in rec.secrets:
+            engine.input_shares(
+                [v if s in keep else None
+                 for s, v in zip(range(1, n + 1), values)],
+                sender=f"sm{rec.sm}",
+            )
+
+
+def engine_state(engine):
+    return (
+        [(h, engine.handle_mask(h),
+          [engine.handle_share(h, p) for p in range(1, engine.n + 1)])
+         for h in engine.live_handles()],
+        engine.meter.as_dict(),
+        engine.transcript,
+    )
+
+
+@pytest.mark.parametrize("alg", ["naa", "niaa"])
+def test_submit_intake_matches_per_share_reference(alg, rng):
+    # server 3 failed; per meter the script covers live servers 1, 2, 4, 5
+    sc = scenario(algorithm=alg, n_servers=5, threshold=1, fault_rate=0.5,
+                  fail_servers=[3])
+    enc = encode_all(sc, rng)
+    script = ([1, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 0], [0, 1, 0, 1])
+    script = [leg for meter in script for leg in meter]
+    sent = copy.deepcopy(enc)
+    engines = []
+    for _ in range(2):
+        engine = Engine(sc.params, seed=1, record_transcript=True)
+        engine.fail_party(3)
+        engine.set_phase("input_distribution")
+        engines.append(engine)
+    tuples, report = submit(engines[0], sc, enc, FixedDrops(script))
+    reference_intake(engines[1], sc, enc, script)
+    assert enc == sent                     # the caller's shares are untouched
+    # meter 3 keeps one leg; meter 4 keeps two, enough only to add
+    assert report.excluded == ([3] if alg == "niaa" else [3, 4])
+    assert engine_state(engines[0]) == engine_state(engines[1])
+    handles = [h for tup in tuples for h in
+               (sum(tup.vectors, []) if alg == "niaa"
+                else sum(tup.bits, []) + tup.energy)]
+    assert handles == engines[1].live_handles()
+    lost = [engines[0].handle_mask(h) for h in handles[::len(enc[0].secrets)]]
+    assert lost == ([0b11010, 0b11011, 0b01001] if alg == "niaa"
+                    else [0b11010, 0b11011])

@@ -1,4 +1,4 @@
-"""Sharing layer: polynomial evaluation, reconstruction, privacy, wire form."""
+"""Sharing layer: sharing and its draws, reconstruction, privacy, wire form."""
 
 import random
 
@@ -13,6 +13,8 @@ from metershare.errors import (
     PartyMismatch,
 )
 from metershare.shamir import (
+    PRIME,
+    RAND_BITS,
     SHARE_BYTES,
     Share,
     SharingParams,
@@ -20,7 +22,6 @@ from metershare.shamir import (
     extend_to_secret,
     interpolate,
     lagrange_at,
-    poly_eval,
     reconstruct,
     serialize_share,
     share,
@@ -33,11 +34,64 @@ def naive_poly(coeffs, x):
     return sum(c * pow(x, i, field.PRIME) for i, c in enumerate(coeffs)) % field.PRIME
 
 
-def test_poly_eval_matches_naive(rng):
-    for _ in range(100):
-        coeffs = [rng.randrange(field.PRIME) for _ in range(rng.randint(1, 6))]
-        x = rng.randrange(field.PRIME)
-        assert poly_eval(coeffs, x) == naive_poly(coeffs, x)
+def test_share_values_matches_naive_polynomial(rng):
+    # t = 1 takes the unrolled path, larger t the Horner loop
+    for t in (1, 2, 3):
+        for _ in range(50):
+            n = rng.randint(2 * t + 1, 12)
+            secret = rng.randrange(field.PRIME)
+            coeffs = [rng.randrange(field.PRIME) for _ in range(t)]
+            vals = share_values(secret, n, t, None, coeffs=coeffs)
+            assert vals == [naive_poly([secret] + coeffs, x)
+                            for x in range(1, n + 1)]
+
+
+class ScriptedBits(random.Random):
+    """Replays scripted words for every getrandbits call.
+
+    Overriding getrandbits makes randrange draw through it too, so
+    the same script can be fed to share_values and to randrange.
+    """
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = list(words)
+
+    def getrandbits(self, k):
+        assert k == RAND_BITS
+        return self.words.pop(0)
+
+
+def test_share_values_draws_like_randrange():
+    # share_values(0, 1, 1, ...) is [a_1]: the draw itself.  The shares
+    # of every golden scenario rest on this equality, so a Python whose
+    # randrange drew differently must fail here and not only there.
+    ours, ref = random.Random(2024), random.Random(2024)
+    for _ in range(4000):
+        assert share_values(0, 1, 1, ours) == [ref.randrange(PRIME)]
+    assert ours.getstate() == ref.getstate()
+    # the Horner path draws a_1..a_t in order, one randrange each
+    for t in (2, 3):
+        for _ in range(500):
+            secret = ref.randrange(PRIME)
+            ours.randrange(PRIME)
+            vals = share_values(secret, 2 * t + 1, t, ours)
+            coeffs = [ref.randrange(PRIME) for _ in range(t)]
+            assert vals == [naive_poly([secret] + coeffs, x)
+                            for x in range(1, 2 * t + 2)]
+        assert ours.getstate() == ref.getstate()
+
+
+def test_share_values_redraws_words_above_prime():
+    # a 63-bit word is >= PRIME with probability 25/2**63, so replay some
+    words = [PRIME, (1 << RAND_BITS) - 1, 5, PRIME + 3, 7, 11, PRIME, 13]
+    for t in (1, 2):
+        ref, ours = ScriptedBits(words), ScriptedBits(words)
+        coeffs = [ref.randrange(PRIME) for _ in range(t)]
+        assert coeffs == [5, 7][:t]
+        assert share_values(9, 5, t, ours) == \
+            [naive_poly([9] + coeffs, x) for x in range(1, 6)]
+        assert ours.words == ref.words
 
 
 def test_params_validation():
