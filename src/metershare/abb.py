@@ -91,13 +91,6 @@ class PhaseCount:
         for f in dfields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-    def as_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in dfields(self)}
-        for name in ("bytes_sm_to_dcc", "bytes_between_dcc",
-                     "bytes_dcc_to_recipients", "mult_equivalents"):
-            d[name] = getattr(self, name)
-        return d
-
 
 @dataclass
 class CostMeter:
@@ -129,9 +122,6 @@ class CostMeter:
         for label, pc in other.phases.items():
             self.bucket(label).add(pc)
 
-    def as_dict(self) -> dict:
-        return {label: pc.as_dict() for label, pc in sorted(self.phases.items())}
-
 
 class Engine:
     """n simulated parties holding degree-t sharings, with exact cost metering."""
@@ -150,7 +140,6 @@ class Engine:
         self._h: dict[int, tuple[list, int]] = {}
         self._next_handle = 1
         self._active = (1 << self.n) - 1
-        self.failed: set[int] = set()
 
     # -- phase bookkeeping ------------------------------------------------
 
@@ -188,7 +177,6 @@ class Engine:
                 f"failing party {party} would leave fewer than t+1 alive"
             )
         self._active &= ~bit
-        self.failed.add(party)
 
     # -- handle plumbing --------------------------------------------------
 
@@ -272,7 +260,7 @@ class Engine:
 
         Each party applies the combination to its own shares, so a result
         lives at exactly the parties holding every term.  A share is summed
-        unreduced and reduced mod p once.  Combinations of up to three fully
+        unreduced and reduced mod p once.  Combinations of one or two fully
         held terms (the gate glue) take unrolled paths; the rest (region
         sums, partial holders) sum each party's column in one pass.
         """
@@ -298,15 +286,6 @@ class Engine:
                     if mask == full:
                         vals = [(c * x + d * y + const) % p
                                 for x, y in zip(av, bv)]
-                elif k == 3:
-                    (c, a), (d, b), (e, g) = terms
-                    av, am = shares[a]
-                    bv, bm = shares[b]
-                    gv, gm = shares[g]
-                    mask = am & bm & gm
-                    if mask == full:
-                        vals = [(c * x + d * y + e * z + const) % p
-                                for x, y, z in zip(av, bv, gv)]
                 if vals is None:
                     rows = [shares[x] for _, x in terms]
                     mask = full

@@ -12,8 +12,8 @@ measurements are printed to the console only.
 """
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import random
@@ -33,7 +33,7 @@ from .aggregation import (
     niaa_region,
 )
 from .costs import CostParams
-from .errors import MeterShareError, ScenarioError
+from .errors import InconsistentShares, MeterShareError
 from .gates import equals_public_batch
 from .metering import (
     Scenario,
@@ -44,7 +44,7 @@ from .metering import (
     plaintext_totals,
     submit,
 )
-from .shamir import SHARE_BYTES, SharingParams, reconstruct, share
+from .shamir import SHARE_BYTES, Share, SharingParams, reconstruct, share
 
 SEED_ENV = "METERSHARE_SEED"
 HANDLE_SAMPLES_PER_RUN = 100
@@ -66,7 +66,6 @@ class RegionOutcome:
 class RunResult:
     scenario: Scenario
     bundles: dict
-    matrix: dict
     oracle: dict
     meter: CostMeter
     leaked: dict
@@ -75,7 +74,7 @@ class RunResult:
     transcript: list | None
     handle_samples: list
     opened_log: list
-    submit_stats: dict
+    delivered_bundles: int
     mult_rows: list
     wall_seconds: float
 
@@ -206,20 +205,12 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
 
     included = set()
     excluded = []
-    submit_stats = {
-        "delivered_bundles": 0, "dropped_bundles": 0, "four_field_shares": 0,
-    }
     for o in outcomes:
         included.update(o.submit_report.included)
         excluded.extend(o.submit_report.excluded)
-        submit_stats["delivered_bundles"] += o.submit_report.delivered_bundles
-        submit_stats["dropped_bundles"] += o.submit_report.dropped_bundles
-        submit_stats["four_field_shares"] += o.submit_report.four_field_shares
 
     oracle = plaintext_totals(meters, readings, included,
                               scenario.n_dno, scenario.n_suppliers)
-    tso = dist.bundles["tso"]
-    matrix = {k: tso[k] for k in oracle}
 
     leaked = {
         str(o.region): o.shares.leaked_counts
@@ -262,7 +253,6 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
     return RunResult(
         scenario=scenario,
         bundles=dist.bundles,
-        matrix=matrix,
         oracle=oracle,
         meter=meter,
         leaked=leaked,
@@ -271,7 +261,8 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
         transcript=transcript,
         handle_samples=samples,
         opened_log=opened,
-        submit_stats=submit_stats,
+        delivered_bundles=sum(o.submit_report.delivered_bundles
+                              for o in outcomes),
         mult_rows=mult_rows,
         wall_seconds=wall,
     )
@@ -280,8 +271,9 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
 def check_result(run: RunResult) -> list[str]:
     """Compare every opened output against the plaintext oracle."""
     problems = []
+    tso = run.bundles["tso"]
     for key, want in run.oracle.items():
-        got = run.matrix.get(key)
+        got = tso.get(key)
         if got != want:
             problems.append(f"{key}: protocol {got!r} != oracle {want!r}")
     o = run.oracle
@@ -333,7 +325,8 @@ def build_report(run: RunResult, threads: int = 1) -> dict:
     for seg, (msgs, nbytes) in seg_measured.items():
         nominal = msgs * share_bits
         if seg == "sms_to_dcc" and alg in ("naa", "ncaa"):
-            nominal_formula_fields = run.submit_stats["four_field_shares"] * share_bits
+            # the paper's bundle carries four shared fields
+            nominal_formula_fields = 4 * run.delivered_bundles * share_bits
         else:
             nominal_formula_fields = nominal
         segments[seg] = {
@@ -366,7 +359,7 @@ def build_report(run: RunResult, threads: int = 1) -> dict:
         )) if m_j > 0 else 0
         for m_j in sc.sm_per_region
     )
-    cpu_params = CostParams(threads=max(threads, 1))
+    cpu_params = CostParams(threads=threads)
     report = {
         "metadata": {
             "prime": field.PRIME,
@@ -399,8 +392,10 @@ def build_report(run: RunResult, threads: int = 1) -> dict:
         },
         "faults": {
             "excluded_sms": run.excluded,
-            "delivered_bundles": run.submit_stats["delivered_bundles"],
-            "dropped_bundles": run.submit_stats["dropped_bundles"],
+            "delivered_bundles": run.delivered_bundles,
+            # every meter sends one bundle to each server, dead ones too
+            "dropped_bundles":
+                sc.n_servers * sum(sc.sm_per_region) - run.delivered_bundles,
             "fail_servers": list(sc.fail_servers),
             "empty_regions": run.empty_regions,
         },
@@ -413,13 +408,14 @@ def build_report(run: RunResult, threads: int = 1) -> dict:
 # -- artifact writers -------------------------------------------------------
 
 def write_matrix_csv(run: RunResult, path: str) -> None:
+    tso = run.bundles["tso"]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["region", "supplier", *STREAMS])
         for j in range(run.scenario.n_dno):
             for k in range(run.scenario.n_suppliers):
                 w.writerow([j + 1, k + 1] + [
-                    run.matrix[f"{s}_matrix"][j][k] for s in STREAMS
+                    tso[f"{s}_matrix"][j][k] for s in STREAMS
                 ])
 
 
@@ -432,61 +428,36 @@ def write_bundles_json(run: RunResult, path: str) -> None:
 def report_rows(report: dict) -> list[dict]:
     """Flatten a report into the analytic-table row shape."""
     md = report["metadata"]
-    base = {
+    alg = md["algorithm"]
+    mults = report["multiplications"]
+    shape = {
         "n_dno": md["n_dno"],
         "n_suppliers": md["n_suppliers"],
         "sigma": md["sigma"],
         "sm_per_region": "/".join(str(m) for m in md["sm_per_region"]),
         "threads": report["cpu"]["threads"],
     }
-    rows = []
-    for seg, data in report["segments"].items():
-        rows.append({
-            "protocol": md["algorithm"],
-            "segment": seg,
-            **base,
-            "formula_bits": data["formula_bits"],
-            "measured_bits": data["headline_bits"],
-            "formula_mults": None,
-            "measured_mult_equivalents": None,
-            "cpu_seconds": None,
-        })
-    rows.append({
-        "protocol": md["algorithm"],
-        "segment": "region_multiplications",
-        **base,
-        "formula_bits": None,
-        "measured_bits": None,
-        "formula_mults": sum(
-            r.get("formula_mults", 0) or 0 for r in
-            report["multiplications"]["per_region"]
+    rows = [
+        costs.table_row(alg, seg, shape, formula_bits=data["formula_bits"],
+                        measured_bits=data["headline_bits"])
+        for seg, data in report["segments"].items()
+    ]
+    rows.append(costs.table_row(
+        alg, "region_multiplications", shape,
+        formula_mults=sum(
+            r.get("formula_mults", 0) for r in mults["per_region"]
         ) or None,
-        "measured_mult_equivalents":
-            report["multiplications"]["mult_equivalents_total"],
-        "cpu_seconds": report["cpu"]["projected_seconds_measured"],
-    })
+        measured_mult_equivalents=mults["mult_equivalents_total"],
+        cpu_seconds=report["cpu"]["projected_seconds_measured"],
+    ))
     return rows
 
 
-CSV_COLUMNS = [
-    "protocol", "segment", "n_dno", "n_suppliers", "sigma", "sm_per_region",
-    "threads", "formula_bits", "measured_bits", "formula_mults",
-    "measured_mult_equivalents", "cpu_seconds",
-]
-
-
-def write_rows_csv(rows: list[dict], path_or_buf) -> None:
-    own = isinstance(path_or_buf, str)
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: ("" if row.get(k) is None else row.get(k))
-                        for k in CSV_COLUMNS})
-    finally:
-        if own:
-            fh.close()
+def write_rows_csv(rows: list[dict], fh) -> None:
+    """Cost-table rows as CSV into an open file; None cells stay empty."""
+    w = csv.DictWriter(fh, fieldnames=costs.TABLE_COLUMNS)
+    w.writeheader()
+    w.writerows(rows)
 
 
 def write_report(report: dict, out_dir: str, fmt: str) -> None:
@@ -495,8 +466,9 @@ def write_report(report: dict, out_dir: str, fmt: str) -> None:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
-        write_rows_csv(report_rows(report),
-                       os.path.join(out_dir, "cost_report.csv"))
+        with open(os.path.join(out_dir, "cost_report.csv"), "w",
+                  newline="") as fh:
+            write_rows_csv(report_rows(report), fh)
 
 
 def write_transcript(run: RunResult, path: str) -> None:
@@ -510,23 +482,30 @@ def write_transcript(run: RunResult, path: str) -> None:
 
 def cmd_run(args) -> int:
     try:
+        CostParams(threads=args.threads)  # check --threads before the run
         scenario = Scenario.from_file(args.scenario)
         env_seed = os.environ.get(SEED_ENV)
         if env_seed is not None:
             data = scenario.to_dict()
             data["seed"] = int(env_seed)
             scenario = Scenario.from_dict(data)
-    except (ScenarioError, ValueError) as e:
+    except (MeterShareError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
     try:
         run = run_scenario(scenario, record_transcript=bool(args.out))
-    except MeterShareError as e:
+        report = build_report(run, threads=args.threads)
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            write_matrix_csv(run, os.path.join(args.out, "aggregates.csv"))
+            write_bundles_json(run, os.path.join(args.out, "bundles.json"))
+            write_report(report, args.out, args.format)
+            write_transcript(run, os.path.join(args.out, "transcript.log"))
+    except (MeterShareError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    report = build_report(run, threads=args.threads)
     mult_eq = run.meter.total().mult_equivalents
     if mult_eq:
         per_mult = run.wall_seconds / mult_eq
@@ -535,13 +514,6 @@ def cmd_run(args) -> int:
               f"informational)")
     else:
         print(f"no interactive operations; wall {run.wall_seconds:.3f} s")
-
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_matrix_csv(run, os.path.join(args.out, "aggregates.csv"))
-        write_bundles_json(run, os.path.join(args.out, "bundles.json"))
-        write_report(report, args.out, args.format)
-        write_transcript(run, os.path.join(args.out, "transcript.log"))
 
     if args.check:
         problems = check_result(run)
@@ -601,37 +573,41 @@ def cmd_costs(args) -> int:
         params = _cost_params(args)
         table = costs.build_table(params, trusted_tso=args.trusted_tso)
         sweep = costs.sweep_series(params, parse_sweep(args.sweep)) \
-            if args.sweep else None
+            if args.sweep else {}
     except (ValueError, MeterShareError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        if args.format == "json":
-            with open(os.path.join(args.out, "cost_table.json"), "w") as fh:
+    # stdout always gets CSV, each sweep series under a "# sweep" line
+    as_json = args.out and args.format == "json"
+    try:
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+        with _output(args.out, "cost_table.json" if as_json
+                     else "cost_table.csv") as fh:
+            if as_json:
                 json.dump(table, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        else:
-            write_rows_csv(table, os.path.join(args.out, "cost_table.csv"))
-        if sweep:
-            for name, rows in sweep.items():
-                path = os.path.join(args.out, f"sweep_{name}.csv")
-                with open(path, "w", newline="") as fh:
-                    w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                    w.writeheader()
-                    w.writerows(rows)
-    else:
-        buf = io.StringIO()
-        write_rows_csv(table, buf)
-        print(buf.getvalue(), end="")
-        if sweep:
-            for name, rows in sweep.items():
+            else:
+                write_rows_csv(table, fh)
+        for name, rows in sweep.items():
+            if not args.out:
                 print(f"# sweep {name}")
-                w = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
+            with _output(args.out, f"sweep_{name}.csv") as fh:
+                w = csv.DictWriter(fh, fieldnames=list(rows[0]))
                 w.writeheader()
                 w.writerows(rows)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     return 0
+
+
+def _output(out_dir: str | None, name: str):
+    """``name`` in ``out_dir`` opened for writing; stdout if no directory."""
+    if out_dir is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(os.path.join(out_dir, name), "w", newline="")
 
 
 def cmd_sweep(args) -> int:
@@ -652,6 +628,14 @@ def selftest_shamir(trials: int = 400) -> str | None:
         picked = rng.sample(shares, t + 1)
         if reconstruct(picked) != secret:
             return f"reconstruction failed for n={n}, t={t}"
+        # one altered share among all n must be caught, not interpolated
+        k = rng.randrange(n)
+        shares[k] = Share(k + 1, (shares[k].value + 1) % field.PRIME, t)
+        try:
+            reconstruct(shares)
+        except InconsistentShares:
+            continue
+        return f"tampered share went undetected for n={n}, t={t}"
     return None
 
 

@@ -8,7 +8,7 @@ the simulator's measured traffic uses the 10-byte wire form of a share,
 so reports carry both numbers side by side.
 """
 
-from dataclasses import dataclass, fields as dfields
+from dataclasses import dataclass, fields as dfields, replace
 import math
 
 from . import field
@@ -20,6 +20,13 @@ SEGMENTS = ("sms_to_dcc", "between_dcc", "dcc_to_recipients")
 
 # messages exchanged between 3 servers per multiplication (or open)
 MESSAGES_PER_MULT = 6
+
+# one cost-table row: protocol, segment, the grid shape, then the values
+SHAPE_COLUMNS = ("n_dno", "n_suppliers", "sigma", "sm_per_region", "threads")
+TABLE_COLUMNS = (
+    "protocol", "segment", *SHAPE_COLUMNS, "formula_bits", "measured_bits",
+    "formula_mults", "measured_mult_equivalents", "cpu_seconds",
+)
 
 
 @dataclass(frozen=True)
@@ -42,11 +49,6 @@ class CostParams:
         for f in dfields(self):
             if getattr(self, f.name) <= 0:
                 raise UnknownRow(f"{f.name} must be positive")
-
-    def with_(self, **kw) -> "CostParams":
-        vals = {f.name: getattr(self, f.name) for f in dfields(self)}
-        vals.update(kw)
-        return CostParams(**vals)
 
 
 def formula_mults(algorithm: str, params: CostParams,
@@ -123,52 +125,30 @@ def extrapolate_cpu(mult_count: float, params: CostParams) -> float:
     return mult_count * params.per_mult_seconds / params.threads
 
 
+def table_row(protocol: str, segment: str, shape: dict, **values) -> dict:
+    """One cost-table row; value columns not given in ``values`` are None.
+
+    ``shape`` holds the ``SHAPE_COLUMNS`` of the grid the row describes.
+    """
+    row = dict.fromkeys(TABLE_COLUMNS)
+    row.update(protocol=protocol, segment=segment, **shape, **values)
+    return row
+
+
 def build_table(params: CostParams, trusted_tso: bool = False) -> list[dict]:
     """Full analytic table: every protocol/segment plus per-algorithm compute."""
-    rows = []
-    base = {
-        "n_dno": params.n_dno,
-        "n_suppliers": params.n_suppliers,
-        "sigma": params.sigma,
-        "sm_per_region": params.sm_per_region,
-        "threads": params.threads,
-    }
-    for proto in PROTOCOLS:
-        for seg in SEGMENTS:
-            rows.append({
-                "protocol": proto,
-                "segment": seg,
-                **base,
-                "formula_bits": formula_comm(proto, seg, params, trusted_tso),
-                "measured_bits": None,
-                "formula_mults": None,
-                "measured_mult_equivalents": None,
-                "cpu_seconds": None,
-            })
-    for alg in ALGORITHMS:
-        mults = formula_mults(alg, params)
-        rows.append({
-            "protocol": alg,
-            "segment": "region_multiplications",
-            **base,
-            "formula_bits": None,
-            "measured_bits": None,
-            "formula_mults": mults,
-            "measured_mult_equivalents": None,
-            "cpu_seconds": extrapolate_cpu(mults, params),
-        })
-    rows.append({
-        "protocol": "ncaa",
-        "segment": "region_multiplications_batcher",
-        **base,
-        "formula_bits": None,
-        "measured_bits": None,
-        "formula_mults": formula_mults("ncaa", params, variant="batcher"),
-        "measured_mult_equivalents": None,
-        "cpu_seconds": extrapolate_cpu(
-            formula_mults("ncaa", params, variant="batcher"), params
-        ),
-    })
+    shape = {c: getattr(params, c) for c in SHAPE_COLUMNS}
+    rows = [
+        table_row(proto, seg, shape,
+                  formula_bits=formula_comm(proto, seg, params, trusted_tso))
+        for proto in PROTOCOLS for seg in SEGMENTS
+    ]
+    compute = [(alg, "region_multiplications", "table") for alg in ALGORITHMS]
+    compute.append(("ncaa", "region_multiplications_batcher", "batcher"))
+    for alg, segment, variant in compute:
+        mults = formula_mults(alg, params, variant)
+        rows.append(table_row(alg, segment, shape, formula_mults=mults,
+                              cpu_seconds=extrapolate_cpu(mults, params)))
     return rows
 
 
@@ -181,7 +161,7 @@ def sweep_series(params: CostParams, m_values: list[int]) -> dict:
     compute = []
     comm = {seg: [] for seg in SEGMENTS}
     for m in m_values:
-        p = params.with_(sm_per_region=m)
+        p = replace(params, sm_per_region=m)
         row = {"sm_per_region": m}
         for alg in ALGORITHMS:
             mults = formula_mults(alg, p)

@@ -271,9 +271,7 @@ class SubmitReport:
     included: list
     excluded: list
     delivered_bundles: int = 0
-    dropped_bundles: int = 0
     delivered_shares: int = 0
-    four_field_shares: int = 0
 
 
 def submit(engine: Engine, scenario: Scenario, encoded: list[EncodedTuple],
@@ -298,8 +296,6 @@ def submit(engine: Engine, scenario: Scenario, encoded: list[EncodedTuple],
     pc = engine.meter.bucket(engine.current_phase)
     report = SubmitReport(included=[], excluded=[])
     tuples = []
-    per_bundle_four = 4 if scenario.algorithm in ("naa", "ncaa") \
-        else 2 * scenario.n_suppliers
     # where each stream's fields sit in a submission, as the encoder lays
     # them down: ID bits or one-hot entries, stream by stream
     cuts = {
@@ -314,8 +310,6 @@ def submit(engine: Engine, scenario: Scenario, encoded: list[EncodedTuple],
             s for s in alive if not fault_rng.random() < rate
         ] if rate else alive
         report.delivered_bundles += len(received)
-        report.dropped_bundles += n - len(received)
-        report.four_field_shares += per_bundle_four * len(received)
         report.delivered_shares += len(received) * len(rec.secrets)
         if scenario.algorithm == "naa":
             # equality circuits only ever mix shares of the same meter,

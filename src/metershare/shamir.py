@@ -53,8 +53,7 @@ class Share:
     degree: int
 
 
-def share_values(secret: int, n: int, t: int, rng: random.Random,
-                 coeffs: list[int] | None = None) -> list[int]:
+def share_values(secret: int, n: int, t: int, rng: random.Random) -> list[int]:
     """Share values at x = 1..n as a plain list (index i holds party i+1).
 
     The t random coefficients a_1..a_t are drawn in that order, each by
@@ -62,23 +61,17 @@ def share_values(secret: int, n: int, t: int, rng: random.Random,
     the rng state afterwards equal those of t ``randrange`` calls.  Each
     share is summed unreduced and reduced mod p once: at t = 1 by stepping
     secret + a_1*x along x, above by Horner.
-
-    ``coeffs`` overrides the random non-constant coefficients; tests use
-    it to force the zero polynomial.
     """
     p = PRIME
     if not (isinstance(secret, int) and 0 <= secret < p):
         field.validate(secret)
-    if coeffs is None:
-        getrandbits = rng.getrandbits
-        coeffs = []
-        for _ in range(t):
+    getrandbits = rng.getrandbits
+    coeffs = []
+    for _ in range(t):
+        c = getrandbits(RAND_BITS)
+        while c >= p:
             c = getrandbits(RAND_BITS)
-            while c >= p:
-                c = getrandbits(RAND_BITS)
-            coeffs.append(c)
-    elif len(coeffs) != t:
-        raise InvalidParams(f"expected {t} coefficients, got {len(coeffs)}")
+        coeffs.append(c)
     out = []
     if t == 1:
         c, = coeffs
@@ -96,9 +89,9 @@ def share_values(secret: int, n: int, t: int, rng: random.Random,
     return out
 
 
-def share(secret: int, params: SharingParams, rng: random.Random,
-          coeffs: list[int] | None = None) -> list[Share]:
-    values = share_values(secret, params.n, params.t, rng, coeffs)
+def share(secret: int, params: SharingParams,
+          rng: random.Random) -> list[Share]:
+    values = share_values(secret, params.n, params.t, rng)
     return [Share(i + 1, v, params.t) for i, v in enumerate(values)]
 
 
@@ -141,13 +134,12 @@ def _check_share_set(shares: list[Share]) -> int:
     return degree
 
 
-def reconstruct(shares: list[Share], check_consistency: bool = True) -> int:
+def reconstruct(shares: list[Share]) -> int:
     """Recover the secret from at least degree+1 shares.
 
-    With more shares than strictly needed and ``check_consistency`` set,
-    the extra points are verified to lie on the interpolated polynomial;
-    disagreement raises InconsistentShares.  This detects corruption but
-    does not correct it.
+    With more shares than strictly needed, the extra points are verified
+    to lie on the interpolated polynomial; disagreement raises
+    InconsistentShares.  This detects corruption but does not correct it.
     """
     degree = _check_share_set(shares)
     if len(shares) < degree + 1:
@@ -157,12 +149,11 @@ def reconstruct(shares: list[Share], check_consistency: bool = True) -> int:
     base = shares[: degree + 1]
     points = [(s.party, s.value) for s in base]
     secret = interpolate(points, 0)
-    if check_consistency:
-        for extra in shares[degree + 1:]:
-            if interpolate(points, extra.party) != extra.value % PRIME:
-                raise InconsistentShares(
-                    f"share of party {extra.party} is off the polynomial"
-                )
+    for extra in shares[degree + 1:]:
+        if interpolate(points, extra.party) != extra.value % PRIME:
+            raise InconsistentShares(
+                f"share of party {extra.party} is off the polynomial"
+            )
     return secret
 
 

@@ -1,6 +1,7 @@
 """Command-line pipeline: artifacts, exit codes, determinism, self-tests."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -186,6 +187,26 @@ def test_costs_command_writes_files(tmp_path):
     assert [int(r["sm_per_region"]) for r in rows] == [1000, 2000, 3000]
 
 
+def test_run_out_on_existing_file_exits_1(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["run", "--scenario", str(path), "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cli.main(["costs", "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_run_rejects_nonpositive_threads(tmp_path, capsys, threads):
+    path = write_scenario(tmp_path)
+    assert cli.main(["run", "--scenario", str(path),
+                     "--threads", threads]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: threads must be positive\n"
+    assert captured.out == ""  # refused before the scenario ran
+
+
 def test_costs_rejects_bad_sweep(capsys):
     assert cli.main(["costs", "--sweep", "suppliers=1:2:1"]) == 1
     assert cli.main(["costs", "--sweep", "sm=5:1:1"]) == 1
@@ -207,6 +228,18 @@ def test_selftest_stage_functions_pass():
     assert cli.selftest_equality(width=4,
                                  pairs=[(0, 0), (3, 3), (2, 9), (15, 15)]) is None
     assert cli.selftest_equivalence(seed=11) is None
+
+
+def test_selftest_catches_undetected_tampering(monkeypatch):
+    # a reconstruct that ignores the shares beyond t+1 misses the tamper
+    original = cli.reconstruct
+
+    def first_t_plus_1(shares):
+        return original(shares[:shares[0].degree + 1])
+
+    monkeypatch.setattr(cli, "reconstruct", first_t_plus_1)
+    problem = cli.selftest_shamir(trials=5)
+    assert problem is not None and "undetected" in problem
 
 
 def test_selftest_catches_flipped_equality(monkeypatch):
@@ -272,8 +305,72 @@ def test_report_rows_round_trip_through_writer(tmp_path):
     report = cli.build_report(run)
     rows = cli.report_rows(report)
     target = tmp_path / "rows.csv"
-    cli.write_rows_csv(rows, str(target))
+    with open(target, "w", newline="") as fh:
+        cli.write_rows_csv(rows, fh)
     with open(target) as fh:
         back = list(csv.DictReader(fh))
     assert len(back) == len(rows)
     assert back[0]["protocol"] == "niaa"
+
+
+# sha256 of outputs no golden scenario covers, recorded before the cost-table
+# rows were built in one place; they must not move when that code changes
+PINNED_RUN_CSV = {
+    "naa": "10c646797f4461647499a672191fe4769b77e011cfc800a0075bd2fa26b32e21",
+    "ncaa": "88123943fc8f32971271d947d1e555b81a351e06b277dc82cfa2569671fa62cc",
+    "niaa": "bfcde2ffecd27d827773de5c8a9239ee1d033794513da4b8cb513f636848a039",
+}
+PINNED_COSTS_STDOUT = {
+    "costs": "050c66104801c3c5e079eecdec052d2062b7bffdbdf5968c1044a09232e619e4",
+    "costs --trusted-tso --sweep sm=1k:3k:1k":
+        "3c203e6745f845652f471431306116871b55dd3955a26ba6c4a8a89f730752f2",
+}
+PINNED_SWEEP_FILES = {
+    "sweep_comm_between_dcc.csv":
+        "6f075c64994846fdde5ad35d412701c81a225a00e73c896c8aaa5f1bebb33552",
+    "sweep_comm_dcc_to_recipients.csv":
+        "953685c415e8ad5e9d8cebf0d6a8d38675b897f7634e38126890fa0d37bfb642",
+    "sweep_comm_sms_to_dcc.csv":
+        "c47d75d24ed83ef03bab3d078b885a7f3c4adc2a9fdbe0a5971c55054cff7fff",
+    "sweep_compute.csv":
+        "b7a61508a7735f28d3db213ef8ebe8d7859e4cf2c12c2a70cbf954f53b7276b0",
+}
+PINNED_COST_TABLE = {
+    "cost_table.csv": PINNED_COSTS_STDOUT["costs"],
+    "cost_table.json":
+        "9be3afa0c2b4c6667b46d7d659d772db5831a1fc811034c6dc33618e40196946",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("algorithm", sorted(PINNED_RUN_CSV))
+def test_run_csv_report_is_pinned(tmp_path, algorithm):
+    # an empty region and faults; niaa also loses a server
+    extra = {"fail_servers": [2]} if algorithm == "niaa" else {}
+    path = write_scenario(tmp_path, algorithm=algorithm, n_dno=3,
+                          sm_per_region=[8, 0, 6], fault_rate=0.2, **extra)
+    out = tmp_path / "artifacts"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out),
+                     "--format", "csv"]) == 0
+    data = (out / "cost_report.csv").read_bytes()
+    assert sha256(data) == PINNED_RUN_CSV[algorithm]
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_COSTS_STDOUT))
+def test_costs_stdout_is_pinned(capsys, command):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert sha256(out.encode()) == PINNED_COSTS_STDOUT[command]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_costs_files_are_pinned(tmp_path, fmt):
+    assert cli.main(["costs", "--out", str(tmp_path), "--format", fmt,
+                     "--sweep", "sm=1k:3k:1k"]) == 0
+    want = {**PINNED_SWEEP_FILES,
+            f"cost_table.{fmt}": PINNED_COST_TABLE[f"cost_table.{fmt}"]}
+    got = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert got == want

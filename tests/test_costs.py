@@ -1,5 +1,6 @@
 """Closed-form cost model against hand-computed reference values."""
 
+from dataclasses import replace
 import math
 
 import pytest
@@ -74,17 +75,17 @@ def test_formula_mults_reference():
 
 
 def test_formula_mults_small_population_edge():
-    p = DEFAULTS.with_(sm_per_region=1)
+    p = replace(DEFAULTS, sm_per_region=1)
     assert formula_mults("ncaa", p) == 2  # log term vanishes at m=1
 
 
 def test_extrapolate_cpu_matches_headline_claim():
     # 1.98e8 multiplications at 20.8 us each over 8 threads
-    p = DEFAULTS.with_(threads=8)
+    p = replace(DEFAULTS, threads=8)
     secs = extrapolate_cpu(formula_mults("naa", p), p)
     assert abs(secs - 514.8) < 1e-6
     assert secs < 600
-    assert extrapolate_cpu(100, DEFAULTS.with_(threads=2)) == \
+    assert extrapolate_cpu(100, replace(DEFAULTS, threads=2)) == \
         50 * DEFAULTS.per_mult_seconds * 2 / 2
 
 
@@ -102,8 +103,10 @@ def test_unknown_rows_raise():
 def test_params_validation_and_with():
     with pytest.raises(UnknownRow):
         CostParams(n_dno=0)
-    p = DEFAULTS.with_(sm_per_region=5)
+    p = replace(DEFAULTS, sm_per_region=5)
     assert p.sm_per_region == 5 and p.n_dno == DEFAULTS.n_dno
+    with pytest.raises(UnknownRow):
+        replace(DEFAULTS, threads=0)
 
 
 def test_build_table_covers_grid():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from metershare import field
+from metershare import cli, field
 from metershare.abb import Engine
 from metershare.errors import (
     IdOverflow,
@@ -134,8 +134,8 @@ def test_generate_readings_reproducible():
 
 
 def reconstruct_sharing(values, t=1):
-    return reconstruct([Share(i, v, t) for i, v in enumerate(values, 1)][:t + 1],
-                       check_consistency=False)
+    shares = [Share(i, v, t) for i, v in enumerate(values, 1)]
+    return reconstruct(shares[:t + 1])
 
 
 def test_encode_bitwise_layout(rng):
@@ -199,14 +199,13 @@ def test_submit_without_faults_admits_all(rng):
     tuples, report = submit(engine, sc, enc, rng)
     assert len(tuples) == len(enc)
     assert report.excluded == []
-    assert report.dropped_bundles == 0
+    assert report.delivered_bundles == len(enc) * 3
     # every sharing of every bundle crossed the wire to all 3 servers
     per = 2 * sc.sigma + 2
     assert report.delivered_shares == len(enc) * per * 3
     pc = engine.meter.bucket("input_distribution")
     assert pc.msgs_sm_to_dcc == report.delivered_shares
     assert pc.bytes_sm_to_dcc == report.delivered_shares * 10
-    assert report.four_field_shares == len(enc) * 4 * 3
 
 
 class FixedDrops:
@@ -281,6 +280,27 @@ def test_submit_excluded_traffic_still_counted(rng):
     assert pc.msgs_sm_to_dcc == report.delivered_shares
     assert report.delivered_shares == \
         (len(enc) - 1) * len(enc[0].secrets) * 3 + len(enc[0].secrets) * 2
+
+
+@pytest.mark.parametrize("alg", ["naa", "ncaa"])
+def test_report_bundle_counts_under_faults_and_failed_server(alg):
+    # server 3 never receives; faults drop more legs, some meters excluded
+    sc = scenario(algorithm=alg, n_servers=5, threshold=1, fault_rate=0.3,
+                  fail_servers=[3], sm_per_region=[12, 10])
+    run = cli.run_scenario(sc)
+    report = cli.build_report(run)
+    # every delivered bundle carries 2*sigma+2 sharings over the wire
+    msgs = report["segments"]["sms_to_dcc"]["measured_messages"]
+    delivered, rest = divmod(msgs, 2 * sc.sigma + 2)
+    assert rest == 0 and delivered == run.delivered_bundles
+    sent = sc.n_servers * sum(sc.sm_per_region)
+    assert report["faults"]["delivered_bundles"] == delivered
+    assert report["faults"]["dropped_bundles"] == sent - delivered
+    assert sent - delivered > sum(sc.sm_per_region)
+    assert report["faults"]["excluded_sms"]
+    # the paper prices four shared fields per delivered bundle
+    seg = report["segments"]["sms_to_dcc"]
+    assert seg["nominal_bits_63_formula_fields"] == 4 * delivered * 63
 
 
 # -- share-exactness against the per-entry code the encoders replaced --------
@@ -361,7 +381,7 @@ def engine_state(engine):
         [(h, engine.handle_mask(h),
           [engine.handle_share(h, p) for p in range(1, engine.n + 1)])
          for h in engine.live_handles()],
-        engine.meter.as_dict(),
+        engine.meter,
         engine.transcript,
     )
 

@@ -35,13 +35,16 @@ def naive_poly(coeffs, x):
 
 
 def test_share_values_matches_naive_polynomial(rng):
-    # t = 1 takes the unrolled path, larger t the Horner loop
+    # t = 1 takes the unrolled path, larger t the Horner loop; a twin rng
+    # gives the coefficients share_values draws
     for t in (1, 2, 3):
         for _ in range(50):
             n = rng.randint(2 * t + 1, 12)
             secret = rng.randrange(field.PRIME)
-            coeffs = [rng.randrange(field.PRIME) for _ in range(t)]
-            vals = share_values(secret, n, t, None, coeffs=coeffs)
+            seed = rng.getrandbits(64)
+            vals = share_values(secret, n, t, random.Random(seed))
+            twin = random.Random(seed)
+            coeffs = [twin.randrange(field.PRIME) for _ in range(t)]
             assert vals == [naive_poly([secret] + coeffs, x)
                             for x in range(1, n + 1)]
 
@@ -118,11 +121,13 @@ def test_share_reconstruct_roundtrip(rng):
         assert reconstruct(shares) == secret
 
 
-def test_shares_lie_on_declared_polynomial(rng):
-    # constant term is the secret; the hook fixes the random part
-    vals = share_values(42, 7, 2, rng, coeffs=[7, 9])
+def test_shares_lie_on_declared_polynomial():
+    # constant term is the secret; a twin rng gives the random part
+    vals = share_values(42, 7, 2, random.Random(7))
+    twin = random.Random(7)
+    coeffs = [twin.randrange(PRIME) for _ in range(2)]
     for x, v in enumerate(vals, start=1):
-        assert v == naive_poly([42, 7, 9], x)
+        assert v == naive_poly([42, *coeffs], x)
 
 
 def test_reconstruct_needs_threshold(rng):
@@ -137,8 +142,8 @@ def test_reconstruct_detects_corruption(rng):
                 shares[0].degree)
     with pytest.raises(InconsistentShares):
         reconstruct([bad] + shares[1:])
-    # without the extra shares the corruption is undetectable by design
-    wrong = reconstruct([bad] + shares[1:3], check_consistency=False)
+    # with exactly t+1 shares the corruption is undetectable by design
+    wrong = reconstruct([bad] + shares[1:3])
     assert wrong != 999
 
 
