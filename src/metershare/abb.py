@@ -38,7 +38,6 @@ import random
 
 from . import field
 from .errors import (
-    DegreeTooHigh,
     InconsistentShares,
     InsufficientShares,
     TooManyFailures,
@@ -348,8 +347,6 @@ class Engine:
         if not pairs:
             return []
         n, t = self.n, self.t
-        if 2 * t + 1 > n:
-            raise DegreeTooHigh(f"n={n} parties cannot reduce degree {2 * t}")
         p = PRIME
         quorum_size = 2 * t + 1
         active = self._active

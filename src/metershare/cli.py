@@ -32,7 +32,7 @@ from .aggregation import (
     ncaa_region,
     niaa_region,
 )
-from .costs import CostParams
+from .costs import CostParams, build_report, region_mult_rows, report_rows
 from .errors import InconsistentShares, MeterShareError
 from .gates import equals_public_batch
 from .metering import (
@@ -44,7 +44,7 @@ from .metering import (
     plaintext_totals,
     submit,
 )
-from .shamir import SHARE_BYTES, Share, SharingParams, reconstruct, share
+from .shamir import Share, SharingParams, reconstruct, share
 
 SEED_ENV = "METERSHARE_SEED"
 HANDLE_SAMPLES_PER_RUN = 100
@@ -108,7 +108,7 @@ def _run_region(scenario: Scenario, region: int, meters, readings,
         rows = niaa_region(engine, tuples, scenario.n_suppliers, region=region)
     shares = export_rows(engine, rows)
 
-    mult_rows = _mult_rows(scenario, engine.meter, region, len(tuples))
+    mult_rows = region_mult_rows(scenario, engine.meter, region, len(tuples))
 
     sample_rng = random.Random(derive_seed(scenario.seed, "sample", region))
     live = engine.live_handles()
@@ -125,59 +125,6 @@ def _run_region(scenario: Scenario, region: int, meters, readings,
         handle_samples=samples,
         mult_rows=mult_rows,
     )
-
-
-def _mult_rows(scenario: Scenario, meter: CostMeter, region: int,
-               included: int) -> list:
-    """Per-region measured multiplication counters with analytic references."""
-    alg = scenario.algorithm
-
-    def formula(variant="table"):
-        # CostParams needs a positive region size; an empty region costs 0
-        if not included:
-            return 0.0 if alg == "ncaa" else 0
-        return costs.formula_mults(alg, CostParams(
-            n_dno=1, n_suppliers=scenario.n_suppliers, sigma=scenario.sigma,
-            sm_per_region=included,
-        ), variant)
-
-    rows = []
-    if alg in ("naa", "niaa"):
-        for stream in STREAMS:
-            pc = meter.matching(f"region_aggregation/{region}/{stream}")
-            rows.append({
-                "region": region,
-                "stream": stream,
-                "included_sms": included,
-                "measured_mults": pc.multiplications,
-                "formula_mults": formula(),
-                "opens": pc.opens,
-                "rounds": pc.rounds,
-            })
-        return rows
-    # permutation algorithm: control-bit generation is precomputed per
-    # stream under its own label; fold it into the stream's cost here
-    gates_total = 0
-    measured_eq = 0
-    opens = 0
-    for stream in STREAMS:
-        pc = meter.matching(f"region_aggregation/{region}/{stream}")
-        rnd = meter.matching(f"randomness_setup/{region}/{stream}")
-        gates_total += pc.exchange_gates
-        measured_eq += pc.mult_equivalents + rnd.mult_equivalents
-        opens += pc.opens
-    gates_one = gates_total // 2 if gates_total else 0
-    rows.append({
-        "region": region,
-        "included_sms": included,
-        "exchange_gates_per_stream": gates_one,
-        "measured_mult_equivalents": measured_eq,
-        "formula_table": formula("table"),
-        "formula_batcher": formula("batcher"),
-        "nominal_three_per_item": 2 * (gates_one * 3 * 2 + included),
-        "opens": opens,
-    })
-    return rows
 
 
 def run_scenario(scenario: Scenario, record_transcript: bool = False,
@@ -292,119 +239,6 @@ def check_result(run: RunResult) -> list[str]:
     return problems
 
 
-def build_report(run: RunResult, threads: int = 1) -> dict:
-    """Assemble the cost report: formula vs measured per traffic segment."""
-    sc = run.scenario
-    total = run.meter.total()
-    alg = sc.algorithm
-
-    def scenario_formula(segment):
-        if segment == "dcc_to_recipients":
-            # recipient traffic does not scale with meter counts
-            p = CostParams(n_dno=sc.n_dno, n_suppliers=sc.n_suppliers,
-                           sigma=sc.sigma, sm_per_region=1)
-            return costs.formula_comm(alg, segment, p)
-        acc = 0
-        for m_j in sc.sm_per_region:
-            if m_j == 0:
-                continue
-            p = CostParams(n_dno=1, n_suppliers=sc.n_suppliers,
-                           sigma=sc.sigma, sm_per_region=m_j)
-            acc += costs.formula_comm(alg, segment, p)
-        return acc
-
-    seg_measured = {
-        "sms_to_dcc": (total.msgs_sm_to_dcc, total.bytes_sm_to_dcc),
-        "between_dcc": (total.msgs_between_dcc, total.bytes_between_dcc),
-        "dcc_to_recipients": (
-            total.msgs_dcc_to_recipients, total.bytes_dcc_to_recipients
-        ),
-    }
-    share_bits = CostParams().share_bits
-    segments = {}
-    for seg, (msgs, nbytes) in seg_measured.items():
-        nominal = msgs * share_bits
-        if seg == "sms_to_dcc" and alg in ("naa", "ncaa"):
-            # the paper's bundle carries four shared fields
-            nominal_formula_fields = 4 * run.delivered_bundles * share_bits
-        else:
-            nominal_formula_fields = nominal
-        segments[seg] = {
-            "formula_bits": scenario_formula(seg),
-            "measured_messages": msgs,
-            "measured_bits": nbytes * 8,
-            "nominal_bits_63": nominal,
-            "nominal_bits_63_formula_fields": nominal_formula_fields,
-            "headline_bits": (
-                nominal_formula_fields if sc.byte_accounting == "paper"
-                else nbytes * 8
-            ),
-        }
-
-    mult_total = total.multiplications
-    mults = {
-        "per_region": run.mult_rows,
-        "measured_total": mult_total,
-        "opens_total": total.opens,
-        "mult_equivalents_total": total.mult_equivalents,
-        "rounds_total": total.rounds,
-        "random_bits_total": total.random_bits,
-        "exchange_gates_total": total.exchange_gates,
-    }
-
-    formula_region_mults = sum(
-        costs.formula_mults(alg, CostParams(
-            n_dno=1, n_suppliers=sc.n_suppliers, sigma=sc.sigma,
-            sm_per_region=max(m_j, 1),
-        )) if m_j > 0 else 0
-        for m_j in sc.sm_per_region
-    )
-    cpu_params = CostParams(threads=threads)
-    report = {
-        "metadata": {
-            "prime": field.PRIME,
-            "share_bits": share_bits,
-            "share_bytes": SHARE_BYTES,
-            "byte_accounting": sc.byte_accounting,
-            "network": "batcher_odd_even_merge",
-            "algorithm": alg,
-            "n_servers": sc.n_servers,
-            "threshold": sc.threshold,
-            "n_dno": sc.n_dno,
-            "n_suppliers": sc.n_suppliers,
-            "sigma": sc.sigma,
-            "sm_per_region": list(sc.sm_per_region),
-            "seed": sc.seed,
-            "fault_rate": sc.fault_rate,
-            "fail_servers": list(sc.fail_servers),
-        },
-        "segments": segments,
-        "multiplications": mults,
-        "cpu": {
-            "per_mult_seconds": cpu_params.per_mult_seconds,
-            "threads": cpu_params.threads,
-            "projected_seconds_formula": costs.extrapolate_cpu(
-                formula_region_mults * 2, cpu_params
-            ),
-            "projected_seconds_measured": costs.extrapolate_cpu(
-                total.mult_equivalents, cpu_params
-            ),
-        },
-        "faults": {
-            "excluded_sms": run.excluded,
-            "delivered_bundles": run.delivered_bundles,
-            # every meter sends one bundle to each server, dead ones too
-            "dropped_bundles":
-                sc.n_servers * sum(sc.sm_per_region) - run.delivered_bundles,
-            "fail_servers": list(sc.fail_servers),
-            "empty_regions": run.empty_regions,
-        },
-        "leakage": run.leaked,
-    }
-    report["compare"] = costs.compare(report)
-    return report
-
-
 # -- artifact writers -------------------------------------------------------
 
 def write_matrix_csv(run: RunResult, path: str) -> None:
@@ -423,34 +257,6 @@ def write_bundles_json(run: RunResult, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(run.bundles, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def report_rows(report: dict) -> list[dict]:
-    """Flatten a report into the analytic-table row shape."""
-    md = report["metadata"]
-    alg = md["algorithm"]
-    mults = report["multiplications"]
-    shape = {
-        "n_dno": md["n_dno"],
-        "n_suppliers": md["n_suppliers"],
-        "sigma": md["sigma"],
-        "sm_per_region": "/".join(str(m) for m in md["sm_per_region"]),
-        "threads": report["cpu"]["threads"],
-    }
-    rows = [
-        costs.table_row(alg, seg, shape, formula_bits=data["formula_bits"],
-                        measured_bits=data["headline_bits"])
-        for seg, data in report["segments"].items()
-    ]
-    rows.append(costs.table_row(
-        alg, "region_multiplications", shape,
-        formula_mults=sum(
-            r.get("formula_mults", 0) for r in mults["per_region"]
-        ) or None,
-        measured_mult_equivalents=mults["mult_equivalents_total"],
-        cpu_seconds=report["cpu"]["projected_seconds_measured"],
-    ))
-    return rows
 
 
 def write_rows_csv(rows: list[dict], fh) -> None:
@@ -578,14 +384,12 @@ def cmd_costs(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    # stdout always gets CSV, each sweep series under a "# sweep" line
-    as_json = args.out and args.format == "json"
+    # sweep series are CSV; on stdout each follows a "# sweep" line
     try:
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-        with _output(args.out, "cost_table.json" if as_json
-                     else "cost_table.csv") as fh:
-            if as_json:
+        with _output(args.out, f"cost_table.{args.format}") as fh:
+            if args.format == "json":
                 json.dump(table, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             else:

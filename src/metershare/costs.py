@@ -1,18 +1,21 @@
-"""Closed-form cost model and measured-vs-analytic comparison.
+"""Closed-form cost model, the run cost report and its comparison.
 
 The analytic side covers the three share-based aggregation algorithms
 plus two baseline collection protocols: ``trad`` (meters send plaintext
 to a single hub) and ``dep2sa`` (meters send homomorphic ciphertexts).
 Communication is expressed in bits with the nominal 63-bit share width;
 the simulator's measured traffic uses the 10-byte wire form of a share,
-so reports carry both numbers side by side.
+so reports carry both numbers side by side.  ``build_report`` writes a
+finished run's report and ``compare`` reads it.
 """
 
 from dataclasses import dataclass, fields as dfields, replace
 import math
 
 from . import field
+from .aggregation import STREAMS
 from .errors import UnknownRow
+from .shamir import SHARE_BYTES
 
 PROTOCOLS = ("trad", "dep2sa", "naa", "ncaa", "niaa")
 ALGORITHMS = ("naa", "ncaa", "niaa")
@@ -20,6 +23,13 @@ SEGMENTS = ("sms_to_dcc", "between_dcc", "dcc_to_recipients")
 
 # messages exchanged between 3 servers per multiplication (or open)
 MESSAGES_PER_MULT = 6
+
+# bit widths of the paper's model
+DATA_BITS = 32          # one plaintext reading
+SHARE_BITS = 63         # one share on the wire, nominal
+BLIND_BITS = 32         # blinding randomness (dep2sa)
+SYM_CIPHER_BITS = 128   # symmetric ciphertext
+PUB_CIPHER_BITS = 1024  # public-key ciphertext
 
 # one cost-table row: protocol, segment, the grid shape, then the values
 SHAPE_COLUMNS = ("n_dno", "n_suppliers", "sigma", "sm_per_region", "threads")
@@ -31,17 +41,12 @@ TABLE_COLUMNS = (
 
 @dataclass(frozen=True)
 class CostParams:
-    """Grid shape and bit widths; defaults sized for the UK retail market."""
+    """Grid shape and CPU model; defaults sized for the UK retail market."""
 
     n_dno: int = 14
     n_suppliers: int = 10
     sigma: int = 8               # supplier ID bit length
     sm_per_region: int = 2_200_000
-    data_bits: int = 32          # one plaintext reading
-    share_bits: int = 63         # one share on the wire, nominal
-    blind_bits: int = 32         # blinding randomness (dep2sa)
-    sym_cipher_bits: int = 128   # symmetric ciphertext
-    pub_cipher_bits: int = 1024  # public-key ciphertext
     per_mult_seconds: float = 20.8e-6
     threads: int = 1
 
@@ -89,8 +94,7 @@ def formula_comm(protocol: str, segment: str, params: CostParams,
     if proto not in PROTOCOLS or seg not in SEGMENTS:
         raise UnknownRow(f"no table entry for {protocol!r}/{segment!r}")
     nd, ns, m = params.n_dno, params.n_suppliers, params.sm_per_region
-    x, s = params.data_bits, params.share_bits
-    r, big_c = params.blind_bits, params.pub_cipher_bits
+    x, s, r, big_c = DATA_BITS, SHARE_BITS, BLIND_BITS, PUB_CIPHER_BITS
 
     if proto == "trad":
         return {
@@ -114,14 +118,12 @@ def formula_comm(protocol: str, segment: str, params: CostParams,
             return 0
         return MESSAGES_PER_MULT * s * formula_mults(proto, params)
     if trusted_tso:
-        return 6 * nd * ns * s + (nd + ns) * params.sym_cipher_bits
+        return 6 * nd * ns * s + (nd + ns) * SYM_CIPHER_BITS
     return 18 * nd * ns * s
 
 
 def extrapolate_cpu(mult_count: float, params: CostParams) -> float:
     """Projected CPU seconds for a multiplication count, split over threads."""
-    if params.threads < 1:
-        raise UnknownRow("threads must be at least 1")
     return mult_count * params.per_mult_seconds / params.threads
 
 
@@ -193,6 +195,189 @@ def bytes_from_transcript(records: list[tuple]) -> dict:
         else:
             out["dcc_to_recipients"] += nbytes
     return out
+
+
+# -- the run cost report ------------------------------------------------------
+
+def _region_params(scenario, m: int) -> CostParams:
+    """The cost model of one region of ``m`` meters of a run's scenario."""
+    return CostParams(n_dno=1, n_suppliers=scenario.n_suppliers,
+                      sigma=scenario.sigma, sm_per_region=m)
+
+
+def region_mult_rows(scenario, meter, region: int, included: int) -> list:
+    """Per-region measured multiplication counters with analytic references.
+
+    ``meter`` is the region engine's ``CostMeter``; ``included`` counts the
+    meters whose tuples entered the region's aggregation.
+    """
+    alg = scenario.algorithm
+
+    def formula(variant="table"):
+        # CostParams needs a positive region size; an empty region costs 0
+        if not included:
+            return 0.0 if alg == "ncaa" else 0
+        return formula_mults(alg, _region_params(scenario, included), variant)
+
+    rows = []
+    if alg in ("naa", "niaa"):
+        for stream in STREAMS:
+            pc = meter.matching(f"region_aggregation/{region}/{stream}")
+            rows.append({
+                "region": region,
+                "stream": stream,
+                "included_sms": included,
+                "measured_mults": pc.multiplications,
+                "formula_mults": formula(),
+                "opens": pc.opens,
+                "rounds": pc.rounds,
+            })
+        return rows
+    # permutation algorithm: control-bit generation is precomputed per
+    # stream under its own label; fold it into the stream's cost here
+    gates_total = 0
+    measured_eq = 0
+    opens = 0
+    for stream in STREAMS:
+        pc = meter.matching(f"region_aggregation/{region}/{stream}")
+        rnd = meter.matching(f"randomness_setup/{region}/{stream}")
+        gates_total += pc.exchange_gates
+        measured_eq += pc.mult_equivalents + rnd.mult_equivalents
+        opens += pc.opens
+    gates_one = gates_total // 2 if gates_total else 0
+    rows.append({
+        "region": region,
+        "included_sms": included,
+        "exchange_gates_per_stream": gates_one,
+        "measured_mult_equivalents": measured_eq,
+        "formula_table": formula("table"),
+        "formula_batcher": formula("batcher"),
+        "nominal_three_per_item": 2 * (gates_one * 3 * 2 + included),
+        "opens": opens,
+    })
+    return rows
+
+
+def build_report(run, threads: int = 1) -> dict:
+    """The cost report of a finished ``cli.RunResult``: formula vs measured.
+
+    ``threads`` only sets the CPU projection of the ``cpu`` section.
+    """
+    sc = run.scenario
+    total = run.meter.total()
+    alg = sc.algorithm
+    # the per-region formulas; an empty region moves and multiplies nothing
+    regions = [_region_params(sc, m) for m in sc.sm_per_region if m]
+    # recipient traffic does not scale with meter counts
+    grid = CostParams(n_dno=sc.n_dno, n_suppliers=sc.n_suppliers,
+                      sigma=sc.sigma, sm_per_region=1)
+
+    seg_measured = {
+        "sms_to_dcc": (total.msgs_sm_to_dcc, total.bytes_sm_to_dcc),
+        "between_dcc": (total.msgs_between_dcc, total.bytes_between_dcc),
+        "dcc_to_recipients": (
+            total.msgs_dcc_to_recipients, total.bytes_dcc_to_recipients
+        ),
+    }
+    segments = {}
+    for seg, (msgs, nbytes) in seg_measured.items():
+        if seg == "dcc_to_recipients":
+            formula_bits = formula_comm(alg, seg, grid)
+        else:
+            formula_bits = sum(formula_comm(alg, seg, p) for p in regions)
+        nominal = msgs * SHARE_BITS
+        if seg == "sms_to_dcc" and alg in ("naa", "ncaa"):
+            # the paper's bundle carries four shared fields
+            nominal_formula_fields = 4 * run.delivered_bundles * SHARE_BITS
+        else:
+            nominal_formula_fields = nominal
+        segments[seg] = {
+            "formula_bits": formula_bits,
+            "measured_messages": msgs,
+            "measured_bits": nbytes * 8,
+            "nominal_bits_63": nominal,
+            "nominal_bits_63_formula_fields": nominal_formula_fields,
+            "headline_bits": (
+                nominal_formula_fields if sc.byte_accounting == "paper"
+                else nbytes * 8
+            ),
+        }
+
+    cpu_params = CostParams(threads=threads)
+    # imports and exports: naa's region formula counts one stream
+    formula_region_mults = 2 * sum(formula_mults(alg, p) for p in regions)
+    report = {
+        "metadata": {
+            "prime": field.PRIME,
+            "share_bits": SHARE_BITS,
+            "share_bytes": SHARE_BYTES,
+            "network": "batcher_odd_even_merge",
+            **sc.to_dict(),
+        },
+        "segments": segments,
+        "multiplications": {
+            "per_region": run.mult_rows,
+            "measured_total": total.multiplications,
+            "opens_total": total.opens,
+            "mult_equivalents_total": total.mult_equivalents,
+            "rounds_total": total.rounds,
+            "random_bits_total": total.random_bits,
+            "exchange_gates_total": total.exchange_gates,
+        },
+        "cpu": {
+            "per_mult_seconds": cpu_params.per_mult_seconds,
+            "threads": cpu_params.threads,
+            "projected_seconds_formula": extrapolate_cpu(
+                formula_region_mults, cpu_params
+            ),
+            "projected_seconds_measured": extrapolate_cpu(
+                total.mult_equivalents, cpu_params
+            ),
+        },
+        "faults": {
+            "excluded_sms": run.excluded,
+            "delivered_bundles": run.delivered_bundles,
+            # every meter sends one bundle to each server, dead ones too
+            "dropped_bundles":
+                sc.n_servers * sum(sc.sm_per_region) - run.delivered_bundles,
+            "fail_servers": list(sc.fail_servers),
+            "empty_regions": run.empty_regions,
+        },
+        "leakage": run.leaked,
+    }
+    report["compare"] = compare(report)
+    return report
+
+
+def report_rows(report: dict) -> list[dict]:
+    """Flatten a run report into cost-table rows, one per segment plus compute.
+
+    The compute row's formula sums the regions' table formula: naa's and
+    niaa's per-stream ``formula_mults``, ncaa's ``formula_table``.
+    """
+    md = report["metadata"]
+    alg = md["algorithm"]
+    mults = report["multiplications"]
+    shape = {
+        "n_dno": md["n_dno"],
+        "n_suppliers": md["n_suppliers"],
+        "sigma": md["sigma"],
+        "sm_per_region": "/".join(str(m) for m in md["sm_per_region"]),
+        "threads": report["cpu"]["threads"],
+    }
+    rows = [
+        table_row(alg, seg, shape, formula_bits=data["formula_bits"],
+                  measured_bits=data["headline_bits"])
+        for seg, data in report["segments"].items()
+    ]
+    key = "formula_table" if alg == "ncaa" else "formula_mults"
+    rows.append(table_row(
+        alg, "region_multiplications", shape,
+        formula_mults=sum(r[key] for r in mults["per_region"]),
+        measured_mult_equivalents=mults["mult_equivalents_total"],
+        cpu_seconds=report["cpu"]["projected_seconds_measured"],
+    ))
+    return rows
 
 
 def compare(report: dict) -> list[dict]:

@@ -33,10 +33,6 @@ class DegreeMismatch(MeterShareError):
     """Shares of different polynomial degrees were combined."""
 
 
-class DegreeTooHigh(MeterShareError):
-    """A product would exceed the degree the party count can interpolate."""
-
-
 class TooManyFailures(MeterShareError):
     """Marking another party failed would leave fewer than t+1 alive."""
 

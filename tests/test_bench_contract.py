@@ -1,0 +1,74 @@
+"""The benchmark's hold on the program: the names it patches and calls.
+
+``bench/tracer.py`` patches functions where their callers look them up and
+``bench/run.py`` drives a pass through ``metershare.cli``.  A rename, or a
+move that leaves a probe where nothing calls it, shows up here, in the
+tier-1 suite, rather than only when the benchmark's own tests run.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import metershare
+from metershare import cli
+from metershare.metering import Scenario
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+# what one benchmark pass calls on cli: the run, its check, its report and
+# the artifact writers of a transcript workload
+RUN_PASS_CALLS = {
+    "run_scenario", "check_result", "build_report", "write_matrix_csv",
+    "write_bundles_json", "write_report", "write_transcript",
+}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", BENCH_DIR / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_probes_resolve_and_fire():
+    tracer_module = load_tracer()
+    missing = [
+        (name, attr) for name, targets, _ in tracer_module.probes(metershare)
+        for owner, attr in targets if not callable(getattr(owner, attr, None))
+    ]
+    assert missing == []
+    # a probe on a name the program no longer calls would resolve and
+    # silently count nothing; one small run per algorithm reaches them all
+    tracer = tracer_module.Tracer(metershare)
+    calls = dict.fromkeys(tracer.names, 0)
+    tracer.install()
+    try:
+        for alg in ("naa", "ncaa", "niaa"):
+            tracer.start_pass()
+            sc = Scenario(n_dno=2, n_suppliers=2, sm_per_region=[3, 2],
+                          seed=4, sigma=3, algorithm=alg)
+            run = cli.run_scenario(sc)
+            assert cli.check_result(run) == []
+            cli.build_report(run)
+            for name, (n_calls, *_rest) in tracer.finish_pass().items():
+                if name in calls:
+                    calls[name] += n_calls
+    finally:
+        tracer.uninstall()
+    assert [name for name, n in calls.items() if not n] == []
+
+
+def test_run_pass_calls_resolve_on_cli():
+    tree = ast.parse((BENCH_DIR / "run.py").read_text())
+    called = {
+        node.func.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "cli"
+    }
+    assert RUN_PASS_CALLS <= called
+    for attr in sorted(called):
+        assert callable(getattr(cli, attr, None)), attr

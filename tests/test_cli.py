@@ -314,11 +314,21 @@ def test_report_rows_round_trip_through_writer(tmp_path):
 
 
 # sha256 of outputs no golden scenario covers, recorded before the cost-table
-# rows were built in one place; they must not move when that code changes
+# rows were built in one place; they must not move when that code changes.
+# The ncaa and niaa run reports were re-recorded when their
+# region_multiplications row gained its formula_mults cell.
 PINNED_RUN_CSV = {
     "naa": "10c646797f4461647499a672191fe4769b77e011cfc800a0075bd2fa26b32e21",
-    "ncaa": "88123943fc8f32971271d947d1e555b81a351e06b277dc82cfa2569671fa62cc",
-    "niaa": "bfcde2ffecd27d827773de5c8a9239ee1d033794513da4b8cb513f636848a039",
+    "ncaa": "6d99cfe3b10bdb91fd7e82b2a7967e0cdfcd6a66b74b817d9996f06c294cde18",
+    "niaa": "f30b90eaab14f7d33ea8492e61e22bc63565c8bfdb9eca50caa080f927e04342",
+}
+# the region_multiplications row's formula_mults cell in those reports:
+# per-stream naa formulas over 4 and 3 admitted meters, ncaa's table
+# formula over the same counts, and niaa's exact zero
+PINNED_RUN_FORMULA_MULTS = {
+    "naa": "252",
+    "ncaa": "39.50977500432694",
+    "niaa": "0",
 }
 PINNED_COSTS_STDOUT = {
     "costs": "050c66104801c3c5e079eecdec052d2062b7bffdbdf5968c1044a09232e619e4",
@@ -357,6 +367,9 @@ def test_run_csv_report_is_pinned(tmp_path, algorithm):
                      "--format", "csv"]) == 0
     data = (out / "cost_report.csv").read_bytes()
     assert sha256(data) == PINNED_RUN_CSV[algorithm]
+    rows = csv.DictReader(data.decode().splitlines())
+    (compute,) = [r for r in rows if r["segment"] == "region_multiplications"]
+    assert compute["formula_mults"] == PINNED_RUN_FORMULA_MULTS[algorithm]
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_COSTS_STDOUT))
@@ -374,3 +387,11 @@ def test_costs_files_are_pinned(tmp_path, fmt):
             f"cost_table.{fmt}": PINNED_COST_TABLE[f"cost_table.{fmt}"]}
     got = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
     assert got == want
+
+
+def test_costs_json_stdout_is_the_json_table(tmp_path, capsys):
+    assert cli.main(["costs", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert cli.main(["costs", "--format", "json", "--out", str(tmp_path)]) == 0
+    assert out.encode() == (tmp_path / "cost_table.json").read_bytes()
+    assert sha256(out.encode()) == PINNED_COST_TABLE["cost_table.json"]
