@@ -8,6 +8,7 @@ tier-1 suite, rather than only when the benchmark's own tests run.
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import metershare
@@ -22,6 +23,24 @@ RUN_PASS_CALLS = {
     "run_scenario", "check_result", "build_report", "write_matrix_csv",
     "write_bundles_json", "write_report", "write_transcript",
 }
+
+
+# what a benchmark pass reads off a finished run
+RUN_READS = {"bundles", "excluded", "meter", "transcript"}
+
+
+def bench_tree():
+    return ast.parse((BENCH_DIR / "run.py").read_text())
+
+
+def cli_calls(tree) -> list:
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "cli"
+    ]
 
 
 def load_tracer():
@@ -61,14 +80,27 @@ def test_tracer_probes_resolve_and_fire():
 
 
 def test_run_pass_calls_resolve_on_cli():
-    tree = ast.parse((BENCH_DIR / "run.py").read_text())
-    called = {
-        node.func.attr for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "cli"
-    }
+    called = {node.func.attr for node in cli_calls(bench_tree())}
     assert RUN_PASS_CALLS <= called
     for attr in sorted(called):
         assert callable(getattr(cli, attr, None)), attr
+
+
+def test_run_pass_arguments_bind_to_cli_signatures():
+    # a keyword the program drops (say threads=) fails every benchmark pass
+    for node in cli_calls(bench_tree()):
+        signature = inspect.signature(getattr(cli, node.func.attr))
+        keywords = {k.arg: None for k in node.keywords if k.arg is not None}
+        signature.bind(*[None] * len(node.args), **keywords)
+
+
+def test_run_pass_reads_exist_on_a_run():
+    read = {
+        node.attr for node in ast.walk(bench_tree())
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "run"
+    }
+    assert read == RUN_READS
+    sc = Scenario(n_dno=1, n_suppliers=2, sm_per_region=[2], seed=4, sigma=3)
+    run = cli.run_scenario(sc, record_transcript=True)
+    assert [attr for attr in sorted(read) if not hasattr(run, attr)] == []

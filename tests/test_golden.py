@@ -9,10 +9,12 @@ point of the change, never to make an engine refactor pass.
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
 from metershare import cli
+from metershare.metering import Scenario
 
 ARTIFACTS = ("aggregates.csv", "bundles.json", "cost_report.json",
              "transcript.log")
@@ -102,6 +104,24 @@ GOLDEN = {
     },
 }
 
+# sha256 of what no artifact holds: every per-phase CostMeter bucket (label
+# and all counters, in bucket order), the opened values and the handle
+# samples of the same six runs
+PHASE_GOLDEN = {
+    "naa-51-empty-region-failed":
+        "01bc1b9116815c9a40ab8d530bf5f6bd20603cf3100c0cdf24db21d112903e53",
+    "naa-72-failed":
+        "f793a8de07ffa2d42d008fb49604ab2ec42920237fe0898f8b303e10483a2545",
+    "naa-t2-faults":
+        "9554d04829840f1d76f163bd06f7180f24acf2d31fa185adf35049e695502261",
+    "ncaa-73":
+        "f897d3b0c1b88e8598470d29d323f0e9dda0efc3bf166687d5c23153e23aecfc",
+    "ncaa-criterion9":
+        "5d6a8535d0078095f497da0e3d854c40c62f810bf3a8c635e9902e89e43470b2",
+    "niaa-faults-failed":
+        "33329c5054f32cc6d83e3dd9c7143ebf3e05cafd17a6d3a91f302f890cc23942",
+}
+
 
 def artifact_digests(tmp_path, scenario: dict) -> dict:
     path = tmp_path / "scenario.json"
@@ -118,3 +138,15 @@ def artifact_digests(tmp_path, scenario: dict) -> dict:
 def test_golden_artifacts(name, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     assert artifact_digests(tmp_path, SCENARIOS[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden_phase_counters(name):
+    run = cli.run_scenario(Scenario(**SCENARIOS[name]), record_transcript=True)
+    data = {
+        "phases": [[label, asdict(pc)] for label, pc in run.meter.phases.items()],
+        "opened_log": run.opened_log,
+        "handle_samples": [sorted(s.items()) for s in run.handle_samples],
+    }
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == PHASE_GOLDEN[name]
