@@ -304,8 +304,9 @@ def build_report(run, threads: int = 1) -> dict:
         }
 
     cpu_params = CostParams(threads=threads)
-    # imports and exports: naa's region formula counts one stream
-    formula_region_mults = 2 * sum(formula_mults(alg, p) for p in regions)
+    # naa's region formula counts one stream, ncaa's table both
+    streams = len(STREAMS) if alg == "naa" else 1
+    formula_region_mults = streams * sum(formula_mults(alg, p) for p in regions)
     report = {
         "metadata": {
             "prime": field.PRIME,

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from metershare import cli
 from metershare.costs import (
     CostParams,
+    build_report,
     build_table,
     bytes_from_transcript,
     extrapolate_cpu,
@@ -15,6 +17,7 @@ from metershare.costs import (
     sweep_series,
 )
 from metershare.errors import UnknownRow
+from metershare.metering import Scenario
 
 # reference figures computed by hand at the default parameter set:
 # 14 regions, 10 suppliers, 8 ID bits, 2.2e6 meters per region,
@@ -87,6 +90,20 @@ def test_extrapolate_cpu_matches_headline_claim():
     assert secs < 600
     assert extrapolate_cpu(100, replace(DEFAULTS, threads=2)) == \
         50 * DEFAULTS.per_mult_seconds * 2 / 2
+
+
+@pytest.mark.parametrize("alg,mults", [("naa", 1024), ("ncaa", 896)])
+def test_report_cpu_formula_prices_each_stream_once(alg, mults):
+    # one 64-meter region: naa's per-stream 64*2*(3+1) = 512 twice,
+    # ncaa's table 2*(64*log2(64) + 64) = 896 already both streams
+    sc = Scenario(n_dno=1, n_suppliers=2, sm_per_region=[64], seed=6,
+                  sigma=3, algorithm=alg)
+    report = build_report(cli.run_scenario(sc))
+    (compute,) = [r for r in cli.report_rows(report)
+                  if r["segment"] == "region_multiplications"]
+    assert compute["formula_mults"] == mults
+    assert report["cpu"]["projected_seconds_formula"] == \
+        extrapolate_cpu(mults, DEFAULTS)
 
 
 def test_unknown_rows_raise():
