@@ -12,18 +12,24 @@ readings:
 * ``niaa_region``   receives one-hot vectors and only adds shares, at
                     zero interactive cost.
 
-Every per-stream field below (tuples, region rows, the grid matrix) is
-a list indexed in ``STREAMS`` order, so each layer loops over the flows
+One record, ``RegionRows``, carries a region's per-supplier cells from
+its circuit to its recipients: engine handles as the circuit leaves them,
+share groups once ``export_rows`` has frozen them.  ``grid_aggregate``
+stacks the regions' cells into ``[stream][region][supplier]`` and
+``distribute_outputs`` sends each recipient its part.
+
+Every per-stream field (tuples, region cells, the grid's cells) is a
+list indexed in ``STREAMS`` order, so each layer loops over the flows
 instead of naming them; the stream names appear only in phase labels,
 transcript labels and output keys.
 
-Cells are kept as share groups keyed by the set of servers holding them,
+Exported cells are share groups keyed by the set of servers holding them,
 so partial deliveries under transport faults stay reconstructable group
 by group.  Nothing here opens an energy value: outputs leave the servers
 as shares and are reconstructed by their recipients.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, replace
 
 from . import field
 from .abb import Engine
@@ -89,33 +95,20 @@ class OneHotTuple:
 
 @dataclass
 class RegionRows:
-    """Aggregated per-supplier cells of one region, still as handles."""
+    """Aggregated per-supplier cells of one region."""
 
     region: int
-    cells: list          # [stream][supplier] -> list of group handles
+    # [stream][supplier] -> list of group handles, or after export_rows
+    # one CompositeCell
+    cells: list
     leaked_counts: dict | None = None
-    empty: bool = False
-
-
-@dataclass
-class RegionShares:
-    """Region rows exported from the engine as raw share groups."""
-
-    region: int
-    cells: list          # [stream][supplier] -> CompositeCell
-    leaked_counts: dict | None = None
-    empty: bool = False
 
 
 def _zero_rows(engine: Engine, n_suppliers: int, region: int,
                leaked: dict | None = None) -> RegionRows:
     zero = engine.constant(0)
-    return RegionRows(
-        region=region,
-        cells=[[[zero] for _ in range(n_suppliers)] for _ in STREAMS],
-        leaked_counts=leaked,
-        empty=True,
-    )
+    cells = [[[zero] for _ in range(n_suppliers)] for _ in STREAMS]
+    return RegionRows(region=region, cells=cells, leaked_counts=leaked)
 
 
 def naa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int],
@@ -245,7 +238,7 @@ def niaa_region(engine: Engine, tuples: list[OneHotTuple], n_suppliers: int,
     return RegionRows(region=region, cells=cells)
 
 
-def export_rows(engine: Engine, rows: RegionRows) -> RegionShares:
+def export_rows(engine: Engine, rows: RegionRows) -> RegionRows:
     """Freeze region cells into raw share groups held by live servers."""
 
     def export_cell(handles: list) -> CompositeCell:
@@ -255,39 +248,19 @@ def export_rows(engine: Engine, rows: RegionRows) -> RegionShares:
             merge_cells(cell, {tuple(sorted(shares)): shares})
         return cell
 
-    return RegionShares(
-        region=rows.region,
-        cells=[[export_cell(c) for c in stream_cells]
-               for stream_cells in rows.cells],
-        leaked_counts=rows.leaked_counts,
-        empty=rows.empty,
-    )
+    return replace(rows, cells=[[export_cell(c) for c in stream_cells]
+                                for stream_cells in rows.cells])
 
 
-@dataclass
-class SharedMatrix:
-    """Grid-wide aggregate: the region-by-supplier cells, still shared."""
-
-    n_regions: int
-    n_suppliers: int
-    cells: list          # [stream][region][supplier] -> CompositeCell
-    empty_regions: list = dfield(default_factory=list)
-
-
-def grid_aggregate(regions: list[RegionShares], n_suppliers: int) -> SharedMatrix:
-    """Assemble the region rows into the full matrix, in region order.
+def grid_aggregate(regions: list[RegionRows]) -> list:
+    """The exported regions' cells as ``[stream][region][supplier]``.
 
     Totals are not formed here: each recipient sums the cells it receives
     (see ``distribute_outputs``), so this step exchanges no messages, which
     is why the communication tables carry no grid term.
     """
     regions = sorted(regions, key=lambda r: r.region)
-    return SharedMatrix(
-        n_regions=len(regions),
-        n_suppliers=n_suppliers,
-        cells=[[r.cells[s] for r in regions] for s in range(len(STREAMS))],
-        empty_regions=[r.region for r in regions if r.empty],
-    )
+    return [[r.cells[s] for r in regions] for s in range(len(STREAMS))]
 
 
 def grid_view(matrices: list) -> dict:
@@ -318,9 +291,9 @@ class Distribution:
         return len(self.records)
 
 
-def distribute_outputs(matrix: SharedMatrix, params: SharingParams,
+def distribute_outputs(cells: list, params: SharingParams,
                        failed: frozenset = frozenset()) -> Distribution:
-    """Send each recipient exactly the matrix cells it is entitled to.
+    """Send each recipient exactly the ``grid_aggregate`` cells it is owed.
 
     Per cell, every live holder sends its share; recipients interpolate
     and derive their own totals locally, so totals travel as zero extra
@@ -330,10 +303,10 @@ def distribute_outputs(matrix: SharedMatrix, params: SharingParams,
     """
     t = params.t
     records: list = []
-    regions, suppliers = range(matrix.n_regions), range(matrix.n_suppliers)
+    regions, suppliers = range(len(cells[0])), range(len(cells[0][0]))
 
     def pull(s: int, j: int, k: int, receiver: str) -> int:
-        cell = matrix.cells[s][j][k]
+        cell = cells[s][j][k]
         label = f"cell/{STREAMS[s]}/{j + 1}/{k + 1}"
         for _, shares in sorted(cell.items()):
             for party in sorted(shares):

@@ -25,6 +25,7 @@ from . import costs, field
 from .abb import CostMeter, Engine
 from .aggregation import (
     STREAMS,
+    RegionRows,
     distribute_outputs,
     export_rows,
     grid_aggregate,
@@ -37,6 +38,7 @@ from .errors import InconsistentShares, MeterShareError
 from .gates import equals_public_batch
 from .metering import (
     Scenario,
+    SubmitReport,
     build_meters,
     derive_seed,
     encode,
@@ -52,14 +54,14 @@ HANDLE_SAMPLES_PER_RUN = 100
 
 @dataclass
 class RegionOutcome:
-    region: int
-    shares: object
+    """What one region leaves once its engine is gone."""
+
+    shares: RegionRows   # cells exported as share groups
     meter: CostMeter
-    submit_report: object
+    submit_report: SubmitReport
     opened_log: list
     transcript: list | None
     handle_samples: list
-    mult_rows: list
 
 
 @dataclass
@@ -70,13 +72,23 @@ class RunResult:
     meter: CostMeter
     leaked: dict
     excluded: list
-    empty_regions: list
+    admitted: list       # per region: meters whose tuples were aggregated
     transcript: list | None
     handle_samples: list
     opened_log: list
     delivered_bundles: int
-    mult_rows: list
     wall_seconds: float
+
+    @property
+    def empty_regions(self) -> list:
+        """Regions that aggregated no meter: none assigned, or all excluded."""
+        return [j for j, n in enumerate(self.admitted, 1) if not n]
+
+    @property
+    def mult_rows(self) -> list:
+        """Per-region measured multiplications next to their formulas."""
+        return [row for j, n in enumerate(self.admitted, 1)
+                for row in region_mult_rows(self.scenario, self.meter, j, n)]
 
 
 def _run_region(scenario: Scenario, region: int, meters, readings,
@@ -106,24 +118,17 @@ def _run_region(scenario: Scenario, region: int, meters, readings,
                            scenario.sigma, region=region)
     else:
         rows = niaa_region(engine, tuples, scenario.n_suppliers, region=region)
-    shares = export_rows(engine, rows)
-
-    mult_rows = region_mult_rows(scenario, engine.meter, region, len(tuples))
 
     sample_rng = random.Random(derive_seed(scenario.seed, "sample", region))
     live = engine.live_handles()
     picks = sample_rng.sample(live, min(len(live), HANDLE_SAMPLES_PER_RUN))
-    samples = [engine.export_shares(h) for h in picks]
-
     return RegionOutcome(
-        region=region,
-        shares=shares,
+        shares=export_rows(engine, rows),
         meter=engine.meter,
         submit_report=report,
-        opened_log=list(engine.opened_log),
+        opened_log=engine.opened_log,
         transcript=engine.transcript,
-        handle_samples=samples,
-        mult_rows=mult_rows,
+        handle_samples=[engine.export_shares(h) for h in picks],
     )
 
 
@@ -133,84 +138,62 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
     meters = build_meters(scenario)
     readings = generate_readings(scenario, meters, slot=0)
     started = time.perf_counter()
-    outcomes = [
-        _run_region(scenario, j, [m for m in meters if m.region == j],
-                    readings, record_transcript)
-        for j in range(1, scenario.n_dno + 1)
-    ]
-
     meter = CostMeter()
-    for o in outcomes:
+    regions, included, excluded, admitted = [], [], [], []
+    leaked, samples, opened, delivered = {}, [], [], 0
+    transcript = [] if record_transcript else None
+    offset = 0  # transcript rounds of the regions so far
+    for j in range(1, scenario.n_dno + 1):
+        o = _run_region(scenario, j, [m for m in meters if m.region == j],
+                        readings, record_transcript)
         meter.merge(o.meter)
-
-    matrix_shares = grid_aggregate([o.shares for o in outcomes],
-                                   scenario.n_suppliers)
-    dist = distribute_outputs(matrix_shares, scenario.params,
-                              failed=frozenset(scenario.fail_servers))
-    meter.bucket("output_distribution").msgs_dcc_to_recipients += dist.messages
-    wall = time.perf_counter() - started
-
-    included = set()
-    excluded = []
-    for o in outcomes:
-        included.update(o.submit_report.included)
-        excluded.extend(o.submit_report.excluded)
-
-    oracle = plaintext_totals(meters, readings, included,
-                              scenario.n_dno, scenario.n_suppliers)
-
-    leaked = {
-        str(o.region): o.shares.leaked_counts
-        for o in outcomes if o.shares.leaked_counts is not None
-    }
-
-    transcript = None
-    if record_transcript:
-        transcript = []
-        offset = 0
-        for o in outcomes:
+        regions.append(o.shares)
+        report = o.submit_report
+        included.extend(report.included)
+        excluded.extend(report.excluded)
+        admitted.append(len(report.included))
+        delivered += report.delivered_bundles
+        if o.shares.leaked_counts is not None:
+            leaked[str(j)] = o.shares.leaked_counts
+        samples.extend(o.handle_samples)
+        opened.extend(o.opened_log)
+        if transcript is not None:
             top = 0
             # a handle's records are contiguous: format its label once
             last = label = None
             for rnd, snd, rcv, h, nb in o.transcript:
                 top = max(top, rnd)
                 if h != last:
-                    last, label = h, f"r{o.region}.h{h}"
+                    last, label = h, f"r{j}.h{h}"
                 transcript.append((rnd + offset, snd, rcv, label, nb))
             offset += top
-            o.transcript = None  # keep only the merged copy
+        del o  # the region's own transcript is merged; free it
+
+    dist = distribute_outputs(grid_aggregate(regions), scenario.params,
+                              failed=frozenset(scenario.fail_servers))
+    meter.bucket("output_distribution").msgs_dcc_to_recipients += dist.messages
+    wall = time.perf_counter() - started
+    if transcript is not None:
         for snd, rcv, label, nb in dist.records:
             transcript.append((offset + 1, snd, rcv, label, nb))
 
-    samples = []
-    for o in outcomes:
-        samples.extend(o.handle_samples)
     sample_rng = random.Random(derive_seed(scenario.seed, "sample", "grid"))
     if len(samples) > HANDLE_SAMPLES_PER_RUN:
         samples = sample_rng.sample(samples, HANDLE_SAMPLES_PER_RUN)
 
-    opened = []
-    for o in outcomes:
-        opened.extend(o.opened_log)
-
-    mult_rows = []
-    for o in outcomes:
-        mult_rows.extend(o.mult_rows)
-
     return RunResult(
         scenario=scenario,
         bundles=dist.bundles,
-        oracle=oracle,
+        oracle=plaintext_totals(meters, readings, set(included),
+                                scenario.n_dno, scenario.n_suppliers),
         meter=meter,
         leaked=leaked,
         excluded=sorted(excluded),
-        empty_regions=matrix_shares.empty_regions,
+        admitted=admitted,
         transcript=transcript,
         handle_samples=samples,
         opened_log=opened,
-        delivered_bundles=sum(o.submit_report.delivered_bundles
-                              for o in outcomes),
-        mult_rows=mult_rows,
+        delivered_bundles=delivered,
         wall_seconds=wall,
     )
 

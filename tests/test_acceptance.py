@@ -132,7 +132,7 @@ def test_criterion_4_fault_tolerance(capfd):
                             readings, record_transcript=False)
             for j in (1, 2)
         ]
-        matrix = grid_aggregate([o.shares for o in outcomes], sc.n_suppliers)
+        matrix = grid_aggregate([o.shares for o in outcomes])
         clean = distribute_outputs(matrix, sc.params)
         for lost in (1, 2, 3):
             got = distribute_outputs(matrix, sc.params,

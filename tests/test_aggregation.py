@@ -106,8 +106,11 @@ def test_naa_skips_interaction_for_empty_region():
     scenario = small_scenario("naa")
     engine = Engine(scenario.params, seed=0)
     rows = naa_region(engine, [], scenario.suppliers, scenario.sigma)
-    assert rows.empty
     assert engine.meter.total().multiplications == 0
+    cells = [c for stream_cells in rows.cells for c in stream_cells]
+    assert len(cells) == len(STREAMS) * scenario.n_suppliers
+    for (h,) in cells:
+        assert set(engine.export_shares(h).values()) == {0}
 
 
 def test_ncaa_leak_is_membership_multiset():
@@ -243,7 +246,7 @@ def test_composite_cell_merges_heterogeneous_masks():
 def test_grid_and_distribution_match_oracle():
     scenario = small_scenario("naa", seed=77)
     outs, oracle = run_regions(scenario)
-    matrix = grid_aggregate([s for _, s in outs], scenario.n_suppliers)
+    matrix = grid_aggregate([s for _, s in outs])
     dist = distribute_outputs(matrix, scenario.params)
     tso = dist.bundles["tso"]
     for key in oracle:
@@ -280,7 +283,7 @@ def test_grid_view_totals():
 def test_distribution_message_count():
     scenario = small_scenario("naa", seed=78)
     outs, _ = run_regions(scenario)
-    matrix = grid_aggregate([s for _, s in outs], scenario.n_suppliers)
+    matrix = grid_aggregate([s for _, s in outs])
     dist = distribute_outputs(matrix, scenario.params)
     nd, ns, n = scenario.n_dno, scenario.n_suppliers, scenario.n_servers
     # every cell crosses the wire three times: matrix row, column, and
@@ -293,7 +296,7 @@ def test_distribution_message_count():
 def test_distribution_with_failed_server_unchanged():
     scenario = small_scenario("ncaa", seed=79)
     outs, oracle = run_regions(scenario)
-    matrix = grid_aggregate([s for _, s in outs], scenario.n_suppliers)
+    matrix = grid_aggregate([s for _, s in outs])
     clean = distribute_outputs(matrix, scenario.params)
     for lost in (1, 2, 3):
         degraded = distribute_outputs(matrix, scenario.params,
@@ -308,8 +311,7 @@ def test_empty_region_contributes_zero_row():
     scenario = Scenario(n_dno=2, n_suppliers=3, sm_per_region=[5, 0],
                         seed=3, sigma=4, algorithm="naa")
     outs, oracle = run_regions(scenario)
-    matrix = grid_aggregate([s for _, s in outs], scenario.n_suppliers)
-    assert matrix.empty_regions == [2]
+    matrix = grid_aggregate([s for _, s in outs])
     dist = distribute_outputs(matrix, scenario.params)
     assert dist.bundles["dno:2"]["imp_by_supplier"] == [0, 0, 0]
     assert dist.bundles["tso"]["imp_matrix"] == oracle["imp_matrix"]

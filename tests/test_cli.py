@@ -298,6 +298,27 @@ def test_console_entry_point(tmp_path):
     assert "check ok" in proc.stdout
 
 
+@pytest.mark.parametrize("alg", ["naa", "ncaa", "niaa"])
+@pytest.mark.parametrize("fault_rate,empty", [(0.0, [1]), (1.0, [1, 2, 3])])
+def test_empty_regions_list_unassigned_and_fully_excluded(alg, fault_rate,
+                                                          empty):
+    # region 1 has no meters; at fault_rate 1.0 every bundle is lost, so
+    # regions 2 and 3 admit none of theirs
+    sc = Scenario(n_dno=3, n_suppliers=2, sm_per_region=[0, 4, 3], seed=8,
+                  sigma=3, algorithm=alg, fault_rate=fault_rate)
+    run = cli.run_scenario(sc)
+    assert cli.check_result(run) == []
+    assert run.empty_regions == empty
+    report = cli.build_report(run)
+    assert report["faults"]["empty_regions"] == empty
+    assert len(report["faults"]["excluded_sms"]) == (7 if fault_rate else 0)
+    for row in run.mult_rows:
+        assert (row["included_sms"] == 0) == (row["region"] in empty)
+    for j in empty:
+        region = run.meter.matching(f"region_aggregation/{j}/")
+        assert region.mult_equivalents == 0
+
+
 def test_report_rows_round_trip_through_writer(tmp_path):
     sc = Scenario(n_dno=1, n_suppliers=2, sm_per_region=[4], seed=2,
                   sigma=3, algorithm="niaa")
