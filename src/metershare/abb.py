@@ -29,6 +29,14 @@ the first handle it registered, and never its own outputs.  A fused
 round (``product_batch(..., as_or=True)``) issues numbers for its
 products but never stores them, so those numbers are never live and must
 not be released; the transcript still names them.
+
+Transcript: with ``record_transcript=True`` the engine appends one record
+per message group, ``(round, links, handle, bytes)``: a sharing's delivery
+to the servers, one product's reshare round or one handle's opening
+broadcast.  ``links`` is a non-empty tuple of ``"sender,receiver"``
+strings, one per share message of ``bytes`` bytes; a product or open
+round builds it once per holder set and shares it among the records of
+that set.  A writer expands each record into one line per link.
 """
 
 from contextlib import contextmanager
@@ -160,10 +168,6 @@ class Engine:
 
     # -- party liveness ---------------------------------------------------
 
-    def active_parties(self) -> list[int]:
-        a = self._active
-        return [i + 1 for i in range(self.n) if a >> i & 1]
-
     def fail_party(self, party: int) -> None:
         """Drop a party from all future quorums.  Permanent."""
         if not 1 <= party <= self.n:
@@ -194,12 +198,6 @@ class Engine:
         for h in handles:
             del shares[h]
 
-    def handle_share(self, h: Handle, party: int) -> int | None:
-        values, mask = self._h[h]
-        if not mask >> (party - 1) & 1:
-            return None
-        return values[party - 1]
-
     def handle_mask(self, h: Handle) -> int:
         """Holder bitmask of a sharing: bit i is set if party i+1 holds it."""
         return self._h[h][1]
@@ -209,9 +207,6 @@ class Engine:
         values, mask = self._h[h]
         mask &= self._active
         return {i + 1: values[i] for i in range(self.n) if mask >> i & 1}
-
-    def _record(self, sender, receiver, handle, nbytes) -> None:
-        self.transcript.append((self._round, sender, receiver, handle, nbytes))
 
     # -- inputs and constants ----------------------------------------------
 
@@ -237,9 +232,9 @@ class Engine:
         h = self._register(list(values), mask)
         self.meter.bucket(self._phase).msgs_sm_to_dcc += held
         if self.transcript is not None:
-            for i in range(n):
-                if mask >> i & 1:
-                    self._record(sender, f"p{i + 1}", h, SHARE_BYTES)
+            links = tuple(f"{sender},p{i + 1}"
+                          for i in range(n) if mask >> i & 1)
+            self.transcript.append((self._round, links, h, SHARE_BYTES))
         return h
 
     def constant(self, value: int) -> Handle:
@@ -387,8 +382,8 @@ class Engine:
                         [j + 1 if held >> j & 1 else None for j in range(n)],
                         held,
                         len(senders) * (len(targets) - 1),
-                        [(f"p{i + 1}", f"p{j + 1}")
-                         for i in senders for j in targets if j != i],
+                        tuple(f"p{i + 1},p{j + 1}"
+                              for i in senders for j in targets if j != i),
                     )
                 weights, xs, held, sent, links = plan
 
@@ -412,9 +407,7 @@ class Engine:
                 shares[h + shift] = (new, held)
                 msgs += sent
                 if transcript is not None:
-                    transcript.extend(
-                        (rnd, snd, rcv, h, SHARE_BYTES) for snd, rcv in links
-                    )
+                    transcript.append((rnd, links, h, SHARE_BYTES))
                 h += 1
         finally:
             self._next_handle = h + shift
@@ -441,7 +434,8 @@ class Engine:
         self._round += 1
         pc.rounds += 1
         pc.opens += len(handles)
-        record = self.transcript is not None
+        transcript = self.transcript
+        rnd = self._round
 
         plan_cache: dict[int, tuple] = {}
         out = []
@@ -461,9 +455,13 @@ class Engine:
                 checks = [
                     (i, lagrange_at(base_xs, i + 1)) for i in holders[t + 1:]
                 ]
-                plan = (holders, base, lam0, checks)
+                links = None if transcript is None else tuple(
+                    f"p{i + 1},p{j + 1}" for i in holders
+                    for j in range(n) if active >> j & 1 and j != i
+                )
+                plan = (holders, base, lam0, checks, links)
                 plan_cache[present] = plan
-            holders, base, lam0, checks = plan
+            holders, base, lam0, checks, links = plan
 
             acc = 0
             for idx, i in enumerate(base):
@@ -478,11 +476,8 @@ class Engine:
                         f"party {i + 1} broadcast a share off the polynomial"
                     )
             pc.msgs_between_dcc += len(holders) * (n_active - 1)
-            if record:
-                for i in holders:
-                    for j in range(n):
-                        if active >> j & 1 and j != i:
-                            self._record(f"p{i + 1}", f"p{j + 1}", h, SHARE_BYTES)
+            if transcript is not None:
+                transcript.append((rnd, links, h, SHARE_BYTES))
             self.opened_log.append((self._phase, kind, value))
             out.append(value)
         return out

@@ -283,12 +283,14 @@ class Distribution:
     """Recipient-side view after output delivery."""
 
     bundles: dict
-    records: list        # (sender, receiver, label, bytes) transcript lines
+    # one (links, label, bytes) transcript record per (cell, receiver):
+    # links holds a "sender,receiver" string per share sent
+    records: list
 
     @property
     def messages(self) -> int:
-        """One share per record."""
-        return len(self.records)
+        """One share per link."""
+        return sum(len(links) for links, _, _ in self.records)
 
 
 def distribute_outputs(cells: list, params: SharingParams,
@@ -307,11 +309,11 @@ def distribute_outputs(cells: list, params: SharingParams,
 
     def pull(s: int, j: int, k: int, receiver: str) -> int:
         cell = cells[s][j][k]
-        label = f"cell/{STREAMS[s]}/{j + 1}/{k + 1}"
-        for _, shares in sorted(cell.items()):
-            for party in sorted(shares):
-                if party not in failed:
-                    records.append((f"p{party}", receiver, label, SHARE_BYTES))
+        links = tuple(f"p{party},{receiver}"
+                      for _, shares in sorted(cell.items())
+                      for party in sorted(shares) if party not in failed)
+        records.append((links, f"cell/{STREAMS[s]}/{j + 1}/{k + 1}",
+                        SHARE_BYTES))
         return reconstruct_cell(cell, t, failed)
 
     bundles: dict = {"tso": grid_view([

@@ -73,6 +73,9 @@ class RunResult:
     leaked: dict
     excluded: list
     admitted: list       # per region: meters whose tuples were aggregated
+    # (round, links, label, bytes) per message group, as the engine records
+    # them (see ``abb``), with rounds numbered across the run and handles
+    # labelled r<region>.h<handle>; None unless recorded
     transcript: list | None
     handle_samples: list
     opened_log: list
@@ -158,15 +161,9 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
         samples.extend(o.handle_samples)
         opened.extend(o.opened_log)
         if transcript is not None:
-            top = 0
-            # a handle's records are contiguous: format its label once
-            last = label = None
-            for rnd, snd, rcv, h, nb in o.transcript:
-                top = max(top, rnd)
-                if h != last:
-                    last, label = h, f"r{j}.h{h}"
-                transcript.append((rnd + offset, snd, rcv, label, nb))
-            offset += top
+            transcript.extend((rnd + offset, links, f"r{j}.h{h}", nb)
+                              for rnd, links, h, nb in o.transcript)
+            offset += max((r[0] for r in o.transcript), default=0)
         del o  # the region's own transcript is merged; free it
 
     dist = distribute_outputs(grid_aggregate(regions), scenario.params,
@@ -174,8 +171,7 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
     meter.bucket("output_distribution").msgs_dcc_to_recipients += dist.messages
     wall = time.perf_counter() - started
     if transcript is not None:
-        for snd, rcv, label, nb in dist.records:
-            transcript.append((offset + 1, snd, rcv, label, nb))
+        transcript.extend((offset + 1, *record) for record in dist.records)
 
     sample_rng = random.Random(derive_seed(scenario.seed, "sample", "grid"))
     if len(samples) > HANDLE_SAMPLES_PER_RUN:
@@ -263,8 +259,9 @@ def write_report(report: dict, out_dir: str, fmt: str) -> None:
 def write_transcript(run: RunResult, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("round,sender,receiver,handle,bytes\n")
-        for rnd, snd, rcv, h, nb in run.transcript:
-            fh.write(f"{rnd},{snd},{rcv},{h},{nb}\n")
+        for rnd, links, label, nb in run.transcript:
+            head, tail = f"{rnd},", f",{label},{nb}\n"
+            fh.write(head + (tail + head).join(links) + tail)
 
 
 # -- subcommands -------------------------------------------------------------

@@ -180,20 +180,23 @@ def sweep_series(params: CostParams, m_values: list[int]) -> dict:
 
 
 def bytes_from_transcript(records: list[tuple]) -> dict:
-    """Classify transcript lines into the three traffic segments.
+    """Classify transcript links into the three traffic segments.
 
-    Senders named sm* are meters, p* are servers; any other receiver is
-    an output party.  Returns byte totals per segment for cross-checking
-    the meter.
+    ``records`` are ``(round, links, handle, bytes)`` message groups (see
+    ``abb``); each ``"sender,receiver"`` link carries ``bytes``.  Senders
+    named sm* are meters, p* are servers; any other receiver is an output
+    party.  Returns byte totals per segment for cross-checking the meter.
     """
     out = {seg: 0 for seg in SEGMENTS}
-    for _round, sender, receiver, _handle, nbytes in records:
-        if sender.startswith("sm") or sender == "dealer":
-            out["sms_to_dcc"] += nbytes
-        elif receiver.startswith("p"):
-            out["between_dcc"] += nbytes
-        else:
-            out["dcc_to_recipients"] += nbytes
+    for _round, links, _handle, nbytes in records:
+        for link in links:
+            sender, receiver = link.split(",")
+            if sender.startswith("sm") or sender == "dealer":
+                out["sms_to_dcc"] += nbytes
+            elif receiver.startswith("p"):
+                out["between_dcc"] += nbytes
+            else:
+                out["dcc_to_recipients"] += nbytes
     return out
 
 

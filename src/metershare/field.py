@@ -14,8 +14,6 @@ from .errors import EncodingOverflow, ZeroInverse
 # clear of the modulus.
 PRIME = 9223372036854775783
 
-ELEMENT_BYTES = 8
-
 # Readings are bounded by the meter register width.
 READING_BITS = 32
 
@@ -84,14 +82,3 @@ def decode_reading(value: int, scale: int = 1) -> int:
     if scale <= 0 or value % scale:
         raise ValueError(f"{value} is not a multiple of scale {scale}")
     return value // scale
-
-
-def to_bytes(value: int) -> bytes:
-    """Serialize one element as 8 little-endian bytes."""
-    return validate(value).to_bytes(ELEMENT_BYTES, "little")
-
-
-def from_bytes(data: bytes) -> int:
-    if len(data) != ELEMENT_BYTES:
-        raise ValueError(f"expected {ELEMENT_BYTES} bytes, got {len(data)}")
-    return validate(int.from_bytes(data, "little"))

@@ -21,8 +21,10 @@ from .errors import (
 
 PRIME = field.PRIME
 
-# Wire form of one share: party index byte, degree byte, 8-byte value.
-SHARE_BYTES = 10
+# Bytes one share takes on the wire, which every message count is priced
+# at: party index (1 byte) + degree (1 byte) + field value (8 bytes,
+# little-endian; PRIME < 2**63).
+SHARE_BYTES = 1 + 1 + 8
 
 # randrange(PRIME) draws words of this many bits and rejects those >= PRIME.
 # share_values and Engine.product_batch draw by that rule; the shares of
@@ -181,15 +183,3 @@ def extend_to_secret(known: list[Share], alt_secret: int,
         Share(x, interpolate(points, x), params.t)
         for x in range(1, params.n + 1)
     ]
-
-
-def serialize_share(s: Share) -> bytes:
-    if not 0 < s.party < 256 or not 0 <= s.degree < 256:
-        raise PartyMismatch(f"share {s} does not fit the wire format")
-    return bytes([s.party, s.degree]) + field.to_bytes(s.value)
-
-
-def deserialize_share(data: bytes) -> Share:
-    if len(data) != SHARE_BYTES:
-        raise ValueError(f"expected {SHARE_BYTES} bytes, got {len(data)}")
-    return Share(data[0], field.from_bytes(data[2:]), data[1])

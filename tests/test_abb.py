@@ -119,11 +119,11 @@ def test_opened_log_records_phase_and_kind(engine):
 def test_input_shares_with_gaps(engine):
     # only parties 1 and 2 received their share
     full = engine.input(77)
-    vals = [engine.handle_share(full, p) for p in (1, 2)]
-    h = engine.input_shares([vals[0], vals[1], None])
+    vals = engine.export_shares(full)
+    h = engine.input_shares([vals[1], vals[2], None])
     assert engine.open(h) == 77
     with pytest.raises(InsufficientShares):
-        engine.input_shares([vals[0], None, None])
+        engine.input_shares([vals[1], None, None])
 
 
 def test_random_bits_are_bits(engine, rng):
@@ -207,8 +207,9 @@ def test_fail_party_then_product_still_correct():
     engine.fail_party(2)
     h = engine.product(x, y)
     assert engine.open(h) == 42
-    assert engine.handle_share(h, 2) is None
-    assert engine.active_parties() == [1, 3, 4, 5]
+    values, mask = engine._h[h]
+    assert values[1] is None and not mask & 0b10
+    assert engine._active == 0b11101
 
 
 def test_fail_party_below_quorum_raises():
@@ -236,13 +237,15 @@ def test_open_after_failures(engine):
 def test_transcript_recording():
     engine = Engine(SharingParams(3, 1), seed=3, record_transcript=True)
     engine.product(engine.input(2, sender="sm1"), engine.input(3, sender="sm1"))
-    senders = {s for _, s, _, _, _ in engine.transcript}
-    receivers = {r for _, _, r, _, _ in engine.transcript}
+    links = [link.split(",") for _, group, _, _ in engine.transcript
+             for link in group]
+    senders = {s for s, _ in links}
+    receivers = {r for _, r in links}
     assert "sm1" in senders and {"p1", "p2", "p3"} <= receivers
     assert all(nb == SHARE_BYTES for *_, nb in engine.transcript)
     # meters count exactly what the transcript shows
     total = engine.meter.total()
-    by_bytes = sum(nb for *_, nb in engine.transcript)
+    by_bytes = sum(nb * len(group) for _, group, _, nb in engine.transcript)
     assert total.bytes_sm_to_dcc + total.bytes_between_dcc == by_bytes
 
 
@@ -332,7 +335,7 @@ def loaded_engine(n, t, degrade, record_transcript=False):
     for k in range(12):
         h = engine.input(draw.randrange(field.PRIME))
         if degrade == "gapped" and k % 2:
-            values = [engine.handle_share(h, i) for i in range(1, n + 1)]
+            values = list(engine._h[h][0])
             values[k % n] = None
             h = engine.input_shares(values)
         handles.append(h)
@@ -514,7 +517,7 @@ def test_lincomb_batch_registers_in_order(engine):
 
 def test_lincomb_below_quorum_raises(engine5):
     full = engine5.input(3)
-    values = [engine5.handle_share(full, i) for i in range(1, 6)]
+    values = list(engine5.export_shares(full).values())
     left = engine5.input_shares(values[:3] + [None, None])
     right = engine5.input_shares([None, None] + values[2:])
     with pytest.raises(InsufficientShares):

@@ -290,7 +290,10 @@ def test_distribution_message_count():
     # grid view; each crossing is one share from each live server
     cells = nd * ns * 2
     assert dist.messages == cells * 3 * n
-    assert len(dist.records) == dist.messages
+    # one record per cell crossing, one link per share
+    assert len(dist.records) == cells * 3
+    assert sum(len(links) for links, _, _ in dist.records) == dist.messages
+    assert all(len(links) == n for links, _, _ in dist.records)
 
 
 def test_distribution_with_failed_server_unchanged():

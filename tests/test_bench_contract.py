@@ -43,16 +43,16 @@ def cli_calls(tree) -> list:
     ]
 
 
-def load_tracer():
+def load_bench(name: str):
     spec = importlib.util.spec_from_file_location(
-        "bench_tracer", BENCH_DIR / "tracer.py")
+        f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_probes_resolve_and_fire():
-    tracer_module = load_tracer()
+    tracer_module = load_bench("tracer")
     missing = [
         (name, attr) for name, targets, _ in tracer_module.probes(metershare)
         for owner, attr in targets if not callable(getattr(owner, attr, None))
@@ -104,3 +104,16 @@ def test_run_pass_reads_exist_on_a_run():
     sc = Scenario(n_dno=1, n_suppliers=2, sm_per_region=[2], seed=4, sigma=3)
     run = cli.run_scenario(sc, record_transcript=True)
     assert [attr for attr in sorted(read) if not hasattr(run, attr)] == []
+
+
+def test_post_pass_transcript_reads_work():
+    # run_pass counts the records and classifies their bytes by segment,
+    # outside its timed region
+    segments = load_bench("run").SEGMENTS
+    sc = Scenario(n_dno=2, n_suppliers=2, sm_per_region=[4, 3], seed=4,
+                  sigma=3, fault_rate=0.3)
+    run = cli.run_scenario(sc, record_transcript=True)
+    assert len(run.transcript) > 0
+    logged = metershare.costs.bytes_from_transcript(run.transcript)
+    assert sorted(logged) == sorted(segments)
+    assert all(logged[seg] > 0 for seg in segments)

@@ -3,14 +3,16 @@
 import csv
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from metershare import cli
+from metershare import cli, costs
 from metershare.abb import Engine
-from metershare.metering import Scenario
+from metershare.metering import Scenario, build_meters, derive_seed
+from metershare.shamir import SHARE_BYTES
 
 
 def write_scenario(tmp_path, **kw):
@@ -317,6 +319,58 @@ def test_empty_regions_list_unassigned_and_fully_excluded(alg, fault_rate,
     for j in empty:
         region = run.meter.matching(f"region_aggregation/{j}/")
         assert region.mult_equivalents == 0
+
+
+def rejected_meter_shares(sc: Scenario, excluded: set) -> int:
+    """Shares the servers received from meters they then rejected, found by
+    replaying each region's fault draws in ``submit``'s order."""
+    alive = [s for s in range(1, sc.n_servers + 1) if s not in sc.fail_servers]
+    fields = 2 * (sc.n_suppliers if sc.algorithm == "niaa" else sc.sigma + 1)
+    meters = build_meters(sc)
+    shares = 0
+    for j in range(1, sc.n_dno + 1):
+        draws = random.Random(derive_seed(sc.seed, "fault", j))
+        for m in meters:
+            if m.region != j:
+                continue
+            received = len(alive)
+            if sc.fault_rate:
+                received = sum(not draws.random() < sc.fault_rate
+                               for _ in alive)
+            if m.sm_id in excluded:
+                shares += received * fields
+    return shares
+
+
+# naa and ncaa multiply, so they need 2t+1 live servers: (5,1) is the
+# shape where they run with a failed server
+TRANSCRIPT_SWEEP = [
+    (alg, n, t, rate, failed)
+    for alg in ("naa", "ncaa", "niaa") for n, t in ((3, 1), (5, 1), (5, 2))
+    for rate in (0.0, 0.2) for failed in ([], [2])
+    if alg == "niaa" or n - len(failed) >= 2 * t + 1
+]
+
+
+@pytest.mark.parametrize("alg,n,t,rate,failed", TRANSCRIPT_SWEEP)
+def test_transcript_matches_meter(tmp_path, alg, n, t, rate, failed):
+    sc = Scenario(n_dno=2, n_suppliers=3, sm_per_region=[6, 5], seed=21,
+                  sigma=4, n_servers=n, threshold=t, algorithm=alg,
+                  fault_rate=rate, fail_servers=failed)
+    run = cli.run_scenario(sc, record_transcript=True)
+    assert all(links for _, links, _, _ in run.transcript)
+    total = run.meter.total()
+    logged = costs.bytes_from_transcript(run.transcript)
+    assert logged["between_dcc"] == total.bytes_between_dcc
+    assert logged["dcc_to_recipients"] == total.bytes_dcc_to_recipients
+    # rejected meters' bundles are metered but not recorded
+    gap = rejected_meter_shares(sc, set(run.excluded)) * SHARE_BYTES
+    assert logged["sms_to_dcc"] == total.bytes_sm_to_dcc - gap
+    path = tmp_path / "transcript.log"
+    cli.write_transcript(run, path)
+    lines = path.read_text().splitlines()
+    shares = sum(len(links) for _, links, _, _ in run.transcript)
+    assert len(lines) == 1 + shares
 
 
 def test_report_rows_round_trip_through_writer(tmp_path):

@@ -158,11 +158,10 @@ def test_sweep_series_shapes_and_monotonicity():
 
 def test_bytes_from_transcript_classification():
     records = [
-        (0, "sm4", "p1", "h1", 10),
-        (1, "p1", "p2", "h2", 10),
-        (1, "p2", "p1", "h2", 10),
-        (2, "p1", "tso", "cell/imp/1/1", 10),
-        (2, "p1", "sup3", "cell/imp/1/3", 10),
+        (0, ("sm4,p1",), "h1", 10),
+        (1, ("p1,p2", "p2,p1"), "h2", 10),
+        (2, ("p1,tso",), "cell/imp/1/1", 10),
+        (2, ("p1,sup3",), "cell/imp/1/3", 10),
     ]
     out = bytes_from_transcript(records)
     assert out == {

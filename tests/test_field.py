@@ -102,14 +102,3 @@ def test_encode_overflow_boundary():
     too_big = field.PRIME // raw + 1
     with pytest.raises(EncodingOverflow):
         field.encode_reading(raw, too_big)
-
-
-def test_bytes_roundtrip():
-    rng = random.Random(5)
-    for _ in range(50):
-        v = rng.randrange(field.PRIME)
-        data = field.to_bytes(v)
-        assert len(data) == field.ELEMENT_BYTES
-        assert field.from_bytes(data) == v
-    # little-endian wire order
-    assert field.to_bytes(1)[0] == 1

@@ -378,9 +378,7 @@ def reference_intake(engine, sc, enc, script):
 
 def engine_state(engine):
     return (
-        [(h, engine.handle_mask(h),
-          [engine.handle_share(h, p) for p in range(1, engine.n + 1)])
-         for h in engine.live_handles()],
+        [(h, engine._h[h]) for h in engine.live_handles()],
         engine.meter,
         engine.transcript,
     )

@@ -1,4 +1,4 @@
-"""Sharing layer: sharing and its draws, reconstruction, privacy, wire form."""
+"""Sharing layer: sharing and its draws, reconstruction, privacy."""
 
 import random
 
@@ -15,15 +15,12 @@ from metershare.errors import (
 from metershare.shamir import (
     PRIME,
     RAND_BITS,
-    SHARE_BYTES,
     Share,
     SharingParams,
-    deserialize_share,
     extend_to_secret,
     interpolate,
     lagrange_at,
     reconstruct,
-    serialize_share,
     share,
     share_values,
 )
@@ -191,10 +188,3 @@ def test_extend_rejects_too_many_fixed_points(rng):
     shares = share(5, params, rng)
     with pytest.raises(InvalidParams):
         extend_to_secret(shares[:2], 6, params)
-
-
-def test_share_wire_roundtrip(rng):
-    s = share(rng.randrange(field.PRIME), SharingParams(3, 1), rng)[1]
-    data = serialize_share(s)
-    assert len(data) == SHARE_BYTES == 10
-    assert deserialize_share(data) == s
