@@ -30,6 +30,15 @@ round (``product_batch(..., as_or=True)``) issues numbers for its
 products but never stores them, so those numbers are never live and must
 not be released; the transcript still names them.
 
+Share rows: each live sharing is stored as ``(values, mask)``, where
+``values`` is an immutable tuple of n party shares (None where a party
+holds none) and bit i of ``mask`` is set if party i+1 holds its share.
+A row is never changed after it is stored; every operation writes a new
+one.  Tuples because a region holds tens of thousands of rows at once:
+the cyclic garbage collector stops tracking a tuple of ints after its
+first scan, while it rescans a list on every full collection for as long
+as the list lives.
+
 Transcript: with ``record_transcript=True`` the engine appends one record
 per message group, ``(round, links, handle, bytes)``: a sharing's delivery
 to the servers, one product's reshare round or one handle's opening
@@ -144,7 +153,7 @@ class Engine:
         self.transcript: list[tuple] | None = [] if record_transcript else None
         self._phase = "setup"
         self._round = 0
-        self._h: dict[int, tuple[list, int]] = {}
+        self._h: dict[int, tuple[tuple, int]] = {}
         self._next_handle = 1
         self._active = (1 << self.n) - 1
 
@@ -183,10 +192,10 @@ class Engine:
 
     # -- handle plumbing --------------------------------------------------
 
-    def _register(self, values: list, mask: int) -> Handle:
+    def _register(self, values, mask: int) -> Handle:
         h = self._next_handle
         self._next_handle += 1
-        self._h[h] = (values, mask)
+        self._h[h] = (tuple(values), mask)
         return h
 
     def live_handles(self) -> list[Handle]:
@@ -216,8 +225,12 @@ class Engine:
             share_values(value, self.n, self.t, self.rng), sender
         )
 
-    def input_shares(self, values: list, sender: str = "dealer") -> Handle:
-        """Register an externally produced sharing; None marks a lost share."""
+    def input_shares(self, values, sender: str = "dealer") -> Handle:
+        """Register an externally produced sharing; None marks a lost share.
+
+        ``values`` is copied into the engine's row once; a tuple is stored
+        as given.
+        """
         n = self.n
         if len(values) != n:
             raise InsufficientShares(f"expected {n} share slots")
@@ -229,7 +242,7 @@ class Engine:
         held = mask.bit_count()
         if held < self.t + 1:
             raise InsufficientShares("sharing arrived at fewer than t+1 parties")
-        h = self._register(list(values), mask)
+        h = self._register(values, mask)
         self.meter.bucket(self._phase).msgs_sm_to_dcc += held
         if self.transcript is not None:
             links = tuple(f"{sender},p{i + 1}"
@@ -240,7 +253,7 @@ class Engine:
     def constant(self, value: int) -> Handle:
         """Public constant as a degree-0 sharing known to everyone."""
         v = value % PRIME
-        return self._register([v] * self.n, (1 << self.n) - 1)
+        return self._register((v,) * self.n, (1 << self.n) - 1)
 
     # -- local linear algebra ----------------------------------------------
 
@@ -256,7 +269,9 @@ class Engine:
         lives at exactly the parties holding every term.  A share is summed
         unreduced and reduced mod p once.  Combinations of one or two fully
         held terms (the gate glue) take unrolled paths; the rest (region
-        sums, partial holders) sum each party's column in one pass.
+        sums, partial holders) sum each party's column in one pass, as a
+        bare sum when every coefficient is exactly 1 (the cell and bucket
+        sums of the region circuits).
         """
         n = self.n
         full = (1 << n) - 1
@@ -271,15 +286,15 @@ class Engine:
                     (c, a), = terms
                     av, mask = shares[a]
                     if mask == full:
-                        vals = [(c * x + const) % p for x in av]
+                        vals = tuple([(c * x + const) % p for x in av])
                 elif k == 2:
                     (c, a), (d, b) = terms
                     av, am = shares[a]
                     bv, bm = shares[b]
                     mask = am & bm
                     if mask == full:
-                        vals = [(c * x + d * y + const) % p
-                                for x, y in zip(av, bv)]
+                        vals = tuple([(c * x + d * y + const) % p
+                                      for x, y in zip(av, bv)])
                 if vals is None:
                     rows = [shares[x] for _, x in terms]
                     mask = full
@@ -290,12 +305,14 @@ class Engine:
                             "combination survives at fewer than t+1 parties"
                         )
                     coefs = [c for c, _ in terms]
+                    unit = coefs.count(1) == k
                     cols = zip(*[v for v, _ in rows]) if rows else [()] * n
-                    vals = [
-                        (sum(map(mul, coefs, col)) + const) % p
+                    vals = tuple([
+                        ((sum(col) if unit else sum(map(mul, coefs, col)))
+                         + const) % p
                         if mask >> i & 1 else None
                         for i, col in enumerate(cols)
-                    ]
+                    ])
                 shares[h] = (vals, mask)
                 h += 1
         finally:
@@ -404,7 +421,7 @@ class Engine:
                     for c in comb:
                         acc = acc * x + c
                     new.append((ai + bi - acc) % p if as_or else acc % p)
-                shares[h + shift] = (new, held)
+                shares[h + shift] = (tuple(new), held)
                 msgs += sent
                 if transcript is not None:
                     transcript.append((rnd, links, h, SHARE_BYTES))

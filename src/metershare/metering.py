@@ -7,6 +7,7 @@ happens on the meter, which is the only place plaintext readings exist;
 the servers only ever see shares.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dfield, asdict
 import hashlib
 import json
@@ -274,9 +275,13 @@ class SubmitReport:
     delivered_shares: int = 0
 
 
-def submit(engine: Engine, scenario: Scenario, encoded: list[EncodedTuple],
+def submit(engine: Engine, scenario: Scenario,
+           encoded: Iterable[EncodedTuple],
            fault_rng: random.Random) -> tuple[list, SubmitReport]:
     """Deliver encoded tuples into the region engine, dropping faulty legs.
+
+    ``encoded`` is read once, in order, and each bundle is delivered before
+    the next is taken, so a generator keeps one meter's bundle in memory.
 
     A transit fault loses a meter's whole bundle to one server.  Meters
     are only admitted when enough servers hold their shares for the
@@ -328,13 +333,15 @@ def submit(engine: Engine, scenario: Scenario, encoded: list[EncodedTuple],
             continue
         report.included.append(rec.sm)
         sender = f"sm{rec.sm}"
-        lost = [i for i in range(n) if i + 1 not in received]
+        # each row is filled into one buffer, where a lost leg's slot stays
+        # None, and copied once: into the tuple the engine stores as given
+        kept = [i for i in range(n) if i + 1 in received]
+        row = [None] * n
         handles = []
         for values in rec.secrets:
-            values = list(values)
-            for i in lost:
-                values[i] = None
-            handles.append(input_shares(values, sender))
+            for i in kept:
+                row[i] = values[i]
+            handles.append(input_shares(tuple(row), sender))
         streams = [handles[c] for c in cuts[rec.form]]
         if rec.form == "bitwise":
             tuples.append(BitwiseTuple(

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from metershare import field
+from metershare import abb, field
 from metershare.abb import Engine
 from metershare.errors import (
     InconsistentShares,
@@ -105,7 +105,8 @@ def test_open_costs(engine):
 def test_open_detects_tampered_share(engine):
     h = engine.input(5)
     values, mask = engine._h[h]
-    values[2] = (values[2] + 1) % field.PRIME
+    # rows are immutable, so tamper by storing a changed row in its place
+    engine._h[h] = (values[:2] + ((values[2] + 1) % field.PRIME,), mask)
     with pytest.raises(InconsistentShares):
         engine.open(h)
 
@@ -305,7 +306,7 @@ def reference_reshare(engine, pairs):
         mask = 0
         for j in targets:
             mask |= 1 << j
-        out.append((new, mask))
+        out.append((tuple(new), mask))
     return out
 
 
@@ -322,7 +323,7 @@ def reference_lincomb(engine, terms, const=0):
             v = hv[i]
             if v is not None:
                 vals[i] = (vals[i] + c * v) % p
-    return [vals[i] if mask >> i & 1 else None for i in range(n)], mask
+    return tuple(vals[i] if mask >> i & 1 else None for i in range(n)), mask
 
 
 def loaded_engine(n, t, degrade, record_transcript=False):
@@ -504,6 +505,56 @@ def test_lincomb_is_share_exact(n, t, degrade, n_terms):
     batch = engine.lincomb_batch([(terms, const), (terms[:1], 0)])
     assert engine._h[batch[0]] == want
     assert engine._h[batch[1]] == reference_lincomb(engine, terms[:1])
+
+
+@pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
+def test_unit_sums_are_share_exact(n, t, degrade, monkeypatch):
+    engine, handles = loaded_engine(n, t, degrade)
+    if degrade == "gapped":
+        handles = handles[:2] + handles[2::2]
+    products = []
+    real_mul = abb.mul
+
+    def counting_mul(x, y):
+        products.append(1)
+        return real_mul(x, y)
+
+    monkeypatch.setattr(abb, "mul", counting_mul)
+    p = field.PRIME
+    terms = [(1, h) for h in handles + handles[:3]]
+    for const in (0, 12345, -1):
+        want = reference_lincomb(engine, terms, const)
+        assert engine._h[engine.lincomb(terms, const)] == want
+    assert not products  # every coefficient is 1: a bare column sum
+    # p + 1 is 1 in the field but not the integer 1, so it multiplies
+    near = [(p + 1, h) for _, h in terms]
+    want = reference_lincomb(engine, terms, 7)
+    assert engine._h[engine.lincomb(near, 7)] == want
+    assert products
+
+
+def test_every_stored_row_is_a_tuple(engine5):
+    e = engine5
+    a, b, c = e.input(3), e.input(4), e.input(5)
+    values = e.export_shares(a)
+    row = (values[1], None, values[3], values[4], None)
+    gapped = e.input_shares(row)
+    assert e._h[gapped][0] is row  # a tuple is stored without a copy
+    stored = {
+        "input": a,
+        "input_shares gapped": gapped,
+        "input_shares list": e.input_shares(list(values.values())),
+        "constant": e.constant(7),
+        "lincomb 1 term": e.lincomb([(2, a)], 1),
+        "lincomb 2 terms": e.lincomb([(2, a), (3, b)]),
+        "lincomb unit": e.lincomb([(1, a), (1, b), (1, c)]),
+        "lincomb general": e.lincomb([(2, a), (3, gapped)]),
+        "product_batch": e.product_batch([(a, b)])[0],
+        "product_batch as_or": e.product_batch([(a, b)], as_or=True)[0],
+        "random_bits_batch": e.random_bits_batch(1)[0],
+    }
+    for path, h in stored.items():
+        assert type(e._h[h][0]) is tuple, path
 
 
 def test_lincomb_batch_registers_in_order(engine):

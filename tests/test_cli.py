@@ -1,6 +1,7 @@
 """Command-line pipeline: artifacts, exit codes, determinism, self-tests."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import random
@@ -11,6 +12,7 @@ import pytest
 
 from metershare import cli, costs
 from metershare.abb import Engine
+from metershare.errors import UnknownSupplier
 from metershare.metering import Scenario, build_meters, derive_seed
 from metershare.shamir import SHARE_BYTES
 
@@ -218,6 +220,22 @@ def test_parse_sweep_suffixes():
     assert cli.parse_sweep("sm=0.5M:2M:0.5M") == \
         [500_000, 1_000_000, 1_500_000, 2_000_000]
     assert cli.parse_sweep("1k:2k:1k") == [1000, 2000]
+    assert cli.parse_sweep("sm=1.5k:3k:1.5k") == [1500, 3000]
+    assert cli.parse_sweep("sm=1.1k:1.1k:1") == [1100]
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("sm=1:2:0.5", "0.5"),
+    ("sm=1.7:5:1", "1.7"),
+    ("sm=1k:2k:0.0005k", "0.0005k"),
+])
+def test_sweep_refuses_fractional_counts(capsys, spec, count):
+    with pytest.raises(ValueError, match=f"'{count}' is not a whole number"):
+        cli.parse_sweep(spec)
+    assert cli.main(["costs", "--sweep", spec]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: sweep count '{count}' is not a whole number " \
+                  f"of meters\n"
 
 
 def test_sweep_command(tmp_path):
@@ -319,6 +337,52 @@ def test_empty_regions_list_unassigned_and_fully_excluded(alg, fault_rate,
     for j in empty:
         region = run.meter.matching(f"region_aggregation/{j}/")
         assert region.mult_equivalents == 0
+
+
+def test_encode_streams_into_submit(monkeypatch):
+    # each meter's bundle is registered before the next meter is encoded
+    events = []
+    encode, input_shares = cli.encode, Engine.input_shares
+
+    def spy_encode(meter, *args):
+        events.append(meter.sm_id)
+        return encode(meter, *args)
+
+    def spy_input_shares(self, values, sender="dealer"):
+        events.append(int(sender[2:]))
+        return input_shares(self, values, sender)
+
+    monkeypatch.setattr(cli, "encode", spy_encode)
+    monkeypatch.setattr(Engine, "input_shares", spy_input_shares)
+    for alg in ("naa", "niaa"):
+        events.clear()
+        sc = Scenario(n_dno=2, n_suppliers=3, sm_per_region=[4, 3], seed=2,
+                      sigma=3, algorithm=alg)
+        cli.run_scenario(sc)
+        runs = [sm for k, sm in enumerate(events)
+                if not k or events[k - 1] != sm]
+        assert runs == [m.sm_id for m in build_meters(sc)]
+
+
+@pytest.mark.parametrize("alg", ["naa", "niaa"])
+def test_unknown_supplier_mid_region_fails_the_run(tmp_path, capsys,
+                                                   monkeypatch, alg):
+    # meter 3 sits in the middle of region 1; the meters before it are
+    # already registered when its bundle is encoded
+    def bad_meters(sc):
+        return [dataclasses.replace(m, supplier_exp=sc.n_suppliers + 1)
+                if m.sm_id == 3 else m for m in build_meters(sc)]
+
+    monkeypatch.setattr(cli, "build_meters", bad_meters)
+    sc = Scenario(n_dno=2, n_suppliers=3, sm_per_region=[5, 4], seed=5,
+                  sigma=5, algorithm=alg)
+    with pytest.raises(UnknownSupplier, match="meter 3 references supplier 4"):
+        cli.run_scenario(sc)
+    path = write_scenario(tmp_path, algorithm=alg, sm_per_region=[5, 4])
+    assert cli.main(["run", "--scenario", str(path), "--check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: meter 3 references supplier 4\n"
+    assert "check ok" not in captured.out
 
 
 def rejected_meter_shares(sc: Scenario, excluded: set) -> int:

@@ -267,6 +267,38 @@ def test_submit_requires_mult_quorum_of_servers(rng):
         submit(engine, sc, encode_all(sc, rng), rng)
 
 
+@pytest.mark.parametrize("alg, fault_rate", [("naa", 0.0), ("niaa", 0.3)])
+def test_submit_reads_encoded_lazily(rng, alg, fault_rate):
+    # when a sharing is registered, the only bundle drawn beyond those
+    # already registered is the one it belongs to
+    sc = scenario(algorithm=alg, fault_rate=fault_rate)
+    engine = Engine(sc.params, seed=1)
+    engine.set_phase("input_distribution")
+    bundles = encode_all(sc, rng)
+    drawn = []
+
+    def spy():
+        for rec in bundles:
+            drawn.append(rec.sm)
+            yield rec
+
+    calls = []
+    input_shares = engine.input_shares
+
+    def spy_input_shares(values, sender="dealer"):
+        calls.append((sender, drawn[-1]))
+        return input_shares(values, sender)
+
+    engine.input_shares = spy_input_shares
+    _, report = submit(engine, sc, spy(), rng)
+    assert drawn == [rec.sm for rec in bundles]
+    assert all(sender == f"sm{last}" for sender, last in calls)
+    assert {sender for sender, _ in calls} == \
+        {f"sm{sm}" for sm in report.included}
+    if fault_rate:
+        assert report.excluded
+
+
 def test_submit_excluded_traffic_still_counted(rng):
     sc = scenario(algorithm="ncaa", fault_rate=0.5)
     engine = Engine(sc.params, seed=1)
