@@ -7,10 +7,10 @@ Every interactive step is metered so measured cost can be checked
 against the closed-form model in :mod:`metershare.costs`.
 """
 
-from .field import PRIME, decode_reading, encode_reading
+from .field import PRIME
 from .shamir import Share, SharingParams, reconstruct, share
 from .abb import CostMeter, Engine, PhaseCount
-from .gates import equals_public, exchange_layers, oblivious_permute
+from .gates import exchange_layers, oblivious_permute
 from .aggregation import (
     distribute_outputs,
     grid_aggregate,
@@ -36,10 +36,7 @@ __all__ = [
     "build_meters",
     "build_table",
     "check_result",
-    "decode_reading",
     "distribute_outputs",
-    "encode_reading",
-    "equals_public",
     "exchange_layers",
     "formula_comm",
     "formula_mults",

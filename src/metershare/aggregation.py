@@ -12,16 +12,19 @@ readings:
 * ``niaa_region``   receives one-hot vectors and only adds shares, at
                     zero interactive cost.
 
-One record, ``RegionRows``, carries a region's per-supplier cells from
-its circuit to its recipients: engine handles as the circuit leaves them,
-share groups once ``export_rows`` has frozen them.  ``grid_aggregate``
-stacks the regions' cells into ``[stream][region][supplier]`` and
-``distribute_outputs`` sends each recipient its part.
+One record, ``MeterTuple``, carries a meter's submission from its encoder
+to the region circuit: share values as encoded, engine handles once
+``submit`` has taken them in.  One record, ``RegionRows``, carries a
+region's per-supplier cells from its circuit to its recipients: engine
+handles as the circuit leaves them, share groups once ``export_rows`` has
+frozen them.  ``grid_aggregate`` stacks the regions' cells into
+``[stream][region][supplier]`` and ``distribute_outputs`` sends each
+recipient its part.
 
-Every per-stream field (tuples, region cells, the grid's cells) is a
-list indexed in ``STREAMS`` order, so each layer loops over the flows
-instead of naming them; the stream names appear only in phase labels,
-transcript labels and output keys.
+Every per-stream field (a meter's fields and readings, region cells, the
+grid's cells) is indexed in ``STREAMS`` order, so each layer loops over
+the flows instead of naming them; the stream names appear only in phase
+labels, transcript labels and output keys.
 
 Exported cells are share groups keyed by the set of servers holding them,
 so partial deliveries under transport faults stay reconstructable group
@@ -77,20 +80,19 @@ def reconstruct_cell(cell: CompositeCell, t: int,
 
 
 @dataclass
-class BitwiseTuple:
-    """Per-meter submission in bit-shared form (equality-test algorithms)."""
+class MeterTuple:
+    """One meter's submission, per stream in ``STREAMS`` order.
+
+    The encoders fill it with share values, ``submit`` with the handles
+    of those sharings.  ``fields[s]`` routes stream s: its supplier ID
+    bits MSB first (naa, ncaa) or one entry per supplier (niaa).
+    ``readings[s]`` is the reading in the bit-shared form; the one-hot
+    form carries its readings in ``fields`` and leaves this empty.
+    """
 
     sm: int
-    bits: list           # per stream: supplier ID bit handles, MSB first
-    energy: list         # per stream: reading handle
-
-
-@dataclass
-class OneHotTuple:
-    """Per-meter submission as one one-hot share vector per stream."""
-
-    sm: int
-    vectors: list        # per stream: one handle per supplier
+    fields: tuple
+    readings: tuple
 
 
 @dataclass
@@ -111,7 +113,7 @@ def _zero_rows(engine: Engine, n_suppliers: int, region: int,
     return RegionRows(region=region, cells=cells, leaked_counts=leaked)
 
 
-def naa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int],
+def naa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
                sigma: int, region: int = 1) -> RegionRows:
     """Equality-test routing: m * N_s * (sigma + 1) products per stream.
 
@@ -125,10 +127,10 @@ def naa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int],
     cells = []
     for s, stream in enumerate(STREAMS):
         with engine.phase(f"region_aggregation/{region}/{stream}"):
-            queries = [(rec.bits[s], u) for rec in tuples for u in suppliers]
+            queries = [(rec.fields[s], u) for rec in tuples for u in suppliers]
             matches = equals_public_batch(engine, queries, sigma)
             gated = engine.product_batch([
-                (matches[i * len(suppliers) + k], rec.energy[s])
+                (matches[i * len(suppliers) + k], rec.readings[s])
                 for i, rec in enumerate(tuples)
                 for k in range(len(suppliers))
             ])
@@ -145,7 +147,7 @@ def naa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int],
     return RegionRows(region=region, cells=cells)
 
 
-def ncaa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int],
+def ncaa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
                 sigma: int, region: int = 1) -> RegionRows:
     """Permute-then-open routing; leaks per-supplier tuple counts only.
 
@@ -163,8 +165,8 @@ def ncaa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int]
     cells = []
     for s, stream in enumerate(STREAMS):
         with engine.phase(f"region_aggregation/{region}/{stream}"):
-            ids = compose_bits_batch(engine, [rec.bits[s] for rec in tuples])
-            rows = [(h, rec.energy[s]) for h, rec in zip(ids, tuples)]
+            ids = compose_bits_batch(engine, [rec.fields[s] for rec in tuples])
+            rows = [(h, rec.readings[s]) for h, rec in zip(ids, tuples)]
             mark = rows[0][0]
             # control bits open blinded squares; keep those opens out of
             # this phase so it reveals supplier IDs and nothing else
@@ -197,7 +199,7 @@ def ncaa_region(engine: Engine, tuples: list[BitwiseTuple], suppliers: list[int]
     return RegionRows(region=region, cells=cells, leaked_counts=leaked)
 
 
-def niaa_region(engine: Engine, tuples: list[OneHotTuple], n_suppliers: int,
+def niaa_region(engine: Engine, tuples: list[MeterTuple], n_suppliers: int,
                 region: int = 1) -> RegionRows:
     """One-hot aggregation: pure share addition, no messages at all.
 
@@ -207,7 +209,7 @@ def niaa_region(engine: Engine, tuples: list[OneHotTuple], n_suppliers: int,
     if not tuples:
         return _zero_rows(engine, n_suppliers, region)
     for rec in tuples:
-        for vector in rec.vectors:
+        for vector in rec.fields:
             if len(vector) != n_suppliers:
                 raise VectorLengthMismatch(
                     f"meter {rec.sm} sent a vector of the wrong length"
@@ -226,7 +228,7 @@ def niaa_region(engine: Engine, tuples: list[OneHotTuple], n_suppliers: int,
             # the (1, h) terms are built one group at a time
             by_mask = [{} for _ in range(n_suppliers)]
             for rec in tuples:
-                for groups, h in zip(by_mask, rec.vectors[s]):
+                for groups, h in zip(by_mask, rec.fields[s]):
                     groups.setdefault(mask_of(h), []).append(h)
             # groups are summed in the order of their sorted holder lists
             # ({1,2,3} before {1,3}), which fixes the sums' handle numbers

@@ -15,10 +15,10 @@ import math
 from . import field
 from .aggregation import STREAMS
 from .errors import UnknownRow
+from .metering import ALGORITHMS
 from .shamir import SHARE_BYTES
 
-PROTOCOLS = ("trad", "dep2sa", "naa", "ncaa", "niaa")
-ALGORITHMS = ("naa", "ncaa", "niaa")
+PROTOCOLS = ("trad", "dep2sa", *ALGORITHMS)
 SEGMENTS = ("sms_to_dcc", "between_dcc", "dcc_to_recipients")
 
 # messages exchanged between 3 servers per multiplication (or open)
@@ -52,7 +52,13 @@ class CostParams:
 
     def __post_init__(self):
         for f in dfields(self):
-            if getattr(self, f.name) <= 0:
+            value = getattr(self, f.name)
+            # compared, not passed to math.isfinite, which raises on huge
+            # ints; up to 2**53 counts are exact floats and no formula
+            # overflows
+            if not value <= 2 ** 53:
+                raise UnknownRow(f"{f.name} must be finite and at most 2**53")
+            if value <= 0:
                 raise UnknownRow(f"{f.name} must be positive")
 
 

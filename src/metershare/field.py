@@ -60,25 +60,12 @@ def sqrt(a: int) -> int:
     return r
 
 
-def encode_reading(raw: int, scale: int = 1) -> int:
-    """Embed a meter reading into the field as ``raw * scale``.
+def encode_reading(raw: int) -> int:
+    """Embed a meter reading into the field as itself.
 
-    ``raw`` must fit the 32-bit register and the scaled value must stay
-    below the modulus, otherwise aggregation could wrap.
+    ``raw`` must fit the 32-bit register, which keeps every grid total the
+    scenario admits below the modulus, so aggregation cannot wrap.
     """
     if raw < 0 or raw >> READING_BITS:
         raise EncodingOverflow(f"reading {raw} exceeds {READING_BITS} bits")
-    if scale <= 0:
-        raise EncodingOverflow(f"scale must be positive, got {scale}")
-    value = raw * scale
-    if value >= PRIME:
-        raise EncodingOverflow(f"{raw} * {scale} does not fit the field")
-    return value
-
-
-def decode_reading(value: int, scale: int = 1) -> int:
-    """Invert :func:`encode_reading`; the division must be exact."""
-    validate(value)
-    if scale <= 0 or value % scale:
-        raise ValueError(f"{value} is not a multiple of scale {scale}")
-    return value // scale
+    return raw

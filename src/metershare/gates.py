@@ -14,12 +14,6 @@ from .errors import LengthMismatch
 BitSharedId = list
 
 
-def equals_public(engine: Engine, bits: BitSharedId, public_id: int,
-                  width: int) -> Handle:
-    """Secret-vs-public equality: sharing of 1 iff the bits spell public_id."""
-    return equals_public_batch(engine, [(bits, public_id)], width)[0]
-
-
 def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
                         width: int) -> list[Handle]:
     """Run many equality tests level-synchronously.

@@ -15,7 +15,7 @@ import random
 
 from . import field
 from .abb import Engine
-from .aggregation import STREAMS, BitwiseTuple, OneHotTuple, grid_view
+from .aggregation import STREAMS, MeterTuple, grid_view
 from .errors import (
     IdOverflow,
     InsufficientShares,
@@ -204,19 +204,6 @@ def generate_readings(scenario: Scenario, meters: list[SmartMeter],
     return readings
 
 
-@dataclass
-class EncodedTuple:
-    """One meter's submission: a list of independent sharings.
-
-    ``secrets[i]`` holds the n share values of the i-th field; the field
-    order is fixed by the encoder and known to the servers.
-    """
-
-    sm: int
-    form: str            # "bitwise" or "onehot"
-    secrets: list
-
-
 def _check_supplier(meter: SmartMeter, supplier: int, scenario: Scenario) -> None:
     if supplier >> scenario.sigma:
         raise IdOverflow(
@@ -230,7 +217,7 @@ def _check_supplier(meter: SmartMeter, supplier: int, scenario: Scenario) -> Non
 
 
 def encode_bitwise(meter: SmartMeter, imp: int, exp: int, scenario: Scenario,
-                   rng: random.Random) -> EncodedTuple:
+                   rng: random.Random) -> MeterTuple:
     """Share the two supplier IDs bit by bit plus the two readings.
 
     2*sigma + 2 sharings per meter; the bit decomposition is what makes
@@ -238,30 +225,31 @@ def encode_bitwise(meter: SmartMeter, imp: int, exp: int, scenario: Scenario,
     """
     n, t = scenario.n_servers, scenario.threshold
     shifts = range(scenario.sigma - 1, -1, -1)
-    secrets = []
+    fields = []
     for supplier in meter.suppliers:
         _check_supplier(meter, supplier, scenario)
-        secrets += [share_values(supplier >> k & 1, n, t, rng) for k in shifts]
-    for reading in (imp, exp):
-        secrets.append(share_values(field.encode_reading(reading), n, t, rng))
-    return EncodedTuple(sm=meter.sm_id, form="bitwise", secrets=secrets)
+        fields.append(tuple([share_values(supplier >> k & 1, n, t, rng)
+                             for k in shifts]))
+    readings = tuple([share_values(field.encode_reading(r), n, t, rng)
+                      for r in (imp, exp)])
+    return MeterTuple(sm=meter.sm_id, fields=tuple(fields), readings=readings)
 
 
 def encode_onehot(meter: SmartMeter, imp: int, exp: int, scenario: Scenario,
-                  rng: random.Random) -> EncodedTuple:
+                  rng: random.Random) -> MeterTuple:
     """Share one reading-or-zero entry per supplier: 2*N_s sharings."""
     n, t = scenario.n_servers, scenario.threshold
-    secrets = []
+    fields = []
     for supplier, reading in zip(meter.suppliers, (imp, exp)):
         _check_supplier(meter, supplier, scenario)
         entries = [0] * scenario.n_suppliers
         entries[supplier - 1] = field.encode_reading(reading)
-        secrets += [share_values(v, n, t, rng) for v in entries]
-    return EncodedTuple(sm=meter.sm_id, form="onehot", secrets=secrets)
+        fields.append(tuple([share_values(v, n, t, rng) for v in entries]))
+    return MeterTuple(sm=meter.sm_id, fields=tuple(fields), readings=())
 
 
 def encode(meter: SmartMeter, imp: int, exp: int, scenario: Scenario,
-           rng: random.Random) -> EncodedTuple:
+           rng: random.Random) -> MeterTuple:
     if scenario.algorithm == "niaa":
         return encode_onehot(meter, imp, exp, scenario, rng)
     return encode_bitwise(meter, imp, exp, scenario, rng)
@@ -276,7 +264,7 @@ class SubmitReport:
 
 
 def submit(engine: Engine, scenario: Scenario,
-           encoded: Iterable[EncodedTuple],
+           encoded: Iterable[MeterTuple],
            fault_rng: random.Random) -> tuple[list, SubmitReport]:
     """Deliver encoded tuples into the region engine, dropping faulty legs.
 
@@ -301,21 +289,15 @@ def submit(engine: Engine, scenario: Scenario,
     pc = engine.meter.bucket(engine.current_phase)
     report = SubmitReport(included=[], excluded=[])
     tuples = []
-    # where each stream's fields sit in a submission, as the encoder lays
-    # them down: ID bits or one-hot entries, stream by stream
-    cuts = {
-        form: [slice(s * w, (s + 1) * w) for s in range(len(STREAMS))]
-        for form, w in (("bitwise", scenario.sigma),
-                        ("onehot", scenario.n_suppliers))
-    }
     rate = scenario.fault_rate
     input_shares = engine.input_shares
     for rec in encoded:
         received = [
             s for s in alive if not fault_rng.random() < rate
         ] if rate else alive
+        sharings = sum(map(len, rec.fields)) + len(rec.readings)
         report.delivered_bundles += len(received)
-        report.delivered_shares += len(received) * len(rec.secrets)
+        report.delivered_shares += len(received) * sharings
         if scenario.algorithm == "naa":
             # equality circuits only ever mix shares of the same meter,
             # so any 2t+1 live holders form a workable quorum
@@ -329,28 +311,24 @@ def submit(engine: Engine, scenario: Scenario,
         if not ok:
             # traffic still happened; the servers just cannot use it
             report.excluded.append(rec.sm)
-            pc.msgs_sm_to_dcc += len(received) * len(rec.secrets)
+            pc.msgs_sm_to_dcc += len(received) * sharings
             continue
         report.included.append(rec.sm)
         sender = f"sm{rec.sm}"
         # each row is filled into one buffer, where a lost leg's slot stays
-        # None, and copied once: into the tuple the engine stores as given
+        # None, and copied once: into the tuple the engine stores as given.
+        # Sharings register in draw order: the fields, then the readings
         kept = [i for i in range(n) if i + 1 in received]
         row = [None] * n
-        handles = []
-        for values in rec.secrets:
-            for i in kept:
-                row[i] = values[i]
-            handles.append(input_shares(tuple(row), sender))
-        streams = [handles[c] for c in cuts[rec.form]]
-        if rec.form == "bitwise":
-            tuples.append(BitwiseTuple(
-                sm=rec.sm,
-                bits=streams,
-                energy=handles[len(STREAMS) * scenario.sigma:],
-            ))
-        else:
-            tuples.append(OneHotTuple(sm=rec.sm, vectors=streams))
+        groups = []
+        for group in (*rec.fields, rec.readings):
+            handles = []
+            for values in group:
+                for i in kept:
+                    row[i] = values[i]
+                handles.append(input_shares(tuple(row), sender))
+            groups.append(tuple(handles))
+        tuples.append(MeterTuple(rec.sm, tuple(groups[:-1]), groups[-1]))
     return tuples, report
 
 

@@ -8,8 +8,7 @@ from metershare import field
 from metershare.abb import Engine
 from metershare.aggregation import (
     STREAMS,
-    BitwiseTuple,
-    OneHotTuple,
+    MeterTuple,
     distribute_outputs,
     export_rows,
     grid_aggregate,
@@ -150,8 +149,8 @@ def test_ncaa_rejects_unregistered_id():
     def mk(supplier):
         bits = [engine.input(supplier >> (sigma - 1 - k) & 1)
                 for k in range(sigma)]
-        return BitwiseTuple(sm=1, bits=[bits, bits],
-                            energy=[engine.input(9), engine.input(9)])
+        return MeterTuple(sm=1, fields=(bits, bits),
+                          readings=(engine.input(9), engine.input(9)))
 
     tuples = [mk(2), mk(7)]  # 7 is nobody
     with pytest.raises(OpenedIdInvalid):
@@ -173,7 +172,7 @@ def test_niaa_rejects_wrong_vector_length():
     scenario = small_scenario("niaa")
     outs, _ = run_regions(scenario)
     engine = outs[0][0]
-    bad = OneHotTuple(sm=1, vectors=[[engine.input(0)] * 3] * 2)
+    bad = MeterTuple(sm=1, fields=((engine.input(0),) * 3,) * 2, readings=())
     with pytest.raises(VectorLengthMismatch):
         niaa_region(engine, [bad], scenario.n_suppliers)
 
@@ -198,7 +197,7 @@ def test_niaa_groups_follow_sorted_holder_lists():
                 key = (s, k, lost)
                 sums[key] = sums.get(key, 0) + secret
             vectors.append(vector)
-        tuples.append(OneHotTuple(sm=sm, vectors=vectors))
+        tuples.append(MeterTuple(sm=sm, fields=tuple(vectors), readings=()))
     first = len(lost_party) * len(STREAMS) * 2 + 1
     rows = niaa_region(engine, tuples, 2)
     order = [None, 1, 0]          # lost party of {1,2,3}, {1,3}, {2,3}

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -211,6 +213,22 @@ def test_run_rejects_nonpositive_threads(tmp_path, capsys, threads):
     assert captured.out == ""  # refused before the scenario ran
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--per-mult-seconds", "nan", "per_mult_seconds must be finite"),
+    ("--per-mult-seconds", "inf", "per_mult_seconds must be finite"),
+    ("--per-mult-seconds", "-inf", "per_mult_seconds must be positive"),
+    ("--sm", "1" + "0" * 400, "sm_per_region must be finite"),
+    ("--threads", str(2 ** 53 + 1), "threads must be finite"),
+])
+def test_costs_refuses_nonfinite_and_huge_params(capsys, option, value,
+                                                 message):
+    # NaN or inf printed invalid JSON; a huge count overflowed a float
+    assert cli.main(["costs", "--format", "json", f"{option}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
 def test_costs_rejects_bad_sweep(capsys):
     assert cli.main(["costs", "--sweep", "suppliers=1:2:1"]) == 1
     assert cli.main(["costs", "--sweep", "sm=5:1:1"]) == 1
@@ -309,10 +327,14 @@ def test_selftest_command_exit_codes(monkeypatch, capsys):
 
 def test_console_entry_point(tmp_path):
     path = write_scenario(tmp_path, sm_per_region=[3, 2])
+    # pytest's pythonpath setting reaches only its own process
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "metershare", "run", "--scenario", str(path),
          "--check"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "check ok" in proc.stdout

@@ -9,7 +9,6 @@ from metershare.abb import Engine
 from metershare.errors import LengthMismatch
 from metershare.gates import (
     compose_bits_batch,
-    equals_public,
     equals_public_batch,
     exchange_layers,
     oblivious_permute,
@@ -29,7 +28,7 @@ def test_equality_exhaustive_small_width():
             engine = Engine(SharingParams(3, 1), seed=x * 16 + y)
             bits = input_bits(engine, x, width)
             with engine.phase("eq"):
-                h = equals_public(engine, bits, y, width)
+                h = equals_public_batch(engine, [(bits, y)], width)[0]
             assert engine.open(h) == (1 if x == y else 0)
             pc = engine.meter.bucket("eq")
             assert pc.multiplications == width

@@ -142,33 +142,41 @@ def test_encode_bitwise_layout(rng):
     sc = scenario(sigma=4)
     meter = SmartMeter(sm_id=1, region=1, supplier_imp=3, supplier_exp=2)
     enc = encode_bitwise(meter, 1000, 2000, sc, rng)
-    assert enc.form == "bitwise"
-    assert len(enc.secrets) == 2 * sc.sigma + 2
-    imp_bits = [reconstruct_sharing(v) for v in enc.secrets[:4]]
-    exp_bits = [reconstruct_sharing(v) for v in enc.secrets[4:8]]
+    assert [len(f) for f in enc.fields] == [sc.sigma, sc.sigma]
+    assert len(enc.readings) == 2
+    imp_bits = [reconstruct_sharing(v) for v in enc.fields[0]]
+    exp_bits = [reconstruct_sharing(v) for v in enc.fields[1]]
     assert imp_bits == [0, 0, 1, 1]   # 3, most significant bit first
     assert exp_bits == [0, 0, 1, 0]   # 2
-    assert reconstruct_sharing(enc.secrets[8]) == 1000
-    assert reconstruct_sharing(enc.secrets[9]) == 2000
+    assert reconstruct_sharing(enc.readings[0]) == 1000
+    assert reconstruct_sharing(enc.readings[1]) == 2000
 
 
 def test_encode_onehot_layout(rng):
     sc = scenario()
     meter = SmartMeter(sm_id=1, region=1, supplier_imp=2, supplier_exp=1)
     enc = encode_onehot(meter, 70, 80, sc, rng)
-    assert enc.form == "onehot"
-    assert len(enc.secrets) == 2 * sc.n_suppliers
-    imp_vec = [reconstruct_sharing(v) for v in enc.secrets[:3]]
-    exp_vec = [reconstruct_sharing(v) for v in enc.secrets[3:]]
+    assert [len(f) for f in enc.fields] == [sc.n_suppliers] * 2
+    assert enc.readings == ()
+    imp_vec = [reconstruct_sharing(v) for v in enc.fields[0]]
+    exp_vec = [reconstruct_sharing(v) for v in enc.fields[1]]
     assert imp_vec == [0, 70, 0]
     assert exp_vec == [80, 0, 0]
 
 
+def shape(rec):
+    """Per-stream field widths and the number of reading sharings."""
+    return [len(f) for f in rec.fields], len(rec.readings)
+
+
 def test_encode_dispatches_on_algorithm(rng):
     meter = SmartMeter(sm_id=1, region=1, supplier_imp=1, supplier_exp=1)
-    assert encode(meter, 1, 1, scenario(), rng).form == "bitwise"
-    assert encode(meter, 1, 1, scenario(algorithm="ncaa"), rng).form == "bitwise"
-    assert encode(meter, 1, 1, scenario(algorithm="niaa"), rng).form == "onehot"
+    bitwise, onehot = ([8, 8], 2), ([3, 3], 0)
+    assert shape(encode(meter, 1, 1, scenario(), rng)) == bitwise
+    assert shape(encode(meter, 1, 1, scenario(algorithm="ncaa"), rng)) == \
+        bitwise
+    assert shape(encode(meter, 1, 1, scenario(algorithm="niaa"), rng)) == \
+        onehot
 
 
 def test_encode_rejects_bad_suppliers(rng):
@@ -310,8 +318,9 @@ def test_submit_excluded_traffic_still_counted(rng):
     pc = engine.meter.bucket("input_distribution")
     # the two delivered legs of the excluded meter still cost traffic
     assert pc.msgs_sm_to_dcc == report.delivered_shares
+    sharings = 2 * sc.sigma + 2
     assert report.delivered_shares == \
-        (len(enc) - 1) * len(enc[0].secrets) * 3 + len(enc[0].secrets) * 2
+        (len(enc) - 1) * sharings * 3 + sharings * 2
 
 
 @pytest.mark.parametrize("alg", ["naa", "ncaa"])
@@ -381,9 +390,14 @@ def test_encoders_match_per_entry_reference(n, t):
         ours, ref = random.Random(n), random.Random(n)
         for m in meters:
             imp, exp = readings[m.sm_id]
-            got = encoder(m, imp, exp, sc, ours).secrets
+            got = sharings_of(encoder(m, imp, exp, sc, ours))
             assert got == reference(m, imp, exp, sc, ref)
         assert ours.getstate() == ref.getstate()
+
+
+def sharings_of(rec):
+    """A record's sharings in draw order: the fields, then the readings."""
+    return [v for group in (*rec.fields, rec.readings) for v in group]
 
 
 def reference_intake(engine, sc, enc, script):
@@ -397,10 +411,10 @@ def reference_intake(engine, sc, enc, script):
         received = [s for s in alive if not script.pop(0)]
         if len(received) < need:
             engine.meter.bucket(engine.current_phase).msgs_sm_to_dcc += \
-                len(received) * len(rec.secrets)
+                len(received) * len(sharings_of(rec))
             continue
         keep = set(received)
-        for values in rec.secrets:
+        for values in sharings_of(rec):
             engine.input_shares(
                 [v if s in keep else None
                  for s, v in zip(range(1, n + 1), values)],
@@ -437,10 +451,15 @@ def test_submit_intake_matches_per_share_reference(alg, rng):
     # meter 3 keeps one leg; meter 4 keeps two, enough only to add
     assert report.excluded == ([3] if alg == "niaa" else [3, 4])
     assert engine_state(engines[0]) == engine_state(engines[1])
-    handles = [h for tup in tuples for h in
-               (sum(tup.vectors, []) if alg == "niaa"
-                else sum(tup.bits, []) + tup.energy)]
+    # per stream sigma ID bits or N_s one-hot entries, then the readings
+    widths = ([sc.n_suppliers] * 2, 0) if alg == "niaa" else ([sc.sigma] * 2, 2)
+    assert all(shape(tup) == widths for tup in tuples)
+    assert all(type(group) is tuple for tup in tuples
+               for group in (tup.fields, *tup.fields, tup.readings))
+    assert [tup.sm for tup in tuples] == report.included
+    handles = [h for tup in tuples for h in sharings_of(tup)]
     assert handles == engines[1].live_handles()
-    lost = [engines[0].handle_mask(h) for h in handles[::len(enc[0].secrets)]]
+    per_meter = len(sharings_of(enc[0]))
+    lost = [engines[0].handle_mask(h) for h in handles[::per_meter]]
     assert lost == ([0b11010, 0b11011, 0b01001] if alg == "niaa"
                     else [0b11010, 0b11011])
