@@ -2,7 +2,8 @@
 
 Three interchangeable region algorithms produce, per supplier and per
 flow direction (imported and exported energy), a sharing of the summed
-readings:
+readings.  Each is called as ``(engine, tuples, suppliers, region=1)``
+and reads everything else (ID width, vector length) from the tuples:
 
 * ``naa_region``    routes every reading by a secret equality test
                     against each registered supplier ID.
@@ -114,13 +115,14 @@ def _zero_rows(engine: Engine, n_suppliers: int, region: int,
 
 
 def naa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
-               sigma: int, region: int = 1) -> RegionRows:
-    """Equality-test routing: m * N_s * (sigma + 1) products per stream.
+               region: int = 1) -> RegionRows:
+    """Equality-test routing: m * N_s * (w + 1) products per stream.
 
     Every (meter, supplier) pair runs one secret-vs-public equality test
-    (sigma products) and one product gating the reading by the match bit.
-    An ID matching no registered supplier contributes to no bucket; the
-    submission validator is expected to have rejected it already.
+    (w products, w being the ID width the tuples carry) and one product
+    gating the reading by the match bit.  An ID matching no registered
+    supplier contributes to no bucket; the submission validator is
+    expected to have rejected it already.
     """
     if not tuples:
         return _zero_rows(engine, len(suppliers), region)
@@ -128,7 +130,8 @@ def naa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
     for s, stream in enumerate(STREAMS):
         with engine.phase(f"region_aggregation/{region}/{stream}"):
             queries = [(rec.fields[s], u) for rec in tuples for u in suppliers]
-            matches = equals_public_batch(engine, queries, sigma)
+            matches = equals_public_batch(engine, queries,
+                                          len(tuples[0].fields[s]))
             gated = engine.product_batch([
                 (matches[i * len(suppliers) + k], rec.readings[s])
                 for i, rec in enumerate(tuples)
@@ -148,7 +151,7 @@ def naa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
 
 
 def ncaa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
-                sigma: int, region: int = 1) -> RegionRows:
+                region: int = 1) -> RegionRows:
     """Permute-then-open routing; leaks per-supplier tuple counts only.
 
     Each stream is independently shuffled under secret control bits, the
@@ -184,12 +187,8 @@ def ncaa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
                     )
                 counts[opened] += 1
                 buckets[opened].append((1, payload))
-            stream_cells = []
-            for u in suppliers:
-                if buckets[u]:
-                    stream_cells.append([engine.lincomb(buckets[u])])
-                else:
-                    stream_cells.append([engine.constant(0)])
+            # an empty bucket sums to a fully held zero row, as a public 0
+            stream_cells = [[engine.lincomb(buckets[u])] for u in suppliers]
             # a single row comes back unshuffled, so dedupe; meter inputs
             # (below mark) stay live
             engine.release({h for row in rows + shuffled for h in row
@@ -199,7 +198,7 @@ def ncaa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
     return RegionRows(region=region, cells=cells, leaked_counts=leaked)
 
 
-def niaa_region(engine: Engine, tuples: list[MeterTuple], n_suppliers: int,
+def niaa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
                 region: int = 1) -> RegionRows:
     """One-hot aggregation: pure share addition, no messages at all.
 
@@ -207,10 +206,10 @@ def niaa_region(engine: Engine, tuples: list[MeterTuple], n_suppliers: int,
     separate groups so each group stays reconstructable on its own.
     """
     if not tuples:
-        return _zero_rows(engine, n_suppliers, region)
+        return _zero_rows(engine, len(suppliers), region)
     for rec in tuples:
         for vector in rec.fields:
-            if len(vector) != n_suppliers:
+            if len(vector) != len(suppliers):
                 raise VectorLengthMismatch(
                     f"meter {rec.sm} sent a vector of the wrong length"
                 )
@@ -226,7 +225,7 @@ def niaa_region(engine: Engine, tuples: list[MeterTuple], n_suppliers: int,
         with engine.phase(f"region_aggregation/{region}/{stream}"):
             # one {holder mask -> handles} table per supplier, in one pass;
             # the (1, h) terms are built one group at a time
-            by_mask = [{} for _ in range(n_suppliers)]
+            by_mask = [{} for _ in suppliers]
             for rec in tuples:
                 for groups, h in zip(by_mask, rec.fields[s]):
                     groups.setdefault(mask_of(h), []).append(h)

@@ -50,6 +50,8 @@ from .shamir import Share, SharingParams, reconstruct, share
 
 SEED_ENV = "METERSHARE_SEED"
 HANDLE_SAMPLES_PER_RUN = 100
+# a sweep is built as one list, so its length is bounded before it is built
+MAX_SWEEP_POINTS = 10_000
 
 
 @dataclass
@@ -115,15 +117,10 @@ def _run_region(scenario: Scenario, region: int, meters, readings,
     )
     tuples, report = submit(engine, scenario, encoded, fault_rng)
 
-    alg = scenario.algorithm
-    if alg == "naa":
-        rows = naa_region(engine, tuples, scenario.suppliers,
-                          scenario.sigma, region=region)
-    elif alg == "ncaa":
-        rows = ncaa_region(engine, tuples, scenario.suppliers,
-                           scenario.sigma, region=region)
-    else:
-        rows = niaa_region(engine, tuples, scenario.n_suppliers, region=region)
+    # built per call, so a circuit patched into this module's globals runs
+    circuit = {"naa": naa_region, "ncaa": ncaa_region,
+               "niaa": niaa_region}[scenario.algorithm]
+    rows = circuit(engine, tuples, scenario.suppliers, region=region)
 
     sample_rng = random.Random(derive_seed(scenario.seed, "sample", region))
     live = engine.live_handles()
@@ -169,8 +166,7 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
             offset += max((r[0] for r in o.transcript), default=0)
         del o  # the region's own transcript is merged; free it
 
-    dist = distribute_outputs(grid_aggregate(regions), scenario.params,
-                              failed=frozenset(scenario.fail_servers))
+    dist = distribute_outputs(grid_aggregate(regions), scenario.params)
     meter.bucket("output_distribution").msgs_dcc_to_recipients += dist.messages
     wall = time.perf_counter() - started
     if transcript is not None:
@@ -365,12 +361,11 @@ def parse_sweep(spec: str) -> list[int]:
     start, stop, step = (num(p) for p in parts)
     if step <= 0 or stop < start:
         raise ValueError("sweep range must increase")
-    values = []
-    v = start
-    while v <= stop:
-        values.append(v)
-        v += step
-    return values
+    count = (stop - start) // step + 1
+    if count > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep spec asks for {count} points, "
+                         f"at most {MAX_SWEEP_POINTS} are allowed")
+    return list(range(start, stop + 1, step))
 
 
 def cmd_costs(args) -> int:
@@ -498,8 +493,16 @@ def cmd_selftest(_args) -> int:
     return 2 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any bad input; exit 2 means a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metershare",
         description="secret-sharing smart-metering aggregation simulator",
     )

@@ -165,8 +165,6 @@ class SmartMeter:
     region: int
     supplier_imp: int
     supplier_exp: int
-    imp_level: int = DEFAULT_IMP_LEVEL
-    exp_level: int = DEFAULT_EXP_LEVEL
 
     @property
     def suppliers(self) -> tuple:
@@ -198,8 +196,8 @@ def generate_readings(scenario: Scenario, meters: list[SmartMeter],
     for m in meters:
         rng = random.Random(derive_seed(scenario.seed, "reading", slot, m.sm_id))
         readings[m.sm_id] = (
-            rng.randint(0, m.imp_level),
-            rng.randint(0, m.exp_level),
+            rng.randint(0, DEFAULT_IMP_LEVEL),
+            rng.randint(0, DEFAULT_EXP_LEVEL),
         )
     return readings
 
@@ -286,6 +284,12 @@ def submit(engine: Engine, scenario: Scenario,
             f"{scenario.algorithm} multiplies and needs 2t+1 live servers, "
             f"{len(alive)} remain"
         )
+    # Live holders a meter needs, as received is a subset of alive.  naa's
+    # equality circuits only ever mix shares of the same meter, so any 2t+1
+    # form a workable quorum; ncaa's permutation mixes every row with every
+    # other, so each row must live on every live server; niaa adds only.
+    need = {"naa": 2 * t + 1, "ncaa": len(alive),
+            "niaa": t + 1}[scenario.algorithm]
     pc = engine.meter.bucket(engine.current_phase)
     report = SubmitReport(included=[], excluded=[])
     tuples = []
@@ -298,17 +302,7 @@ def submit(engine: Engine, scenario: Scenario,
         sharings = sum(map(len, rec.fields)) + len(rec.readings)
         report.delivered_bundles += len(received)
         report.delivered_shares += len(received) * sharings
-        if scenario.algorithm == "naa":
-            # equality circuits only ever mix shares of the same meter,
-            # so any 2t+1 live holders form a workable quorum
-            ok = len(received) >= 2 * t + 1
-        elif scenario.algorithm == "ncaa":
-            # the permutation mixes every row with every other, so each
-            # admitted row must live on the full set of live servers
-            ok = set(received) >= set(alive)
-        else:
-            ok = len(received) >= t + 1
-        if not ok:
+        if len(received) < need:
             # traffic still happened; the servers just cannot use it
             report.excluded.append(rec.sm)
             pc.msgs_sm_to_dcc += len(received) * sharings

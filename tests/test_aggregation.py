@@ -35,6 +35,9 @@ from metershare.metering import (
 from metershare.shamir import SharingParams, share_values
 
 
+CIRCUITS = {"naa": naa_region, "ncaa": ncaa_region, "niaa": niaa_region}
+
+
 def small_scenario(alg, seed=31, m=(11, 7)):
     return Scenario(
         n_dno=len(m), n_suppliers=4, sm_per_region=list(m),
@@ -56,15 +59,8 @@ def run_regions(scenario):
             for m in meters if m.region == region
         ]
         tuples, report = submit(engine, scenario, enc, rng)
-        if scenario.algorithm == "naa":
-            rows = naa_region(engine, tuples, scenario.suppliers,
-                              scenario.sigma, region=region)
-        elif scenario.algorithm == "ncaa":
-            rows = ncaa_region(engine, tuples, scenario.suppliers,
-                               scenario.sigma, region=region)
-        else:
-            rows = niaa_region(engine, tuples, scenario.n_suppliers,
-                               region=region)
+        rows = CIRCUITS[scenario.algorithm](engine, tuples, scenario.suppliers,
+                                            region=region)
         outs.append((engine, export_rows(engine, rows)))
     oracle = plaintext_totals(meters, readings,
                               {m.sm_id for m in meters},
@@ -101,11 +97,16 @@ def test_naa_multiplication_count_is_exact():
             assert pc.opens == 0
 
 
-def test_naa_skips_interaction_for_empty_region():
-    scenario = small_scenario("naa")
+@pytest.mark.parametrize("alg", sorted(CIRCUITS))
+def test_region_skips_interaction_for_empty_region(alg):
+    scenario = small_scenario(alg)
     engine = Engine(scenario.params, seed=0)
-    rows = naa_region(engine, [], scenario.suppliers, scenario.sigma)
-    assert engine.meter.total().multiplications == 0
+    rows = CIRCUITS[alg](engine, [], scenario.suppliers)
+    total = engine.meter.total()
+    assert total.multiplications == total.opens == total.rounds == 0
+    if alg == "ncaa":
+        assert rows.leaked_counts == {
+            s: {u: 0 for u in scenario.suppliers} for s in STREAMS}
     cells = [c for stream_cells in rows.cells for c in stream_cells]
     assert len(cells) == len(STREAMS) * scenario.n_suppliers
     for (h,) in cells:
@@ -154,7 +155,7 @@ def test_ncaa_rejects_unregistered_id():
 
     tuples = [mk(2), mk(7)]  # 7 is nobody
     with pytest.raises(OpenedIdInvalid):
-        ncaa_region(engine, tuples, suppliers, sigma)
+        ncaa_region(engine, tuples, suppliers)
 
 
 def test_niaa_is_non_interactive():
@@ -174,7 +175,7 @@ def test_niaa_rejects_wrong_vector_length():
     engine = outs[0][0]
     bad = MeterTuple(sm=1, fields=((engine.input(0),) * 3,) * 2, readings=())
     with pytest.raises(VectorLengthMismatch):
-        niaa_region(engine, [bad], scenario.n_suppliers)
+        niaa_region(engine, [bad], scenario.suppliers)
 
 
 def test_niaa_groups_follow_sorted_holder_lists():
@@ -199,7 +200,7 @@ def test_niaa_groups_follow_sorted_holder_lists():
             vectors.append(vector)
         tuples.append(MeterTuple(sm=sm, fields=tuple(vectors), readings=()))
     first = len(lost_party) * len(STREAMS) * 2 + 1
-    rows = niaa_region(engine, tuples, 2)
+    rows = niaa_region(engine, tuples, [1, 2])
     order = [None, 1, 0]          # lost party of {1,2,3}, {1,3}, {2,3}
     for s in range(len(STREAMS)):
         for k in range(2):
@@ -330,8 +331,7 @@ def test_region_leaves_only_cells_live(alg, m):
                   scenario, rng) for sm in meters]
     tuples, _ = submit(engine, scenario, enc, rng)
     inputs = engine.live_handles()
-    region = naa_region if alg == "naa" else ncaa_region
-    rows = region(engine, tuples, scenario.suppliers, scenario.sigma)
+    rows = CIRCUITS[alg](engine, tuples, scenario.suppliers)
     # meter inputs stay live; every intermediate sharing is gone
     cells = {h for stream_cells in rows.cells for cell in stream_cells
              for h in cell}

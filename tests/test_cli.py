@@ -234,6 +234,37 @@ def test_costs_rejects_bad_sweep(capsys):
     assert cli.main(["costs", "--sweep", "sm=5:1:1"]) == 1
 
 
+def test_sweep_refuses_too_many_points(capsys):
+    # the count is checked before any point is built
+    assert len(cli.parse_sweep("sm=1:10000:1")) == cli.MAX_SWEEP_POINTS
+    assert cli.main(["costs", "--sweep", "sm=1:10001:1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep spec asks for 10001 points")
+
+
+@pytest.mark.parametrize("argv", [
+    ["costs", "--sm", "abc"],
+    ["costs", "--per-mult-seconds", "-inf"],
+    ["run"],
+    ["sweep"],
+    ["frobnicate"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    # exit 2 is left to an oracle mismatch and a failed selftest
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["costs", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_parse_sweep_suffixes():
     assert cli.parse_sweep("sm=0.5M:2M:0.5M") == \
         [500_000, 1_000_000, 1_500_000, 2_000_000]
