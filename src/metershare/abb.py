@@ -2,9 +2,12 @@
 
 The engine keeps every party's share of every live secret, so a single
 scheduler thread can play all parties of the honest-but-curious protocol
-while charging costs exactly as the real message pattern would: each
-multiplication is one degree-reduction round of n*(n-1) share messages,
-each opening one broadcast round.  Party state is only ever read through
+while charging costs exactly as the real message pattern would.  A
+multiplication is one degree-reduction round in which 2t+1 senders each
+send a share to every other live party, (2t+1)*(live-1) share messages,
+which equals n*(n-1) only when n = 2t+1.  An opening
+is one broadcast round in which every live holder sends its share to
+every other live party.  Party state is only ever read through
 quorum checks, so marking a party failed simply removes it from every
 later quorum; failures are permanent for the engine's lifetime (there is
 deliberately no un-fail operation).
@@ -50,7 +53,9 @@ that set.  A writer expands each record into one line per link.
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dfield, fields as dfields
-from operator import mul
+from functools import lru_cache, partial, reduce
+from itertools import compress, repeat
+from operator import add, and_, itemgetter, mod, mul, sub
 import random
 
 from . import field
@@ -137,6 +142,24 @@ class CostMeter:
     def merge(self, other: "CostMeter") -> None:
         for label, pc in other.phases.items():
             self.bucket(label).add(pc)
+
+
+# element-wise sum of two columns; reduce() folds a list of columns with it
+_add_columns = partial(map, add)
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+
+
+@lru_cache(maxsize=1024)
+def _reshare_weights(q: int, size: int) -> tuple:
+    """``(senders, ((itemgetter(i), weight), ...))`` for the first ``size``
+    parties of holder mask ``q``, with Lagrange weights at 0 centred into
+    (-p/2, p/2]: small integers for consecutive senders ((3, -3, 1) at
+    t = 1), which keeps every column sum short.  A share is the same
+    after its one reduction mod p."""
+    senders = [i for i in range(q.bit_length()) if q >> i & 1][:size]
+    lam = lagrange_at(tuple(i + 1 for i in senders), 0)
+    return senders, tuple((itemgetter(i), w - PRIME if w > PRIME >> 1 else w)
+                          for i, w in zip(senders, lam))
 
 
 class Engine:
@@ -338,98 +361,137 @@ class Engine:
 
         Evaluation at j is linear in the coefficients, so that sum equals
         F(j) for the one combined polynomial F = sum_i lam_i*f_i, with
-        F_0 = sum_i lam_i*d_i and F_k = sum_i lam_i*r_ik.  The engine forms F
-        once per product and evaluates it once per target by Horner instead
-        of evaluating all 2t+1 sender polynomials at every target.  The
-        shares are the same field values, from the same draws: sender-major,
-        then k, each by ``randrange(p)``'s rule (see ``shamir.RAND_BITS``).
-        The loop inlines that rule: drawing through a shared function once
-        per product made this method about 8% slower at (3,1).
+        F_0 = sum_i lam_i*d_i and F_k = sum_i lam_i*r_ik.  The round computes
+        whole columns with ``map`` rather than looping over products,
+        senders and targets:
+
+        - Products are grouped by the parties holding both factors.  Every
+          group's live holders must form a 2t+1 quorum, and all groups are
+          checked first, so a refused round meters, draws and registers
+          nothing.
+        - All K*(2t+1)*t draws come from one list, in product, then sender,
+          then k order, each by ``randrange(p)``'s rule (see
+          ``shamir.RAND_BITS``): words at or above p are dropped and the
+          list is topped up one word at a time, which accepts exactly the
+          words a per-draw rejection loop would.
+        - Per group, the first 2t+1 live holders send.  F_0 and each F_k
+          are columns over the group's products, and every live target
+          evaluates F on them by Horner, with one reduction mod p per share.
 
         ``as_or=True`` returns sharings of a + b - ab (the OR of two shared
         bits) instead of ab.  Every target holds its reduced product share
         after the round, so it applies the merge locally to the same share
-        rows; the result equals ``lincomb_batch([(1, a), (1, b), (-1, ab)])``
+        columns; the result equals ``lincomb_batch([(1, a), (1, b), (-1, ab)])``
         in values and masks (held where a, b and the party are all live).
         The products are never stored, but their numbers are still issued:
         products take ``first..first+K-1``, which the transcript records
         name, and the merges ``first+K..first+2K-1``, as if the products had
-        been registered, merged and released.
+        been registered, merged and released.  Rows are stored and
+        transcript records appended in pair order.
         """
         if not pairs:
             return []
         n, t = self.n, self.t
         p = PRIME
-        quorum_size = 2 * t + 1
+        size = 2 * t + 1
         active = self._active
         shares = self._h
-        getrandbits = self.rng.getrandbits
-        # F is kept highest degree first: the draw r_ik adds to comb[t - k]
-        draw_slots = range(t - 1, -1, -1)
+        left = list(map(shares.__getitem__, map(_FIRST, pairs)))
+        right = list(map(shares.__getitem__, map(_SECOND, pairs)))
+        avals, bvals = list(map(_FIRST, left)), list(map(_FIRST, right))
+        # products group by the parties holding both factors
+        masks = list(map(and_, map(_SECOND, left), map(_SECOND, right)))
+        groups = dict.fromkeys(masks)
+        for m in groups:
+            if (m & active).bit_count() < size:
+                raise InsufficientShares(
+                    "fewer than 2t+1 parties hold both factors"
+                )
+
+        k = len(pairs)
         pc = self.meter.bucket(self._phase)
         self._round += 1
         pc.rounds += 1
-        pc.multiplications += len(pairs)
-        transcript = self.transcript
-        rnd = self._round
+        pc.multiplications += k
+        # 2t+1 senders each reach every other live party, per product
+        pc.msgs_between_dcc += k * size * (active.bit_count() - 1)
 
-        plan_cache: dict[int, tuple] = {}
-        msgs = 0
-        first = h = self._next_handle
+        # product u's draws for sender s are words[u*step + s*t:][:t]
+        step = size * t
+        need = k * step
+        getrandbits = self.rng.getrandbits
+        words = list(map(getrandbits, repeat(RAND_BITS, need)))
+        if max(words) >= p:
+            words = [w for w in words if w < p]
+            while len(words) < need:
+                w = getrandbits(RAND_BITS)
+                if w < p:
+                    words.append(w)
+
+        rows: list = [None] * k
+        links = {}
+        for m in groups:
+            q = m & active
+            # a round with one holder set, the usual case, needs no picking
+            if len(groups) == 1:
+                idx = None
+                av, bv = avals, bvals
+            else:
+                idx = list(compress(range(k), map(m.__eq__, masks)))
+                av = list(map(avals.__getitem__, idx))
+                bv = list(map(bvals.__getitem__, idx))
+            senders, weights = _reshare_weights(q, size)
+            # poly[d]: the column of F_d over the group's products
+            poly = [list(reduce(_add_columns, [
+                map(mul, map(mul, map(get, av), map(get, bv)), repeat(w))
+                for get, w in weights
+            ]))]
+            for d in range(t):
+                draws = [words[s * t + d::step] for s in range(size)]
+                if idx is not None:
+                    draws = [list(map(col.__getitem__, idx)) for col in draws]
+                poly.append(list(reduce(_add_columns, [
+                    map(mul, col, repeat(w))
+                    for col, (_, w) in zip(draws, weights)
+                ])))
+            # a merge lives where both factors and the party do
+            held = q if as_or else active
+            cols = []
+            for j in range(n):
+                if not held >> j & 1:
+                    cols.append(repeat(None))
+                    continue
+                x = repeat(j + 1)
+                acc = poly[t]
+                for c in poly[t - 1::-1]:
+                    acc = map(add, map(mul, acc, x), c)
+                if as_or:
+                    get = itemgetter(j)
+                    acc = map(sub, map(add, map(get, av), map(get, bv)), acc)
+                cols.append(map(mod, acc, repeat(p)))
+            made = zip(zip(*cols), repeat(held))
+            if idx is None:
+                rows = list(made)
+            else:
+                for u, row in zip(idx, made):
+                    rows[u] = row
+            if self.transcript is not None:
+                links[m] = tuple(f"p{i + 1},p{j + 1}" for i in senders
+                                 for j in range(n) if active >> j & 1 and j != i)
+
+        first = self._next_handle
         # product h is stored under h + shift: a fused merge skips K numbers
-        shift = len(pairs) if as_or else 0
-        try:
-            for ha, hb in pairs:
-                av, am = shares[ha]
-                bv, bm = shares[hb]
-                q = am & bm & active
-                plan = plan_cache.get(q)
-                if plan is None:
-                    if q.bit_count() < quorum_size:
-                        raise InsufficientShares(
-                            "fewer than 2t+1 parties hold both factors"
-                        )
-                    senders = [i for i in range(n) if q >> i & 1][:quorum_size]
-                    targets = [j for j in range(n) if active >> j & 1]
-                    lam = lagrange_at(tuple(i + 1 for i in senders), 0)
-                    # a merge lives where both factors and the party do
-                    held = q if as_or else active
-                    plan = plan_cache[q] = (
-                        list(zip(senders, lam)),
-                        [j + 1 if held >> j & 1 else None for j in range(n)],
-                        held,
-                        len(senders) * (len(targets) - 1),
-                        tuple(f"p{i + 1},p{j + 1}"
-                              for i in senders for j in targets if j != i),
-                    )
-                weights, xs, held, sent, links = plan
-
-                comb = [0] * (t + 1)
-                for i, w in weights:
-                    comb[t] += w * av[i] * bv[i]
-                    for k in draw_slots:
-                        r = getrandbits(RAND_BITS)
-                        while r >= p:
-                            r = getrandbits(RAND_BITS)
-                        comb[k] += w * r
-                new = []
-                for x, ai, bi in zip(xs, av, bv):
-                    if x is None:
-                        new.append(None)
-                        continue
-                    acc = 0
-                    for c in comb:
-                        acc = acc * x + c
-                    new.append((ai + bi - acc) % p if as_or else acc % p)
-                shares[h + shift] = (tuple(new), held)
-                msgs += sent
-                if transcript is not None:
-                    transcript.append((rnd, links, h, SHARE_BYTES))
-                h += 1
-        finally:
-            self._next_handle = h + shift
-            pc.msgs_between_dcc += msgs
-        return list(range(first + shift, h + shift))
+        shift = k if as_or else 0
+        out = range(first + shift, first + shift + k)
+        for h, row in zip(out, rows):
+            shares[h] = row
+        self._next_handle = out.stop
+        if self.transcript is not None:
+            self.transcript.extend(zip(repeat(self._round),
+                                       map(links.__getitem__, masks),
+                                       range(first, first + k),
+                                       repeat(SHARE_BYTES)))
+        return list(out)
 
     def open(self, h: Handle, kind: str = "value") -> int:
         return self.open_batch([h], kind)[0]
@@ -439,23 +501,21 @@ class Engine:
 
         Every live holder broadcasts its share; reconstruction uses t+1 of
         them and cross-checks the rest, so a corrupted share is detected
-        (InconsistentShares) rather than silently absorbed.
+        (InconsistentShares) rather than silently absorbed.  Every handle
+        is reconstructed and checked before the round is metered, logged
+        or recorded, so a refused round changes nothing.
         """
         if not handles:
             return []
         n, t = self.n, self.t
         p = PRIME
         active = self._active
-        n_active = active.bit_count()
-        pc = self.meter.bucket(self._phase)
-        self._round += 1
-        pc.rounds += 1
-        pc.opens += len(handles)
         transcript = self.transcript
-        rnd = self._round
 
         plan_cache: dict[int, tuple] = {}
         out = []
+        sent = 0
+        links_seq = []
         for h in handles:
             values, mask = self._h[h]
             present = mask & active
@@ -492,11 +552,20 @@ class Engine:
                     raise InconsistentShares(
                         f"party {i + 1} broadcast a share off the polynomial"
                     )
-            pc.msgs_between_dcc += len(holders) * (n_active - 1)
-            if transcript is not None:
-                transcript.append((rnd, links, h, SHARE_BYTES))
-            self.opened_log.append((self._phase, kind, value))
+            sent += len(holders)
+            links_seq.append(links)
             out.append(value)
+
+        pc = self.meter.bucket(self._phase)
+        self._round += 1
+        pc.rounds += 1
+        pc.opens += len(handles)
+        # each holder broadcasts to every other live party
+        pc.msgs_between_dcc += sent * (active.bit_count() - 1)
+        if transcript is not None:
+            transcript.extend(zip(repeat(self._round), links_seq, handles,
+                                  repeat(SHARE_BYTES)))
+        self.opened_log.extend(zip(repeat(self._phase), repeat(kind), out))
         return out
 
     def random_bits_batch(self, k: int) -> list[Handle]:

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from metershare.abb import Engine
-from metershare.shamir import SharingParams
+from metershare.shamir import RAND_BITS, SharingParams
 
 
 @pytest.fixture
@@ -19,3 +20,28 @@ def engine():
 @pytest.fixture
 def engine5():
     return Engine(SharingParams(5, 2), seed=13)
+
+
+def _force_rejects(rng, at):
+    """Make ``rng.getrandbits`` return a word >= PRIME at the given call
+    numbers (0 = the next call) without consuming the generator there.
+
+    A word that large turns up with probability 25/2**63, so a rejection
+    path is only ever exercised by forcing one.  ``randrange`` draws
+    through the instance attribute too, so references see the same words.
+    """
+    real = rng.getrandbits
+    calls = itertools.count()
+
+    def getrandbits(k):
+        if next(calls) in at:
+            assert k == RAND_BITS
+            return (1 << RAND_BITS) - 1
+        return real(k)
+
+    rng.getrandbits = getrandbits
+
+
+@pytest.fixture
+def force_rejects():
+    return _force_rejects

@@ -1,5 +1,6 @@
 """Engine layer: products, opens, randomness, liveness, cost metering."""
 
+import copy
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -90,6 +91,24 @@ def test_product_costs_one_mult_one_round(engine):
     # 2t+1 senders each reach the other active parties, per product
     assert pc.msgs_between_dcc == 2 * 3 * 2
     assert pc.bytes_between_dcc == pc.msgs_between_dcc * SHARE_BYTES
+
+
+@pytest.mark.parametrize("n,t,failed", [(5, 1, None), (7, 2, None), (5, 1, 2)])
+def test_product_messages_per_mult(n, t, failed):
+    # 2t+1 senders each reach every other live party: n*(n-1) only at
+    # n = 2t+1, so these shapes tell the two counts apart
+    engine = Engine(SharingParams(n, t), seed=n + t, record_transcript=True)
+    xs = [engine.input(v) for v in range(1, 7)]
+    if failed:
+        engine.fail_party(failed)
+    live = engine._active.bit_count()
+    with engine.phase("probe"):
+        engine.product_batch(list(zip(xs, xs[1:])))
+    pc = engine.meter.bucket("probe")
+    assert pc.multiplications == 5
+    assert pc.msgs_between_dcc == 5 * (2 * t + 1) * (live - 1)
+    products = engine.transcript[-5:]
+    assert sum(len(links) for _, links, _, _ in products) == pc.msgs_between_dcc
 
 
 def test_open_costs(engine):
@@ -416,6 +435,68 @@ def test_product_batch_as_or_is_share_exact(n, t, degrade):
     for value, (a, b) in zip(opened, pairs):
         x, y = engine.open(a), engine.open(b)
         assert value == (x + y - x * y) % field.PRIME
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "all"])
+@pytest.mark.parametrize("as_or", [False, True])
+@pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
+def test_product_batch_redraws_words_above_prime(n, t, degrade, as_or, where,
+                                                 force_rejects):
+    engine, handles = loaded_engine(n, t, degrade)
+    ref, _ = loaded_engine(n, t, degrade)
+    pairs = [(handles[k], handles[(5 * k + 3) % 12]) for k in range(12)]
+    pairs.append((handles[0], handles[0]))
+    k = len(pairs)
+    draws = k * (2 * t + 1) * t
+    # raw word numbers at which the first, a middle and the last draw of
+    # the round meet a word >= p; "all" counts the two redraws before it
+    at = {"first": {0}, "middle": {draws // 2}, "last": {draws - 1},
+          "all": {0, draws // 2 + 1, draws + 1}}[where]
+    force_rejects(engine.rng, at)
+    force_rejects(ref.rng, at)
+    first = engine._next_handle
+
+    out = engine.product_batch(pairs, as_or=as_or)
+    want = reference_reshare(ref, pairs)
+    if as_or:
+        products = range(first, first + k)
+        ref._h.update(zip(products, want))
+        want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)])
+                for (a, b), ab in zip(pairs, products)]
+    shift = k if as_or else 0
+    assert out == list(range(first + shift, first + shift + k))
+    assert engine._next_handle == first + shift + k
+    assert [engine._h[h] for h in out] == want
+    assert engine.rng.getstate() == ref.rng.getstate()
+
+
+def engine_state(engine):
+    return (copy.deepcopy(engine.meter), engine._next_handle, engine._round,
+            engine.rng.getstate(), list(engine.opened_log),
+            list(engine.transcript), dict(engine._h))
+
+
+@pytest.mark.parametrize("op", ["product", "product as_or", "open short",
+                                "open tampered"])
+def test_refused_round_changes_nothing(op):
+    engine = Engine(SharingParams(5, 2), seed=21, record_transcript=True)
+    a, b = engine.input(3), engine.input(4)
+    values = engine._h[engine.input(5)][0]
+    # c is held by parties 1-3 only: enough to open, too few to multiply
+    c = engine.input_shares(values[:3] + (None, None))
+    tampered = engine.input_shares(values[:4] + ((values[4] + 1) % field.PRIME,))
+    engine.open(engine.product(a, b))
+    if op == "open short":
+        engine.fail_party(3)
+    before = engine_state(engine)
+    with engine.phase("probe"), pytest.raises((InsufficientShares,
+                                               InconsistentShares)):
+        if op.startswith("product"):
+            engine.product_batch([(a, b), (a, c)], as_or=op.endswith("as_or"))
+        else:
+            engine.open_batch([a, c if op == "open short" else tampered])
+    assert engine_state(engine) == before
+    assert "probe" not in engine.meter.phases
 
 
 def reference_random_bits(engine, k):

@@ -94,6 +94,21 @@ def test_share_values_redraws_words_above_prime():
         assert ours.words == ref.words
 
 
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("n,t", [(3, 1), (5, 2), (7, 3), (9, 4)])
+def test_share_values_redraws_at_any_draw(n, t, where, force_rejects):
+    # the rule product_batch follows: a word >= p at any of the t draws is
+    # dropped and the next word taken, exactly as randrange does
+    at = {"first": {0}, "middle": {t // 2}, "last": {t - 1}}[where]
+    ours, ref = random.Random(n * t), random.Random(n * t)
+    force_rejects(ours, at)
+    force_rejects(ref, at)
+    vals = share_values(17, n, t, ours)
+    coeffs = [ref.randrange(PRIME) for _ in range(t)]
+    assert vals == [naive_poly([17] + coeffs, x) for x in range(1, n + 1)]
+    assert ours.getstate() == ref.getstate()
+
+
 def test_params_validation():
     SharingParams(3, 1)
     SharingParams(5, 2)
