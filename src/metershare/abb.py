@@ -28,10 +28,12 @@ never issued or is already released raises ``KeyError``, so an ownership
 mistake fails loudly instead of freeing a caller's sharing.  The rule
 every gate and region circuit follows: a routine releases only handles
 it registered itself, which by monotonic numbering are those at or above
-the first handle it registered, and never its own outputs.  A fused
-round (``product_batch(..., as_or=True)``) issues numbers for its
-products but never stores them, so those numbers are never live and must
-not be released; the transcript still names them.
+the first handle it registered, and never its own outputs.
+``skip_handles(k)`` issues k numbers without storing a sharing under
+them; such a number is never live and must not be released.  A fused
+round (``product_batch(..., as_or=True)``) issues its products' numbers
+this way, and the transcript still names them; the equality gate issues
+the numbers of flips that reuse a stored complement this way.
 
 Share rows: each live sharing is stored as ``(values, mask)``, where
 ``values`` is an immutable tuple of n party shares (None where a party
@@ -221,6 +223,10 @@ class Engine:
         self._h[h] = (tuple(values), mask)
         return h
 
+    def skip_handles(self, k: int) -> None:
+        """Issue the next k handle numbers without storing a sharing."""
+        self._next_handle += k
+
     def live_handles(self) -> list[Handle]:
         return list(self._h.keys())
 
@@ -294,53 +300,56 @@ class Engine:
         held terms (the gate glue) take unrolled paths; the rest (region
         sums, partial holders) sum each party's column in one pass, as a
         bare sum when every coefficient is exactly 1 (the cell and bucket
-        sums of the region circuits).
+        sums of the region circuits).  Every combination is computed and
+        checked before any is registered, so a refused batch changes
+        nothing.
         """
         n = self.n
         full = (1 << n) - 1
         p = PRIME
         shares = self._h
-        first = h = self._next_handle
-        try:
-            for terms, const in combos:
-                vals = None
-                k = len(terms)
-                if k == 1:
-                    (c, a), = terms
-                    av, mask = shares[a]
-                    if mask == full:
-                        vals = tuple([(c * x + const) % p for x in av])
-                elif k == 2:
-                    (c, a), (d, b) = terms
-                    av, am = shares[a]
-                    bv, bm = shares[b]
-                    mask = am & bm
-                    if mask == full:
-                        vals = tuple([(c * x + d * y + const) % p
-                                      for x, y in zip(av, bv)])
-                if vals is None:
-                    rows = [shares[x] for _, x in terms]
-                    mask = full
-                    for _, m in rows:
-                        mask &= m
-                    if mask.bit_count() < self.t + 1:
-                        raise InsufficientShares(
-                            "combination survives at fewer than t+1 parties"
-                        )
-                    coefs = [c for c, _ in terms]
-                    unit = coefs.count(1) == k
-                    cols = zip(*[v for v, _ in rows]) if rows else [()] * n
-                    vals = tuple([
-                        ((sum(col) if unit else sum(map(mul, coefs, col)))
-                         + const) % p
-                        if mask >> i & 1 else None
-                        for i, col in enumerate(cols)
-                    ])
-                shares[h] = (vals, mask)
-                h += 1
-        finally:
-            self._next_handle = h
-        return list(range(first, h))
+        made = []
+        for terms, const in combos:
+            vals = None
+            k = len(terms)
+            if k == 1:
+                (c, a), = terms
+                av, mask = shares[a]
+                if mask == full:
+                    vals = tuple([(c * x + const) % p for x in av])
+            elif k == 2:
+                (c, a), (d, b) = terms
+                av, am = shares[a]
+                bv, bm = shares[b]
+                mask = am & bm
+                if mask == full:
+                    vals = tuple([(c * x + d * y + const) % p
+                                  for x, y in zip(av, bv)])
+            if vals is None:
+                rows = [shares[x] for _, x in terms]
+                mask = full
+                for _, m in rows:
+                    mask &= m
+                if mask.bit_count() < self.t + 1:
+                    raise InsufficientShares(
+                        "combination survives at fewer than t+1 parties"
+                    )
+                coefs = [c for c, _ in terms]
+                unit = coefs.count(1) == k
+                cols = zip(*[v for v, _ in rows]) if rows else [()] * n
+                vals = tuple([
+                    ((sum(col) if unit else sum(map(mul, coefs, col)))
+                     + const) % p
+                    if mask >> i & 1 else None
+                    for i, col in enumerate(cols)
+                ])
+            made.append((vals, mask))
+        first = self._next_handle
+        out = range(first, first + len(made))
+        for h, row in zip(out, made):
+            shares[h] = row
+        self._next_handle = out.stop
+        return list(out)
 
     # -- interactive operations --------------------------------------------
 
@@ -480,9 +489,10 @@ class Engine:
                                  for j in range(n) if active >> j & 1 and j != i)
 
         first = self._next_handle
-        # product h is stored under h + shift: a fused merge skips K numbers
-        shift = k if as_or else 0
-        out = range(first + shift, first + shift + k)
+        if as_or:
+            # the products' numbers: named by the transcript, never stored
+            self.skip_handles(k)
+        out = range(self._next_handle, self._next_handle + k)
         for h, row in zip(out, rows):
             shares[h] = row
         self._next_handle = out.stop
@@ -575,8 +585,12 @@ class Engine:
         square, and normalise the element by the public root; the result
         is a sharing of +-1 mapped affinely to {0, 1}.  A zero draw is
         rejected and retried.  Each attempt's random elements and their
-        squares are released once its bits exist.
+        squares are released once its bits exist.  The squaring round's
+        2t+1 quorum is checked first, so a refused call draws and
+        registers nothing.
         """
+        if k and self._active.bit_count() < 2 * self.t + 1:
+            raise InsufficientShares("fewer than 2t+1 live parties to square")
         out: list[Handle | None] = [None] * k
         pending = list(range(k))
         p = PRIME

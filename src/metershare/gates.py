@@ -5,6 +5,7 @@ on an Engine, so the cost meter sees exactly the multiplication pattern
 a real run would produce.
 """
 
+from itertools import compress, cycle
 import random
 
 from .abb import Engine, Handle
@@ -24,9 +25,20 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
     ceil(log2(width+1)) rounds.  The fold yields 1 on any difference; the
     final negation back to "equal" is affine.
 
-    Each level is one fused ``product_batch(..., as_or=True)`` round, whose
-    products are never stored; it releases the gate-owned nodes it merged,
-    so at most one level's worth of intermediates is live at a time.
+    The nodes lie in one flat list, width+1 per query in query order, and
+    each level takes its pairs by slicing that list.  A flipped bit is its
+    complement 1 - x, registered once per distinct bit handle however many
+    queries flip it (naa's queries for one meter all reuse its bit
+    handles).  One number per flip is still issued: the complements take
+    the first ones and ``Engine.skip_handles`` issues the rest unstored,
+    so every later number is the one a row per flip would give.
+
+    Each level is one fused ``product_batch(..., as_or=True)`` round,
+    whose products are never stored.  After it the gate releases what no
+    later level reads: the nodes it merged and the complements that were
+    merged for the last time.  So at most one level's intermediates, and
+    the complements of a last bit still carried unpaired, are live at a
+    time.
     """
     for bits, public_id in queries:
         if len(bits) != width:
@@ -34,38 +46,69 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
         if public_id < 0 or public_id >> width:
             raise LengthMismatch(f"{public_id} does not fit {width} bits")
 
-    # affine XOR with the public bit: x + y - 2xy collapses to x or 1-x
-    zero = mark = engine.constant(0)
-    flipped = iter(engine.lincomb_batch([
-        ([(-1, bh)], 1)
-        for bits, public_id in queries
-        for k, bh in enumerate(bits)
-        if public_id >> (width - 1 - k) & 1
-    ]))
-    nodes = [
-        [zero] + [
-            next(flipped) if public_id >> (width - 1 - k) & 1 else bh
-            for k, bh in enumerate(bits)
-        ]
-        for bits, public_id in queries
-    ]
+    # affine XOR with the public bit: x + y - 2xy collapses to x or 1-x;
+    # the complements are numbered from zero + 1 in first-flip order
+    zero = engine.constant(0)
+    flipped = {}     # public id -> positions of its set bits in a node row
+    complement = {}  # flipped bit handle -> handle of its complement
+    nodes = []
+    flips = 0
+    for bits, public_id in queries:
+        at = flipped.get(public_id)
+        if at is None:
+            at = flipped[public_id] = [
+                k + 1 for k in range(width) if public_id >> (width - 1 - k) & 1
+            ]
+        row = [zero, *bits]
+        for k in at:
+            c = complement.get(row[k])
+            if c is None:
+                c = complement[row[k]] = zero + 1 + len(complement)
+            row[k] = c
+        nodes += row
+        flips += len(at)
+    engine.lincomb_batch([([(-1, bh)], 1) for bh in complement])
+    engine.skip_handles(flips - len(complement))
 
-    # levelled OR fold: a OR b = a + b - ab, merged inside the product round
+    # levelled OR fold: a OR b = a + b - ab, merged inside the product round.
+    # An odd level carries its last node unpaired, so while the last column
+    # still holds leaves, the complements in it outlive level 0.
     size = width + 1
+    tail = {h for h in nodes[width::size] if h > zero} if size & 1 else None
     while size > 1:
         half = size // 2
-        pairs = [pair for lst in nodes
-                 for pair in zip(lst[0:2 * half:2], lst[1:2 * half:2])]
-        merged = engine.product_batch(pairs, as_or=True)
-        nodes = [merged[qi * half:(qi + 1) * half] + lst[2 * half:]
-                 for qi, lst in enumerate(nodes)]
+        if size & 1:
+            paired = list(compress(nodes, cycle((1,) * 2 * half + (0,))))
+        else:
+            paired = nodes
+        merged = engine.product_batch(list(zip(paired[0::2], paired[1::2])),
+                                      as_or=True)
+        if size == width + 1:
+            # level 0 pairs leaves only: the zero, the caller's bits and
+            # the complements
+            engine.release([zero, *(c for c in complement.values()
+                                    if c not in (tail or ()))])
+        elif tail is not None and not size & 1:
+            # the last column's leaves pair now; the rest are merged nodes
+            engine.release(list(compress(paired,
+                                         cycle((1,) * (size - 1) + (0,)))))
+            engine.release(tail)
+            tail = None
+        else:
+            engine.release(paired)
+        if size & 1:
+            rest = nodes[size - 1::size]
+            nodes = [None] * (len(rest) * (half + 1))
+            nodes[half::half + 1] = rest
+            for j in range(half):
+                nodes[j::half + 1] = merged[j::half]
+        else:
+            nodes = merged
         size -= half
-        # zero sits in every query's first pair: release each handle once
-        engine.release({h for pair in pairs for h in pair if h >= mark})
 
-    out = engine.lincomb_batch([([(-1, lst[0])], 1) for lst in nodes])
+    out = engine.lincomb_batch([([(-1, root)], 1) for root in nodes])
     # the fold roots; at width 0 every root is the shared zero
-    engine.release({lst[0] for lst in nodes})
+    engine.release(nodes if width else [zero])
     return out
 
 

@@ -499,6 +499,40 @@ def test_refused_round_changes_nothing(op):
     assert "probe" not in engine.meter.phases
 
 
+def test_refused_lincomb_batch_changes_nothing():
+    engine = Engine(SharingParams(5, 2), seed=22, record_transcript=True)
+    a = engine.input(3)
+    values = engine._h[engine.input(5)][0]
+    # c and d are held by parties 1-3 and 3-5: their sum by party 3 only
+    c = engine.input_shares(values[:3] + (None, None))
+    d = engine.input_shares((None, None) + values[2:])
+    before = engine_state(engine)
+    with engine.phase("probe"), pytest.raises(InsufficientShares):
+        engine.lincomb_batch([([(1, a)], 0), ([(1, c), (1, d)], 0)])
+    assert engine_state(engine) == before
+    assert engine.live_handles() == list(before[-1])
+
+
+def test_random_bits_below_quorum_changes_nothing():
+    engine = Engine(SharingParams(5, 2), seed=23, record_transcript=True)
+    engine.input(1)
+    engine.fail_party(1)
+    engine.fail_party(2)
+    before = engine_state(engine)
+    # three live parties can open but not square
+    with pytest.raises(InsufficientShares):
+        engine.random_bits_batch(2)
+    assert engine_state(engine) == before
+    assert engine.random_bits_batch(0) == []
+
+
+def test_skip_handles_issues_unstored_numbers(engine):
+    a = engine.input(4)
+    engine.skip_handles(3)
+    assert engine.live_handles() == [a]
+    assert engine.input(5) == a + 4
+
+
 def reference_random_bits(engine, k):
     """The earlier form of ``random_bits_batch``: one lincomb and one
     inversion per bit."""

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import metershare
 from metershare import cli
+from metershare.abb import Engine
 from metershare.metering import Scenario
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -117,3 +118,32 @@ def test_post_pass_transcript_reads_work():
     logged = metershare.costs.bytes_from_transcript(run.transcript)
     assert sorted(logged) == sorted(segments)
     assert all(logged[seg] > 0 for seg in segments)
+
+
+def test_round_calls_carry_every_counted_operation(monkeypatch):
+    # the benchmark counts multiplications from product_batch's pairs and
+    # rounds from non-empty product and open batches, then fails a traced
+    # pass whose counts differ from the CostMeter; a round that bypasses
+    # either call would fail it
+    seen = {"mults": 0, "rounds": 0}
+    product_batch, open_batch = Engine.product_batch, Engine.open_batch
+
+    def products(self, pairs, **kwargs):
+        seen["mults"] += len(pairs)
+        seen["rounds"] += bool(pairs)
+        return product_batch(self, pairs, **kwargs)
+
+    def opens(self, handles, *args, **kwargs):
+        seen["rounds"] += bool(handles)
+        return open_batch(self, handles, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "product_batch", products)
+    monkeypatch.setattr(Engine, "open_batch", opens)
+    for alg in ("naa", "ncaa"):
+        seen.update(mults=0, rounds=0)
+        sc = Scenario(n_dno=2, n_suppliers=3, sm_per_region=[4, 3], seed=5,
+                      sigma=3, algorithm=alg)
+        total = cli.run_scenario(sc).meter.total()
+        assert total.multiplications > 0
+        assert seen == {"mults": total.multiplications,
+                        "rounds": total.rounds}, alg

@@ -262,3 +262,120 @@ def test_oblivious_permute_is_share_exact(n, t, failed):
     assert engine.meter == ref.meter
     assert engine.meter.bucket("perm").exchange_gates > 0
 
+
+
+# -- share-exact reference: the earlier per-query equality gate -------------
+
+def reference_equals(engine, queries, width):
+    """The earlier form of ``equals_public_batch``: a node list per query
+    and one flipped row per (query, set bit)."""
+    zero = mark = engine.constant(0)
+    flipped = iter(engine.lincomb_batch([
+        ([(-1, bh)], 1)
+        for bits, public_id in queries
+        for k, bh in enumerate(bits)
+        if public_id >> (width - 1 - k) & 1
+    ]))
+    nodes = [
+        [zero] + [
+            next(flipped) if public_id >> (width - 1 - k) & 1 else bh
+            for k, bh in enumerate(bits)
+        ]
+        for bits, public_id in queries
+    ]
+    size = width + 1
+    while size > 1:
+        half = size // 2
+        pairs = [pair for lst in nodes
+                 for pair in zip(lst[0:2 * half:2], lst[1:2 * half:2])]
+        merged = engine.product_batch(pairs, as_or=True)
+        nodes = [merged[qi * half:(qi + 1) * half] + lst[2 * half:]
+                 for qi, lst in enumerate(nodes)]
+        size -= half
+        engine.release({h for pair in pairs for h in pair if h >= mark})
+    out = engine.lincomb_batch([([(-1, lst[0])], 1) for lst in nodes])
+    engine.release({lst[0] for lst in nodes})
+    return out
+
+
+def equality_case(n, t, width, case):
+    """An engine and naa-style queries: every meter's bits against several
+    public IDs, plus queries that reuse bit handles at other positions.
+
+    "partial" runs at n = 2t+3 and holds one meter at 2t+1 servers only.
+    """
+    if case == "partial":
+        n += 2
+    engine = Engine(SharingParams(n, t), seed=60 + 10 * n + width,
+                    record_transcript=True)
+    draw = random.Random(width * 31 + n)
+    meters = [input_bits(engine, draw.randrange(1 << width), width)
+              for _ in range(3)]
+    if case == "partial":
+        gapped = []
+        for bh in meters[1]:
+            values = list(engine._h[bh][0])
+            values[2 * t + 1:] = [None] * (n - 2 * t - 1)
+            gapped.append(engine.input_shares(values))
+        meters[1] = gapped
+    ids = sorted({0, (1 << width) - 1, *(draw.randrange(1 << width)
+                                          for _ in range(3))})
+    queries = [(bits, u) for bits in meters for u in ids]
+    if width:
+        # a meter's bits in reverse order, and one bit in every position
+        queries.append((meters[0][::-1], ids[-1]))
+        queries.append(([meters[2][0]] * width, draw.randrange(1 << width)))
+    return engine, queries
+
+
+@pytest.mark.parametrize("case", ["shared", "partial", "rejects"])
+@pytest.mark.parametrize("width", [0, 1, 2, 8])
+@pytest.mark.parametrize("n,t", [(3, 1), (5, 2), (7, 3)])
+def test_equals_public_batch_is_share_exact(n, t, width, case,
+                                            force_rejects):
+    engine, queries = equality_case(n, t, width, case)
+    ref, ref_queries = equality_case(n, t, width, case)
+    if case == "rejects":
+        # two words of the first level's draws are >= p
+        force_rejects(engine.rng, {0, 4})
+        force_rejects(ref.rng, {0, 4})
+
+    with engine.phase("eq"):
+        out = equals_public_batch(engine, queries, width)
+    with ref.phase("eq"):
+        want = reference_equals(ref, ref_queries, width)
+    assert out == want
+    assert list(engine._h.items()) == list(ref._h.items())
+    assert engine._next_handle == ref._next_handle
+    assert engine.rng.getstate() == ref.rng.getstate()
+    assert engine.meter == ref.meter
+    assert engine.transcript == ref.transcript
+    opened = [engine.open_batch(bits) for bits, _ in queries]
+    assert engine.open_batch(out) == [
+        int(sum(b << (width - 1 - k) for k, b in enumerate(bits)) == u)
+        for bits, (_, u) in zip(opened, queries)
+    ]
+
+
+def test_equals_public_batch_one_complement_per_bit():
+    # naa's shape: every supplier's query for a meter reuses its bit handles
+    width = 8
+    engine = Engine(SharingParams(3, 1), seed=34)
+    meters = [input_bits(engine, v, width) for v in (3, 200, 77)]
+    suppliers = [1, 2, 3, 5, 129, 255]
+    caller = len(engine.live_handles())
+    flipped = {bh for bits in meters for u in suppliers
+               for k, bh in enumerate(bits) if u >> (width - 1 - k) & 1}
+    inner = engine.product_batch
+    in_flight = []
+
+    def counting(pairs, **kwargs):
+        in_flight.append(len(engine.live_handles()) - caller)
+        return inner(pairs, **kwargs)
+
+    engine.product_batch = counting
+    equals_public_batch(engine, [(bits, u) for bits in meters
+                                 for u in suppliers], width)
+    # the shared zero and one complement per distinct flipped bit, against
+    # one row per (query, set bit), 3 * 16 of them, before
+    assert in_flight[0] == 1 + len(flipped) == 1 + 3 * 8
