@@ -3,14 +3,14 @@
 The engine keeps every party's share of every live secret, so a single
 scheduler thread can play all parties of the honest-but-curious protocol
 while charging costs exactly as the real message pattern would.  A
-multiplication is one degree-reduction round in which 2t+1 senders each
-send a share to every other live party, (2t+1)*(live-1) share messages,
-which equals n*(n-1) only when n = 2t+1.  An opening
-is one broadcast round in which every live holder sends its share to
-every other live party.  Party state is only ever read through
-quorum checks, so marking a party failed simply removes it from every
-later quorum; failures are permanent for the engine's lifetime (there is
-deliberately no un-fail operation).
+multiplication is one degree-reduction round in which the first 2t+1 live
+holders each send a share to every other live party, (2t+1)*(live-1) share
+messages, which equals n*(n-1) only when n = 2t+1.  An opening is one
+broadcast round in which every live holder sends its share to every other
+live party.  Party state is only ever read through quorum checks, so
+marking a party failed simply removes it from every later quorum; failures
+are permanent for the engine's lifetime (there is deliberately no un-fail
+operation).
 
 Batch variants of the interactive operations share one round, which is
 what a real implementation would do; per-call variants (``product``,
@@ -48,29 +48,30 @@ Transcript: with ``record_transcript=True`` the engine appends one record
 per message group, ``(round, links, handle, bytes)``: a sharing's delivery
 to the servers, one product's reshare round or one handle's opening
 broadcast.  ``links`` is a non-empty tuple of ``"sender,receiver"``
-strings, one per share message of ``bytes`` bytes; a product or open
-round builds it once per holder set and shares it among the records of
-that set.  A writer expands each record into one line per link.
+strings, one per share message of ``bytes`` bytes, sender-major.  A
+round's links come from one cached plan per (live holders, live parties),
+and the meter counts those same tuples.  A writer expands each record
+into one line per link.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dfield, fields as dfields
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import compress, repeat
 from operator import add, and_, itemgetter, mod, mul, sub
 import random
+from typing import NamedTuple
 
 from . import field
-from .errors import (
-    InconsistentShares,
-    InsufficientShares,
-    TooManyFailures,
-)
+from .errors import InsufficientShares, TooManyFailures
 from .shamir import (
     RAND_BITS,
     SHARE_BYTES,
     SharingParams,
+    _add_columns,
     lagrange_at,
+    open_weights,
+    recover,
     share_values,
 )
 
@@ -146,22 +147,30 @@ class CostMeter:
             self.bucket(label).add(pc)
 
 
-# element-wise sum of two columns; reduce() folds a list of columns with it
-_add_columns = partial(map, add)
 _FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
+class _Plan(NamedTuple):
+    holders: tuple      # party indices (from 0) in q, ascending
+    weights: tuple      # ((itemgetter(i), weight), ...) per reshare sender
+    rule: tuple         # shamir.open_weights at the holders' points
+    reshare: tuple      # "pI,pJ" links of a product round
+    broadcast: tuple    # "pI,pJ" links of an opening
+
+
 @lru_cache(maxsize=1024)
-def _reshare_weights(q: int, size: int) -> tuple:
-    """``(senders, ((itemgetter(i), weight), ...))`` for the first ``size``
-    parties of holder mask ``q``, with Lagrange weights at 0 centred into
-    (-p/2, p/2]: small integers for consecutive senders ((3, -3, 1) at
-    t = 1), which keeps every column sum short.  A share is the same
-    after its one reduction mod p."""
-    senders = [i for i in range(q.bit_length()) if q >> i & 1][:size]
-    lam = lagrange_at(tuple(i + 1 for i in senders), 0)
-    return senders, tuple((itemgetter(i), w - PRIME if w > PRIME >> 1 else w)
-                          for i, w in zip(senders, lam))
+def _plan(q: int, live: int, t: int) -> _Plan:
+    """What the rounds do with a sharing held by the live parties ``q``
+    while ``live`` are; links are in the module docstring's order."""
+    holders = tuple(i for i in range(q.bit_length()) if q >> i & 1)
+    xs = tuple(i + 1 for i in holders)
+    lam = lagrange_at(xs[: 2 * t + 1], 0)
+    receivers = [j for j in range(live.bit_length()) if live >> j & 1]
+    broadcast = tuple(f"p{i + 1},p{j + 1}"
+                      for i in holders for j in receivers if j != i)
+    weights = tuple(zip(map(itemgetter, holders), lam))
+    reshare = broadcast[: len(lam) * (len(receivers) - 1)]
+    return _Plan(holders, weights, open_weights(xs, t), reshare, broadcast)
 
 
 class Engine:
@@ -274,8 +283,9 @@ class Engine:
         h = self._register(values, mask)
         self.meter.bucket(self._phase).msgs_sm_to_dcc += held
         if self.transcript is not None:
+            # delivered to the row's own holders, failed or not
             links = tuple(f"{sender},p{i + 1}"
-                          for i in range(n) if mask >> i & 1)
+                          for i in _plan(mask, mask, self.t).holders)
             self.transcript.append((self._round, links, h, SHARE_BYTES))
         return h
 
@@ -353,6 +363,19 @@ class Engine:
 
     # -- interactive operations --------------------------------------------
 
+    def _charge(self, masks: list, links: dict, numbers) -> PhaseCount:
+        """Meter a round; item u sends ``links[masks[u]]``, named ``numbers[u]``."""
+        pc = self.meter.bucket(self._phase)
+        self._round += 1
+        pc.rounds += 1
+        pc.msgs_between_dcc += sum(len(group) * masks.count(m)
+                                   for m, group in links.items())
+        if self.transcript is not None:
+            self.transcript.extend(zip(repeat(self._round),
+                                       map(links.__getitem__, masks),
+                                       numbers, repeat(SHARE_BYTES)))
+        return pc
+
     def product(self, a: Handle, b: Handle) -> Handle:
         return self.product_batch([(a, b)])[0]
 
@@ -416,14 +439,12 @@ class Engine:
                 raise InsufficientShares(
                     "fewer than 2t+1 parties hold both factors"
                 )
+            groups[m] = _plan(m & active, active, t)
 
         k = len(pairs)
-        pc = self.meter.bucket(self._phase)
-        self._round += 1
-        pc.rounds += 1
-        pc.multiplications += k
-        # 2t+1 senders each reach every other live party, per product
-        pc.msgs_between_dcc += k * size * (active.bit_count() - 1)
+        first = self._next_handle
+        links = {m: plan.reshare for m, plan in groups.items()}
+        self._charge(masks, links, range(first, first + k)).multiplications += k
 
         # product u's draws for sender s are words[u*step + s*t:][:t]
         step = size * t
@@ -438,9 +459,7 @@ class Engine:
                     words.append(w)
 
         rows: list = [None] * k
-        links = {}
-        for m in groups:
-            q = m & active
+        for m, plan in groups.items():
             # a round with one holder set, the usual case, needs no picking
             if len(groups) == 1:
                 idx = None
@@ -449,7 +468,7 @@ class Engine:
                 idx = list(compress(range(k), map(m.__eq__, masks)))
                 av = list(map(avals.__getitem__, idx))
                 bv = list(map(bvals.__getitem__, idx))
-            senders, weights = _reshare_weights(q, size)
+            weights = plan.weights
             # poly[d]: the column of F_d over the group's products
             poly = [list(reduce(_add_columns, [
                 map(mul, map(mul, map(get, av), map(get, bv)), repeat(w))
@@ -464,7 +483,7 @@ class Engine:
                     for col, (_, w) in zip(draws, weights)
                 ])))
             # a merge lives where both factors and the party do
-            held = q if as_or else active
+            held = m & active if as_or else active
             cols = []
             for j in range(n):
                 if not held >> j & 1:
@@ -484,11 +503,7 @@ class Engine:
             else:
                 for u, row in zip(idx, made):
                     rows[u] = row
-            if self.transcript is not None:
-                links[m] = tuple(f"p{i + 1},p{j + 1}" for i in senders
-                                 for j in range(n) if active >> j & 1 and j != i)
 
-        first = self._next_handle
         if as_or:
             # the products' numbers: named by the transcript, never stored
             self.skip_handles(k)
@@ -496,11 +511,6 @@ class Engine:
         for h, row in zip(out, rows):
             shares[h] = row
         self._next_handle = out.stop
-        if self.transcript is not None:
-            self.transcript.extend(zip(repeat(self._round),
-                                       map(links.__getitem__, masks),
-                                       range(first, first + k),
-                                       repeat(SHARE_BYTES)))
         return list(out)
 
     def open(self, h: Handle, kind: str = "value") -> int:
@@ -509,72 +519,29 @@ class Engine:
     def open_batch(self, handles: list[Handle], kind: str = "value") -> list[int]:
         """One broadcast round revealing the given secrets to all parties.
 
-        Every live holder broadcasts its share; reconstruction uses t+1 of
-        them and cross-checks the rest, so a corrupted share is detected
-        (InconsistentShares) rather than silently absorbed.  Every handle
-        is reconstructed and checked before the round is metered, logged
-        or recorded, so a refused round changes nothing.
+        Every live holder broadcasts its share.  ``shamir.recover`` takes
+        each holder set's handles in one call, so a corrupted share raises
+        InconsistentShares rather than being silently absorbed.  Every
+        handle is recovered before the round is metered, logged or
+        recorded, so a refused round changes nothing.
         """
         if not handles:
             return []
-        n, t = self.n, self.t
-        p = PRIME
         active = self._active
-        transcript = self.transcript
+        rows = list(map(self._h.__getitem__, handles))
+        values = list(map(_FIRST, rows))
+        # group by live holders; the plan's open_weights refuses a set below t+1
+        present = list(map(and_, map(_SECOND, rows), repeat(active)))
+        groups = {q: _plan(q, active, self.t) for q in dict.fromkeys(present)}
+        got = {}
+        for q, plan in groups.items():
+            columns = list(zip(*compress(values, map(q.__eq__, present))))
+            got[q] = iter(recover([columns[i] for i in plan.holders], plan.rule))
+        # secrets back in handle order, each group's in its own order
+        out = list(map(next, map(got.__getitem__, present)))
 
-        plan_cache: dict[int, tuple] = {}
-        out = []
-        sent = 0
-        links_seq = []
-        for h in handles:
-            values, mask = self._h[h]
-            present = mask & active
-            plan = plan_cache.get(present)
-            if plan is None:
-                holders = [i for i in range(n) if present >> i & 1]
-                if len(holders) < t + 1:
-                    raise InsufficientShares(
-                        f"opening needs t+1 shares, {len(holders)} present"
-                    )
-                base = holders[: t + 1]
-                base_xs = tuple(i + 1 for i in base)
-                lam0 = lagrange_at(base_xs, 0)
-                checks = [
-                    (i, lagrange_at(base_xs, i + 1)) for i in holders[t + 1:]
-                ]
-                links = None if transcript is None else tuple(
-                    f"p{i + 1},p{j + 1}" for i in holders
-                    for j in range(n) if active >> j & 1 and j != i
-                )
-                plan = (holders, base, lam0, checks, links)
-                plan_cache[present] = plan
-            holders, base, lam0, checks, links = plan
-
-            acc = 0
-            for idx, i in enumerate(base):
-                acc += lam0[idx] * values[i]
-            value = acc % p
-            for i, lam in checks:
-                exp = 0
-                for idx, j in enumerate(base):
-                    exp += lam[idx] * values[j]
-                if exp % p != values[i]:
-                    raise InconsistentShares(
-                        f"party {i + 1} broadcast a share off the polynomial"
-                    )
-            sent += len(holders)
-            links_seq.append(links)
-            out.append(value)
-
-        pc = self.meter.bucket(self._phase)
-        self._round += 1
-        pc.rounds += 1
-        pc.opens += len(handles)
-        # each holder broadcasts to every other live party
-        pc.msgs_between_dcc += sent * (active.bit_count() - 1)
-        if transcript is not None:
-            transcript.extend(zip(repeat(self._round), links_seq, handles,
-                                  repeat(SHARE_BYTES)))
+        links = {q: plan.broadcast for q, plan in groups.items()}
+        self._charge(present, links, handles).opens += len(handles)
         self.opened_log.extend(zip(repeat(self._phase), repeat(kind), out))
         return out
 

@@ -43,17 +43,17 @@ from .shamir import SHARE_BYTES, Share, SharingParams, reconstruct
 
 STREAMS = ("imp", "exp")
 
-# One matrix cell: {server mask -> {server index -> share value}}.
+# One matrix cell: {sorted server tuple -> {server index -> share value}}.
 # Healthy runs have a single group holding all live servers.
 CompositeCell = dict
 
 
 def merge_cells(acc: CompositeCell, extra: CompositeCell) -> None:
     """Share-wise sum of two cells, group by group."""
-    for mask, shares in extra.items():
-        mine = acc.get(mask)
+    for servers, shares in extra.items():
+        mine = acc.get(servers)
         if mine is None:
-            acc[mask] = dict(shares)
+            acc[servers] = dict(shares)
         else:
             for party, v in shares.items():
                 mine[party] = (mine[party] + v) % field.PRIME
@@ -68,11 +68,11 @@ def reconstruct_cell(cell: CompositeCell, t: int,
     that would change the total.
     """
     total = 0
-    for mask, shares in cell.items():
+    for servers, shares in cell.items():
         alive = [(party, v) for party, v in shares.items() if party not in failed]
         if len(alive) < t + 1:
             raise InsufficientShares(
-                f"cell group {mask} has {len(alive)} shares, needs {t + 1}"
+                f"cell on servers {servers}: {len(alive)} shares, needs {t + 1}"
             )
         total += reconstruct(
             [Share(party, v, t) for party, v in sorted(alive)]

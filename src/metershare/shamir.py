@@ -7,7 +7,9 @@ which is the honest-majority setting the aggregation engine assumes.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from itertools import repeat
+from operator import add, mod, mul, ne
 import random
 
 from . import field
@@ -30,6 +32,9 @@ SHARE_BYTES = 1 + 1 + 8
 # share_values and Engine.product_batch draw by that rule; the shares of
 # every golden scenario depend on it matching randrange draw for draw.
 RAND_BITS = PRIME.bit_length()
+
+# element-wise sum of two columns; reduce() folds a list of columns with it
+_add_columns = partial(map, add)
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,12 @@ def share(secret: int, params: SharingParams,
 
 @lru_cache(maxsize=4096)
 def lagrange_at(xs: tuple[int, ...], x: int) -> tuple[int, ...]:
-    """Lagrange basis coefficients for interpolating at ``x`` from points ``xs``."""
+    """Lagrange basis coefficients for interpolating at ``x`` from points ``xs``.
+
+    They are centred into (-p/2, p/2]: small integers for consecutive
+    points ((3, -3, 1) at 0 from 1, 2, 3), which keeps every product and
+    column sum short.  A value is the same after its one reduction mod p.
+    """
     coeffs = []
     for i, xi in enumerate(xs):
         num, den = 1, 1
@@ -108,7 +118,8 @@ def lagrange_at(xs: tuple[int, ...], x: int) -> tuple[int, ...]:
                 continue
             num = num * (x - xj) % PRIME
             den = den * (xi - xj) % PRIME
-        coeffs.append(num * pow(den, -1, PRIME) % PRIME)
+        w = num * pow(den, -1, PRIME) % PRIME
+        coeffs.append(w - PRIME if w > PRIME >> 1 else w)
     return tuple(coeffs)
 
 
@@ -122,12 +133,48 @@ def interpolate(points: list[tuple[int, int]], x: int = 0) -> int:
     return acc % PRIME
 
 
+@lru_cache(maxsize=4096)
+def open_weights(xs: tuple[int, ...], t: int) -> tuple:
+    """``(lam0, checks)`` for shares at the ordered points ``xs``: ``lam0``
+    gives the secret from the first t+1 shares, and each check
+    ``(k, x, lam)`` gives from them the share expected at ``x = xs[k]``.
+    Fewer than t+1 points fix no degree-t polynomial and are refused."""
+    if len(xs) < t + 1:
+        raise InsufficientShares(
+            f"degree {t} needs {t + 1} shares, got {len(xs)}")
+    base = xs[: t + 1]
+    checks = [(k, x, lagrange_at(base, x)) for k, x in enumerate(xs) if k > t]
+    return lagrange_at(base, 0), tuple(checks)
+
+
+def recover(columns, weights) -> list[int]:
+    """Secrets of a batch of sharings given as one column of reduced shares
+    per point of ``weights`` (``open_weights``), interpolated from the first
+    t+1 columns: zipped with t+1 weights, the rest drop out.  A later share
+    off its polynomial raises InconsistentShares (detected, not corrected)."""
+    lam0, checks = weights
+
+    def at(lam):
+        terms = [map(mul, col, repeat(w)) for col, w in zip(columns, lam)]
+        return map(mod, reduce(_add_columns, terms), repeat(PRIME))
+
+    for k, x, lam in checks:
+        if any(map(ne, at(lam), columns[k])):
+            raise InconsistentShares(
+                f"share of party {x} is off the polynomial"
+            )
+    return list(at(lam0))
+
+
 def _check_share_set(shares: list[Share]) -> int:
     if not shares:
         raise InsufficientShares("no shares given")
     degree = shares[0].degree
     seen = set()
     for s in shares:
+        # bool is an int; a negative degree would interpolate from no points
+        if type(s.degree) is not int or s.degree < 0:
+            raise DegreeMismatch(f"degree {s.degree!r} is not an int >= 0")
         if s.degree != degree:
             raise DegreeMismatch(f"mixed degrees {degree} and {s.degree}")
         if s.party < 1 or s.party in seen:
@@ -137,26 +184,11 @@ def _check_share_set(shares: list[Share]) -> int:
 
 
 def reconstruct(shares: list[Share]) -> int:
-    """Recover the secret from at least degree+1 shares.
-
-    With more shares than strictly needed, the extra points are verified
-    to lie on the interpolated polynomial; disagreement raises
-    InconsistentShares.  This detects corruption but does not correct it.
-    """
+    """The secret of at least degree+1 shares, by ``recover``'s rule."""
     degree = _check_share_set(shares)
-    if len(shares) < degree + 1:
-        raise InsufficientShares(
-            f"degree {degree} needs {degree + 1} shares, got {len(shares)}"
-        )
-    base = shares[: degree + 1]
-    points = [(s.party, s.value) for s in base]
-    secret = interpolate(points, 0)
-    for extra in shares[degree + 1:]:
-        if interpolate(points, extra.party) != extra.value % PRIME:
-            raise InconsistentShares(
-                f"share of party {extra.party} is off the polynomial"
-            )
-    return secret
+    xs = tuple(s.party for s in shares)
+    columns = [(s.value % PRIME,) for s in shares]
+    return recover(columns, open_weights(xs, degree))[0]
 
 
 def extend_to_secret(known: list[Share], alt_secret: int,

@@ -111,6 +111,29 @@ def test_product_messages_per_mult(n, t, failed):
     assert sum(len(links) for _, links, _, _ in products) == pc.msgs_between_dcc
 
 
+@pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
+def test_round_links_follow_the_live_set(n, t):
+    # a and b are held by every party but n, so failing party n leaves
+    # their holder set as it was: links cached by holder set alone would
+    # still reach party n
+    engine = Engine(SharingParams(n, t), seed=n + t, record_transcript=True)
+    a, b = (engine.input_shares(share_values(v, n, t, engine.rng)[:-1] + [None])
+            for v in (3, 4))
+    for live in (n, n - 1):
+        if live < n:
+            engine.fail_party(n)
+        with engine.phase(f"probe{live}"):
+            engine.product(a, b)
+            assert engine.open(a) == 3
+        product_links, open_links = (r[1] for r in engine.transcript[-2:])
+        assert len(product_links) == (2 * t + 1) * (live - 1)
+        assert len(open_links) == (n - 1) * (live - 1)
+        pc = engine.meter.bucket(f"probe{live}")
+        assert pc.msgs_between_dcc == len(product_links) + len(open_links)
+        receivers = {link.split(",")[1] for link in product_links + open_links}
+        assert receivers == {f"p{j}" for j in range(1, live + 1)}
+
+
 def test_open_costs(engine):
     h = engine.input(5)
     with engine.phase("probe"):
@@ -252,6 +275,60 @@ def test_open_after_failures(engine):
     h = engine.input(13)
     engine.fail_party(2)
     assert engine.open(h) == 13
+
+
+def tamper(engine, h, i):
+    """Store h's row with party i+1's share changed; returns the old row."""
+    values, mask = row = engine._h[h]
+    bad = (values[i] + 1) % field.PRIME
+    engine._h[h] = (values[:i] + (bad,) + values[i + 1:], mask)
+    return row
+
+
+@pytest.mark.parametrize("n,t", [(3, 1), (5, 2), (7, 3)])
+@pytest.mark.parametrize("failed", [None, 2])
+def test_open_and_reconstruct_share_one_rule(n, t, failed):
+    engine = Engine(SharingParams(n, t), seed=10 * n + t,
+                    record_transcript=True)
+    secrets = [0, 1, field.PRIME - 1, 123456789]
+    full = [engine.input(v) for v in secrets]
+    # the same secrets held by all but one party: a second holder mask
+    missing = n if n - 2 >= t + 1 else 2
+    part = [engine.input_shares([None if i == missing else v for i, v in
+                                 enumerate(share_values(s, n, t, engine.rng),
+                                           start=1)])
+            for s in secrets]
+    if failed:
+        engine.fail_party(failed)
+
+    def exported(h):
+        return [Share(p, v, t) for p, v in engine.export_shares(h).items()]
+
+    for h, v in zip(full + part, secrets * 2):
+        assert reconstruct(exported(h)) == v
+    # one batch across both masks comes back in handle order
+    mixed = [h for pair in zip(full, part) for h in pair]
+    doubled = [v for v in secrets for _ in range(2)]
+    with engine.phase("mixed"):
+        assert engine.open_batch(mixed) == doubled
+    assert engine.opened_log[-8:] == [("mixed", "value", v) for v in doubled]
+    live = [j for j in range(1, n + 1) if j != failed]
+    records = engine.transcript[-8:]
+    assert [h for _, _, h, _ in records] == mixed
+    for (_, links, h, _) in records:
+        assert list(links) == [f"p{i},p{j}" for i in engine.export_shares(h)
+                               for j in live if j != i]
+
+    holders = list(engine.export_shares(full[0]))
+    if len(holders) < t + 2:
+        return      # t+1 shares fit any polynomial: nothing to cross-check
+    for i in holders:
+        row = tamper(engine, full[2], i - 1)
+        with pytest.raises(InconsistentShares):
+            reconstruct(exported(full[2]))
+        with pytest.raises(InconsistentShares):
+            engine.open_batch(mixed)
+        engine._h[full[2]] = row
 
 
 def test_transcript_recording():

@@ -168,6 +168,16 @@ def test_reconstruct_rejects_mixed_sets(rng):
         reconstruct([a[0], b[1]])
 
 
+@pytest.mark.parametrize("degrees", [(-1,), (-1, -1), (True, True), (1, True),
+                                     (1.0, 1.0), ("1", "1")])
+def test_reconstruct_refuses_a_degree_that_is_not_an_int_at_least_0(degrees):
+    # degree -1 interpolated from no points at all and returned 0, and
+    # True passed for 1
+    shares = [Share(x, 5 * x, d) for x, d in enumerate(degrees, start=1)]
+    with pytest.raises(DegreeMismatch):
+        reconstruct(shares)
+
+
 def test_lagrange_weights_sum_property(rng):
     # weights at zero applied to a constant polynomial give the constant
     xs = (1, 3, 4)
