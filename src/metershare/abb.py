@@ -1,16 +1,16 @@
 """Simulated arithmetic black box over n lockstep parties.
 
-The engine keeps every party's share of every live secret, so a single
-scheduler thread can play all parties of the honest-but-curious protocol
-while charging costs exactly as the real message pattern would.  A
-multiplication is one degree-reduction round in which the first 2t+1 live
-holders each send a share to every other live party, (2t+1)*(live-1) share
-messages, which equals n*(n-1) only when n = 2t+1.  An opening is one
-broadcast round in which every live holder sends its share to every other
-live party.  Party state is only ever read through quorum checks, so
-marking a party failed simply removes it from every later quorum; failures
-are permanent for the engine's lifetime (there is deliberately no un-fail
-operation).
+The engine keeps the sharing polynomial of every live secret, which fixes
+every party's share, so a single scheduler thread can play all parties of
+the honest-but-curious protocol while charging costs exactly as the real
+message pattern would.  A multiplication is one degree-reduction round
+in which the first 2t+1 live holders each send a share to every other
+live party, (2t+1)*(live-1) share messages, which equals n*(n-1) only
+when n = 2t+1.  An opening is one broadcast round in which every live
+holder sends its share to every other live party.  Party state is only
+ever read through quorum checks, so marking a party failed simply
+removes it from every later quorum; failures are permanent for the
+engine's lifetime (there is deliberately no un-fail operation).
 
 Batch variants of the interactive operations share one round, which is
 what a real implementation would do; per-call variants (``product``,
@@ -35,14 +35,26 @@ round (``product_batch(..., as_or=True)``) issues its products' numbers
 this way, and the transcript still names them; the equality gate issues
 the numbers of flips that reuse a stored complement this way.
 
-Share rows: each live sharing is stored as ``(values, mask)``, where
-``values`` is an immutable tuple of n party shares (None where a party
-holds none) and bit i of ``mask`` is set if party i+1 holds its share.
-A row is never changed after it is stored; every operation writes a new
-one.  Tuples because a region holds tens of thousands of rows at once:
-the cyclic garbage collector stops tracking a tuple of ints after its
-first scan, while it rescans a list on every full collection for as long
-as the list lives.
+Sharings: each live sharing is stored as ``(coeffs, mask)``.  ``coeffs``
+is an immutable tuple of the t+1 coefficients c_0..c_t, reduced mod p, of
+the one degree-t polynomial P whose value P(i) is party i's share (Shamir,
+CACM 1979); c_0 is the secret.  Bit i of ``mask`` is set if party i+1 holds
+its share.  Every operation works on the coefficients: an affine
+combination combines them, an opening reads c_0, and a product computes
+its new coefficients directly (see ``product_batch``).  A share is
+evaluated only where one is read: ``export_shares``; shares are read into
+coefficients only at intake (``input_shares``, by ``shamir.fit``'s rule,
+which checks every further live holder's share).  A row is never
+changed after it is stored; every operation writes a new one.  Tuples
+because a region holds tens of thousands of rows at once: the cyclic
+garbage collector stops tracking a tuple of ints after its first scan,
+while it rescans a list on every full collection for as long as the list
+lives.
+
+Why a product needs no shares: the 2t+1 senders' local products
+a(x_s)*b(x_s) lie on A*B, of degree 2t, so their Lagrange combination at
+0 over those 2t+1 points is (A*B)(0) = a_0*b_0 (Gennaro, Rabin, Rabin,
+PODC 1998).  That is the combined reshare polynomial's constant term.
 
 Transcript: with ``record_transcript=True`` the engine appends one record
 per message group, ``(round, links, handle, bytes)``: a sharing's delivery
@@ -56,23 +68,22 @@ into one line per link.
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dfield, fields as dfields
-from functools import lru_cache, reduce
-from itertools import compress, repeat
+from functools import lru_cache, partial, reduce
+from itertools import repeat
 from operator import add, and_, itemgetter, mod, mul, sub
 import random
 from typing import NamedTuple
 
 from . import field
-from .errors import InsufficientShares, TooManyFailures
+from .errors import InconsistentShares, InsufficientShares, TooManyFailures
 from .shamir import (
     RAND_BITS,
     SHARE_BYTES,
     SharingParams,
-    _add_columns,
+    fit,
+    fit_rule,
     lagrange_at,
-    open_weights,
-    recover,
-    share_values,
+    share_values,  # noqa: F401  not called here; bench/tracer.py probes it
 )
 
 PRIME = field.PRIME
@@ -149,11 +160,15 @@ class CostMeter:
 
 _FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
+# element-wise sum of two columns; reduce() folds a list of columns with it
+_add_columns = partial(map, add)
+
 
 class _Plan(NamedTuple):
     holders: tuple      # party indices (from 0) in q, ascending
-    weights: tuple      # ((itemgetter(i), weight), ...) per reshare sender
-    rule: tuple         # shamir.open_weights at the holders' points
+    points: tuple       # their points x = index + 1
+    rule: tuple         # shamir.fit_rule of those points, read by intake
+    weights: tuple      # Lagrange weights at 0 of the first 2t+1 holders
     reshare: tuple      # "pI,pJ" links of a product round
     broadcast: tuple    # "pI,pJ" links of an opening
 
@@ -161,16 +176,26 @@ class _Plan(NamedTuple):
 @lru_cache(maxsize=1024)
 def _plan(q: int, live: int, t: int) -> _Plan:
     """What the rounds do with a sharing held by the live parties ``q``
-    while ``live`` are; links are in the module docstring's order."""
+    while ``live`` are; links are in the module docstring's order.  Fewer
+    than t+1 holders fix no degree-t polynomial: ``fit_rule`` refuses them
+    with InsufficientShares, and no plan is cached."""
     holders = tuple(i for i in range(q.bit_length()) if q >> i & 1)
-    xs = tuple(i + 1 for i in holders)
-    lam = lagrange_at(xs[: 2 * t + 1], 0)
+    points = tuple(i + 1 for i in holders)
+    rule = fit_rule(points, t)
+    weights = lagrange_at(points[: 2 * t + 1], 0)
     receivers = [j for j in range(live.bit_length()) if live >> j & 1]
     broadcast = tuple(f"p{i + 1},p{j + 1}"
                       for i in holders for j in receivers if j != i)
-    weights = tuple(zip(map(itemgetter, holders), lam))
-    reshare = broadcast[: len(lam) * (len(receivers) - 1)]
-    return _Plan(holders, weights, open_weights(xs, t), reshare, broadcast)
+    reshare = broadcast[: len(weights) * (len(receivers) - 1)]
+    return _Plan(holders, points, rule, weights, reshare, broadcast)
+
+
+def _evaluate(coeffs, x: int) -> int:
+    """P(x) mod p by Horner, for P's coefficients c_0..c_t."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc % PRIME
 
 
 class Engine:
@@ -188,6 +213,9 @@ class Engine:
         self._phase = "setup"
         self._round = 0
         self._h: dict[int, tuple[tuple, int]] = {}
+        # intake's plans by live holder mask: a dict lookup per sharing,
+        # about 50 against 125 ns for _plan's lru_cache key
+        self._intake: dict[int, _Plan] = {}
         self._next_handle = 1
         self._active = (1 << self.n) - 1
 
@@ -226,11 +254,29 @@ class Engine:
 
     # -- handle plumbing --------------------------------------------------
 
-    def _register(self, values, mask: int) -> Handle:
+    def _register(self, coeffs: tuple, mask: int) -> Handle:
         h = self._next_handle
         self._next_handle += 1
-        self._h[h] = (tuple(values), mask)
+        self._h[h] = (coeffs, mask)
         return h
+
+    def _draw(self, k: int) -> list[int]:
+        """k field elements by ``randrange(p)``'s rule, in draw order.
+
+        Words at or above p are dropped and the list is topped up one word
+        at a time, which accepts exactly the words k ``randrange`` calls
+        would (see ``shamir.RAND_BITS``).
+        """
+        p = PRIME
+        getrandbits = self.rng.getrandbits
+        words = list(map(getrandbits, repeat(RAND_BITS, k)))
+        if k and max(words) >= p:
+            words = [w for w in words if w < p]
+            while len(words) < k:
+                w = getrandbits(RAND_BITS)
+                if w < p:
+                    words.append(w)
+        return words
 
     def skip_handles(self, k: int) -> None:
         """Issue the next k handle numbers without storing a sharing."""
@@ -251,48 +297,89 @@ class Engine:
 
     def export_shares(self, h: Handle) -> dict[int, int]:
         """Shares held by live parties, keyed by party index."""
-        values, mask = self._h[h]
+        coeffs, mask = self._h[h]
         mask &= self._active
-        return {i + 1: values[i] for i in range(self.n) if mask >> i & 1}
+        return {i + 1: _evaluate(coeffs, i + 1)
+                for i in range(self.n) if mask >> i & 1}
 
     # -- inputs and constants ----------------------------------------------
 
+    def _record_delivery(self, h: Handle, live: int, sender: str) -> None:
+        """Record sharing h's delivery: one message to each live holder."""
+        links = tuple(f"{sender},p{i + 1}"
+                      for i in _plan(live, live, self.t).holders)
+        self.transcript.append((self._round, links, h, SHARE_BYTES))
+
     def input(self, value: int, sender: str = "dealer") -> Handle:
-        """Dealer-side sharing delivered to every party."""
-        return self.input_shares(
-            share_values(value, self.n, self.t, self.rng), sender
-        )
+        """Dealer-side sharing delivered to every live party; its t random
+        coefficients are drawn as ``share_values`` draws them."""
+        field.validate(value)
+        live = self._active
+        h = self._register((value, *self._draw(self.t)), live)
+        self.meter.bucket(self._phase).msgs_sm_to_dcc += live.bit_count()
+        if self.transcript is not None:
+            self._record_delivery(h, live, sender)
+        return h
 
-    def input_shares(self, values, sender: str = "dealer") -> Handle:
-        """Register an externally produced sharing; None marks a lost share.
+    def input_shares(self, values, sender: str = "dealer",
+                     holders: int | None = None) -> Handle:
+        """Register an externally produced sharing from its party shares.
 
-        ``values`` is copied into the engine's row once; a tuple is stored
-        as given.
+        ``values`` has one slot per party, None where no share is given.
+        ``holders`` is the mask of the parties that received the sharing,
+        by default all of them.  The sharing is held by the live holders
+        given a share, at least t+1 of them must be, and only they are
+        metered and recorded; every other slot is ignored.  The polynomial
+        is read off the first t+1 held shares by ``shamir.fit``'s rule, and
+        every further held share must lie on it: one that does not raises
+        InconsistentShares (detected, not corrected).  A refused sharing
+        registers, meters and records nothing.
+
+        At t = 1 (each meter's intake at (3,1)) that rule is unrolled
+        inline for a line, about 1.1 against 3.0 us per sharing at (3,1)
+        through ``shamir.fit``, with or without a failed party (one
+        process, 2,000 sharings, best of 15).
         """
-        n = self.n
+        n, t, p = self.n, self.t, PRIME
         if len(values) != n:
             raise InsufficientShares(f"expected {n} share slots")
-        mask, bit = 0, 1
-        for v in values:
-            if v is not None:
-                mask |= bit
-            bit <<= 1
-        held = mask.bit_count()
-        if held < self.t + 1:
-            raise InsufficientShares("sharing arrived at fewer than t+1 parties")
-        h = self._register(values, mask)
+        live = self._active if holders is None else holders & self._active
+        if None in values:
+            live &= sum(1 << i for i, v in enumerate(values) if v is not None)
+        held = live.bit_count()
+        if held <= t:
+            raise InsufficientShares(
+                "sharing arrived at fewer than t+1 live parties")
+        plan = self._intake.get(live)
+        if plan is None:
+            plan = self._intake[live] = _plan(live, live, t)
+        if t == 1:
+            # fit's rule unrolled for the line through the shares y at x
+            # and z at x2: its rows[1] is (-w, w), so c_1 = (z - y)*w, and
+            # c_0 = y - x*c_1
+            (x, x2), (_, (_, w)), checks = plan.rule
+            y = values[x - 1]
+            c1 = (values[x2 - 1] - y) * w % p
+            c0 = (y - x * c1) % p
+            coeffs = (c0, c1)
+            for _, x, _ in checks:
+                if (c0 + c1 * x - values[x - 1]) % p:
+                    raise InconsistentShares(
+                        f"share of party {x} is off the polynomial")
+        else:
+            coeffs = fit([values[i] for i in plan.holders], plan.points, t)
+        h = self._next_handle
+        self._next_handle = h + 1
+        self._h[h] = (coeffs, live)
         self.meter.bucket(self._phase).msgs_sm_to_dcc += held
         if self.transcript is not None:
-            # delivered to the row's own holders, failed or not
-            links = tuple(f"{sender},p{i + 1}"
-                          for i in _plan(mask, mask, self.t).holders)
-            self.transcript.append((self._round, links, h, SHARE_BYTES))
+            self._record_delivery(h, live, sender)
         return h
 
     def constant(self, value: int) -> Handle:
         """Public constant as a degree-0 sharing known to everyone."""
-        v = value % PRIME
-        return self._register((v,) * self.n, (1 << self.n) - 1)
+        return self._register((value % PRIME,) + (0,) * self.t,
+                              (1 << self.n) - 1)
 
     # -- local linear algebra ----------------------------------------------
 
@@ -305,59 +392,54 @@ class Engine:
         """Affine combinations ``(terms, const)``, registered in list order.
 
         Each party applies the combination to its own shares, so a result
-        lives at exactly the parties holding every term.  A share is summed
-        unreduced and reduced mod p once.  Combinations of one or two fully
-        held terms (the gate glue) take unrolled paths; the rest (region
-        sums, partial holders) sum each party's column in one pass, as a
-        bare sum when every coefficient is exactly 1 (the cell and bucket
-        sums of the region circuits).  Every combination is computed and
+        lives at exactly the parties holding every term, and at least t+1
+        must.  Evaluation is linear, so the result's coefficients are the
+        same combination of the terms' coefficients, with ``const`` added
+        to c_0.  Each coefficient is summed unreduced and reduced mod p
+        once, as a bare sum when every coefficient is exactly 1 (the cell
+        and bucket sums of the region circuits); one or two terms (the gate
+        glue) take unrolled paths.  Every combination is computed and
         checked before any is registered, so a refused batch changes
         nothing.
         """
-        n = self.n
-        full = (1 << n) - 1
+        t = self.t
         p = PRIME
         shares = self._h
+        zeros = (0,) * t
         made = []
         for terms, const in combos:
-            vals = None
             k = len(terms)
             if k == 1:
                 (c, a), = terms
-                av, mask = shares[a]
-                if mask == full:
-                    vals = tuple([(c * x + const) % p for x in av])
+                ac, mask = shares[a]
+                coeffs = tuple([(c * x + z) % p
+                                for x, z in zip(ac, (const, *zeros))])
             elif k == 2:
                 (c, a), (d, b) = terms
-                av, am = shares[a]
-                bv, bm = shares[b]
+                ac, am = shares[a]
+                bc, bm = shares[b]
                 mask = am & bm
-                if mask == full:
-                    vals = tuple([(c * x + d * y + const) % p
-                                  for x, y in zip(av, bv)])
-            if vals is None:
-                rows = [shares[x] for _, x in terms]
-                mask = full
-                for _, m in rows:
-                    mask &= m
-                if mask.bit_count() < self.t + 1:
-                    raise InsufficientShares(
-                        "combination survives at fewer than t+1 parties"
-                    )
-                coefs = [c for c, _ in terms]
-                unit = coefs.count(1) == k
-                cols = zip(*[v for v, _ in rows]) if rows else [()] * n
-                vals = tuple([
-                    ((sum(col) if unit else sum(map(mul, coefs, col)))
-                     + const) % p
-                    if mask >> i & 1 else None
-                    for i, col in enumerate(cols)
-                ])
-            made.append((vals, mask))
+                coeffs = tuple([(c * x + d * y + z) % p
+                                for x, y, z in zip(ac, bc, (const, *zeros))])
+            else:
+                rows = list(map(shares.__getitem__, map(_SECOND, terms)))
+                mask = reduce(and_, map(_SECOND, rows), (1 << self.n) - 1)
+                coefs = list(map(_FIRST, terms))
+                cols = zip(*map(_FIRST, rows)) if rows else [()] * (t + 1)
+                if coefs.count(1) == k:
+                    sums = list(map(sum, cols))
+                else:
+                    sums = [sum(map(mul, coefs, col)) for col in cols]
+                sums[0] += const
+                coeffs = tuple([v % p for v in sums])
+            if mask.bit_count() <= t:
+                raise InsufficientShares(
+                    "combination survives at fewer than t+1 parties"
+                )
+            made.append((coeffs, mask))
         first = self._next_handle
         out = range(first, first + len(made))
-        for h, row in zip(out, made):
-            shares[h] = row
+        shares.update(zip(out, made))
         self._next_handle = out.stop
         return list(out)
 
@@ -383,54 +465,50 @@ class Engine:
                       as_or: bool = False) -> list[Handle]:
         """One round of multiplications with degree reduction.
 
-        Each of 2t+1 senders i multiplies its shares locally, giving
-        d_i = a_i*b_i on the degree-2t product polynomial, and reshares d_i
-        with a fresh degree-t polynomial f_i(x) = d_i + r_i1*x + ... +
-        r_it*x^t.  Target j keeps sum_i lam_i*f_i(j), lam being the Lagrange
+        Each of 2t+1 senders s multiplies its shares locally, giving
+        d_s = a(x_s)*b(x_s) on the degree-2t product polynomial, and reshares
+        d_s with a fresh degree-t polynomial f_s(x) = d_s + r_s1*x + ... +
+        r_st*x^t.  Target j keeps sum_s lam_s*f_s(j), lam being the Lagrange
         weights at 0 over the senders, which folds the 2t+1-point
         interpolation back to a degree-t sharing of the same product
         (Gennaro, Rabin, Rabin, PODC 1998).
 
-        Evaluation at j is linear in the coefficients, so that sum equals
-        F(j) for the one combined polynomial F = sum_i lam_i*f_i, with
-        F_0 = sum_i lam_i*d_i and F_k = sum_i lam_i*r_ik.  The round computes
-        whole columns with ``map`` rather than looping over products,
-        senders and targets:
+        That sum is F(j) for the one combined polynomial F = sum_s lam_s*f_s,
+        and the round stores F's coefficients: F_0 = sum_s lam_s*d_s, which
+        is a_0*b_0 because lam interpolates the degree-2t product at 0 from
+        2t+1 points, and F_d = sum_s lam_s*r_sd for d >= 1.  No share is
+        evaluated.  The round computes whole coefficient columns over its
+        products with ``map``:
 
         - Products are grouped by the parties holding both factors.  Every
           group's live holders must form a 2t+1 quorum, and all groups are
           checked first, so a refused round meters, draws and registers
-          nothing.
+          nothing.  A group's first 2t+1 live holders send, and its
+          weights lam weigh its products' draws.
         - All K*(2t+1)*t draws come from one list, in product, then sender,
-          then k order, each by ``randrange(p)``'s rule (see
-          ``shamir.RAND_BITS``): words at or above p are dropped and the
-          list is topped up one word at a time, which accepts exactly the
-          words a per-draw rejection loop would.
-        - Per group, the first 2t+1 live holders send.  F_0 and each F_k
-          are columns over the group's products, and every live target
-          evaluates F on them by Horner, with one reduction mod p per share.
+          then d order, by ``randrange(p)``'s rule (see ``_draw``).
+        - Each coefficient is summed unreduced and reduced mod p once.
 
         ``as_or=True`` returns sharings of a + b - ab (the OR of two shared
-        bits) instead of ab.  Every target holds its reduced product share
-        after the round, so it applies the merge locally to the same share
-        columns; the result equals ``lincomb_batch([(1, a), (1, b), (-1, ab)])``
-        in values and masks (held where a, b and the party are all live).
-        The products are never stored, but their numbers are still issued:
-        products take ``first..first+K-1``, which the transcript records
-        name, and the merges ``first+K..first+2K-1``, as if the products had
-        been registered, merged and released.  Rows are stored and
-        transcript records appended in pair order.
+        bits) instead of ab: each coefficient is a_d + b_d - F_d, which is
+        ``lincomb_batch([(1, a), (1, b), (-1, ab)])`` in coefficients and
+        masks (held where a, b and the party are all live).  The products
+        are never stored, but their numbers are still issued: products take
+        ``first..first+K-1``, which the transcript records name, and the
+        merges ``first+K..first+2K-1``, as if the products had been
+        registered, merged and released.  Rows are stored and transcript
+        records appended in pair order.
         """
         if not pairs:
             return []
-        n, t = self.n, self.t
+        t = self.t
         p = PRIME
         size = 2 * t + 1
         active = self._active
         shares = self._h
         left = list(map(shares.__getitem__, map(_FIRST, pairs)))
         right = list(map(shares.__getitem__, map(_SECOND, pairs)))
-        avals, bvals = list(map(_FIRST, left)), list(map(_FIRST, right))
+        acoefs, bcoefs = list(map(_FIRST, left)), list(map(_FIRST, right))
         # products group by the parties holding both factors
         masks = list(map(and_, map(_SECOND, left), map(_SECOND, right)))
         groups = dict.fromkeys(masks)
@@ -448,68 +526,31 @@ class Engine:
 
         # product u's draws for sender s are words[u*step + s*t:][:t]
         step = size * t
-        need = k * step
-        getrandbits = self.rng.getrandbits
-        words = list(map(getrandbits, repeat(RAND_BITS, need)))
-        if max(words) >= p:
-            words = [w for w in words if w < p]
-            while len(words) < need:
-                w = getrandbits(RAND_BITS)
-                if w < p:
-                    words.append(w)
+        words = self._draw(k * step)
+        if len(groups) == 1:
+            weights = list(map(repeat, groups[masks[0]].weights))
+        else:
+            # sender s's weight per product, by the product's group
+            weights = list(zip(*[groups[m].weights for m in masks]))
 
-        rows: list = [None] * k
-        for m, plan in groups.items():
-            # a round with one holder set, the usual case, needs no picking
-            if len(groups) == 1:
-                idx = None
-                av, bv = avals, bvals
-            else:
-                idx = list(compress(range(k), map(m.__eq__, masks)))
-                av = list(map(avals.__getitem__, idx))
-                bv = list(map(bvals.__getitem__, idx))
-            weights = plan.weights
-            # poly[d]: the column of F_d over the group's products
-            poly = [list(reduce(_add_columns, [
-                map(mul, map(mul, map(get, av), map(get, bv)), repeat(w))
-                for get, w in weights
-            ]))]
-            for d in range(t):
-                draws = [words[s * t + d::step] for s in range(size)]
-                if idx is not None:
-                    draws = [list(map(col.__getitem__, idx)) for col in draws]
-                poly.append(list(reduce(_add_columns, [
-                    map(mul, col, repeat(w))
-                    for col, (_, w) in zip(draws, weights)
-                ])))
-            # a merge lives where both factors and the party do
-            held = m & active if as_or else active
-            cols = []
-            for j in range(n):
-                if not held >> j & 1:
-                    cols.append(repeat(None))
-                    continue
-                x = repeat(j + 1)
-                acc = poly[t]
-                for c in poly[t - 1::-1]:
-                    acc = map(add, map(mul, acc, x), c)
-                if as_or:
-                    get = itemgetter(j)
-                    acc = map(sub, map(add, map(get, av), map(get, bv)), acc)
-                cols.append(map(mod, acc, repeat(p)))
-            made = zip(zip(*cols), repeat(held))
-            if idx is None:
-                rows = list(made)
-            else:
-                for u, row in zip(idx, made):
-                    rows[u] = row
-
+        cols = [map(mul, map(_FIRST, acoefs), map(_FIRST, bcoefs))]
+        for d in range(t):
+            cols.append(reduce(_add_columns, [
+                map(mul, words[s * t + d::step], w)
+                for s, w in enumerate(weights)
+            ]))
         if as_or:
+            cols = [map(sub, map(add, map(get, acoefs), map(get, bcoefs)), col)
+                    for get, col in zip(map(itemgetter, range(t + 1)), cols)]
+            # a merge lives where both factors and the party do
+            held = map(and_, masks, repeat(active))
             # the products' numbers: named by the transcript, never stored
             self.skip_handles(k)
+        else:
+            held = repeat(active)
+        rows = zip(zip(*[map(mod, col, repeat(p)) for col in cols]), held)
         out = range(self._next_handle, self._next_handle + k)
-        for h, row in zip(out, rows):
-            shares[h] = row
+        shares.update(zip(out, rows))
         self._next_handle = out.stop
         return list(out)
 
@@ -519,26 +560,21 @@ class Engine:
     def open_batch(self, handles: list[Handle], kind: str = "value") -> list[int]:
         """One broadcast round revealing the given secrets to all parties.
 
-        Every live holder broadcasts its share.  ``shamir.recover`` takes
-        each holder set's handles in one call, so a corrupted share raises
-        InconsistentShares rather than being silently absorbed.  Every
-        handle is recovered before the round is metered, logged or
-        recorded, so a refused round changes nothing.
+        Every live holder broadcasts its share, and the secret is c_0.  A
+        handle with fewer than t+1 live holders fixes no degree-t
+        polynomial, so the round is refused by ``shamir.fit_rule``'s rule
+        (through ``_plan``) before it is metered, logged or recorded, and a
+        refused round changes nothing.  Shares are checked where a sharing
+        enters the engine (``input_shares``).
         """
         if not handles:
             return []
+        t = self.t
         active = self._active
         rows = list(map(self._h.__getitem__, handles))
-        values = list(map(_FIRST, rows))
-        # group by live holders; the plan's open_weights refuses a set below t+1
         present = list(map(and_, map(_SECOND, rows), repeat(active)))
-        groups = {q: _plan(q, active, self.t) for q in dict.fromkeys(present)}
-        got = {}
-        for q, plan in groups.items():
-            columns = list(zip(*compress(values, map(q.__eq__, present))))
-            got[q] = iter(recover([columns[i] for i in plan.holders], plan.rule))
-        # secrets back in handle order, each group's in its own order
-        out = list(map(next, map(got.__getitem__, present)))
+        groups = {q: _plan(q, active, t) for q in dict.fromkeys(present)}
+        out = list(map(_FIRST, map(_FIRST, rows)))
 
         links = {q: plan.broadcast for q, plan in groups.items()}
         self._charge(present, links, handles).opens += len(handles)
@@ -567,10 +603,8 @@ class Engine:
             rs = []
             for _ in pending:
                 r = self.rng.randrange(p)
-                rs.append(self._register(
-                    share_values(r, self.n, self.t, self.rng),
-                    self._active,
-                ))
+                rs.append(self._register((r, *self._draw(self.t)),
+                                         self._active))
             squares = self.product_batch([(h, h) for h in rs])
             opened = self.open_batch(squares, kind="rand")
             kept = [(slot, hr, sq)

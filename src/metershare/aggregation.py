@@ -203,7 +203,9 @@ def niaa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
     """One-hot aggregation: pure share addition, no messages at all.
 
     Tuples whose shares reached different server subsets are summed in
-    separate groups so each group stays reconstructable on its own.
+    separate groups so each group stays reconstructable on its own.  All
+    handles of one tuple must have one holder mask, as ``submit`` gives
+    them.
     """
     if not tuples:
         return _zero_rows(engine, len(suppliers), region)
@@ -213,28 +215,27 @@ def niaa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
                 raise VectorLengthMismatch(
                     f"meter {rec.sm} sent a vector of the wrong length"
                 )
-    mask_of = engine.handle_mask
-    parties = range(engine.n)
 
     def holders(group) -> list:
         mask, _ = group
-        return [i for i in parties if mask >> i & 1]
+        return [i for i in range(engine.n) if mask >> i & 1]
 
+    # every handle of a meter has the holder mask of its bundle (``submit``),
+    # so meters are grouped once, by their first handle's mask
+    by_mask: dict = {}
+    mask_of = engine.handle_mask
+    for rec in tuples:
+        by_mask.setdefault(mask_of(rec.fields[0][0]), []).append(rec)
+    # groups are summed in the order of their sorted holder lists
+    # ({1,2,3} before {1,3}), which fixes the sums' handle numbers
+    groups = [recs for _, recs in sorted(by_mask.items(), key=holders)]
     cells = []
     for s, stream in enumerate(STREAMS):
         with engine.phase(f"region_aggregation/{region}/{stream}"):
-            # one {holder mask -> handles} table per supplier, in one pass;
-            # the (1, h) terms are built one group at a time
-            by_mask = [{} for _ in suppliers]
-            for rec in tuples:
-                for groups, h in zip(by_mask, rec.fields[s]):
-                    groups.setdefault(mask_of(h), []).append(h)
-            # groups are summed in the order of their sorted holder lists
-            # ({1,2,3} before {1,3}), which fixes the sums' handle numbers
             cells.append([
-                [engine.lincomb([(1, h) for h in hs])
-                 for _, hs in sorted(groups.items(), key=holders)]
-                for groups in by_mask
+                [engine.lincomb([(1, rec.fields[s][k]) for rec in recs])
+                 for recs in groups]
+                for k in range(len(suppliers))
             ])
     return RegionRows(region=region, cells=cells)
 

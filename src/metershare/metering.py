@@ -34,7 +34,7 @@ DEFAULT_EXP_LEVEL = 3000
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit sub-seed from a path of labels."""
-    text = "/".join(str(p) for p in parts)
+    text = "/".join(map(str, parts))
     return int.from_bytes(
         hashlib.sha256(text.encode()).digest()[:8], "little"
     )
@@ -172,33 +172,44 @@ class SmartMeter:
         return (self.supplier_imp, self.supplier_exp)
 
 
+def _below(getrandbits, n: int) -> int:
+    """A draw in [0, n) by ``randrange(n)``'s rule, which ``randint`` uses:
+    ``getrandbits(n.bit_length())``, redrawn while >= n.  Same values and
+    generator state as ``randint``, without its Python layers."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def build_meters(scenario: Scenario) -> list[SmartMeter]:
-    """Deterministic meter population; supplier choice per meter, per flow."""
+    """Deterministic meter population; supplier choice per meter, per flow,
+    each as ``randint(1, n_suppliers)`` draws it (see ``_below``)."""
     meters = []
     sm_id = 0
+    n_s = scenario.n_suppliers
     for region, count in enumerate(scenario.sm_per_region, start=1):
         for _ in range(count):
             sm_id += 1
-            rng = random.Random(derive_seed(scenario.seed, "meter", sm_id))
-            meters.append(SmartMeter(
-                sm_id=sm_id,
-                region=region,
-                supplier_imp=rng.randint(1, scenario.n_suppliers),
-                supplier_exp=rng.randint(1, scenario.n_suppliers),
-            ))
+            draw = random.Random(
+                derive_seed(scenario.seed, "meter", sm_id)).getrandbits
+            imp = _below(draw, n_s) + 1
+            meters.append(SmartMeter(sm_id, region, imp,
+                                     _below(draw, n_s) + 1))
     return meters
 
 
 def generate_readings(scenario: Scenario, meters: list[SmartMeter],
                       slot: int = 0) -> dict:
-    """Per-slot readings, reproducible per (seed, slot, meter)."""
+    """Per-slot readings, reproducible per (seed, slot, meter), each as
+    ``randint(0, level)`` draws it (see ``_below``)."""
     readings = {}
     for m in meters:
-        rng = random.Random(derive_seed(scenario.seed, "reading", slot, m.sm_id))
-        readings[m.sm_id] = (
-            rng.randint(0, DEFAULT_IMP_LEVEL),
-            rng.randint(0, DEFAULT_EXP_LEVEL),
-        )
+        draw = random.Random(
+            derive_seed(scenario.seed, "reading", slot, m.sm_id)).getrandbits
+        imp = _below(draw, DEFAULT_IMP_LEVEL + 1)
+        readings[m.sm_id] = (imp, _below(draw, DEFAULT_EXP_LEVEL + 1))
     return readings
 
 
@@ -275,6 +286,10 @@ def submit(engine: Engine, scenario: Scenario,
     algorithms multiply, so they need a common 2t+1 quorum per meter,
     while pure addition survives on any t+1.  Rejected meters are listed
     in the report and take no part in aggregation or its oracle.
+
+    An admitted meter's sharings all reach the same servers, so every
+    handle of a returned ``MeterTuple`` has one holder mask, the servers
+    that received its bundle; ``niaa_region`` groups meters by it.
     """
     n, t = scenario.n_servers, scenario.threshold
     dead = set(scenario.fail_servers)
@@ -309,19 +324,11 @@ def submit(engine: Engine, scenario: Scenario,
             continue
         report.included.append(rec.sm)
         sender = f"sm{rec.sm}"
-        # each row is filled into one buffer, where a lost leg's slot stays
-        # None, and copied once: into the tuple the engine stores as given.
-        # Sharings register in draw order: the fields, then the readings
-        kept = [i for i in range(n) if i + 1 in received]
-        row = [None] * n
-        groups = []
-        for group in (*rec.fields, rec.readings):
-            handles = []
-            for values in group:
-                for i in kept:
-                    row[i] = values[i]
-                handles.append(input_shares(tuple(row), sender))
-            groups.append(tuple(handles))
+        holders = sum(1 << (s - 1) for s in received)
+        # sharings register in draw order: the fields, then the readings
+        groups = [tuple([input_shares(values, sender, holders)
+                         for values in group])
+                  for group in (*rec.fields, rec.readings)]
         tuples.append(MeterTuple(rec.sm, tuple(groups[:-1]), groups[-1]))
     return tuples, report
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from metershare.abb import Engine
+from metershare.field import PRIME
 from metershare.shamir import RAND_BITS, SharingParams
 
 
@@ -20,6 +21,18 @@ def engine():
 @pytest.fixture
 def engine5():
     return Engine(SharingParams(5, 2), seed=13)
+
+
+def share_row(engine, h):
+    """Sharing h as a row of party shares, ``(values, mask)``: its
+    polynomial's value at each party in the mask, None elsewhere."""
+    coeffs, mask = engine._h[h]
+    values = tuple(
+        sum(c * x ** d for d, c in enumerate(coeffs)) % PRIME
+        if mask >> (x - 1) & 1 else None
+        for x in range(1, engine.n + 1)
+    )
+    return values, mask
 
 
 def _force_rejects(rng, at):

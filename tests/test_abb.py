@@ -3,6 +3,7 @@
 import copy
 import random
 
+from conftest import share_row
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -144,13 +145,20 @@ def test_open_costs(engine):
     assert pc.mult_equivalents == 1
 
 
-def test_open_detects_tampered_share(engine):
-    h = engine.input(5)
-    values, mask = engine._h[h]
-    # rows are immutable, so tamper by storing a changed row in its place
-    engine._h[h] = (values[:2] + ((values[2] + 1) % field.PRIME,), mask)
-    with pytest.raises(InconsistentShares):
-        engine.open(h)
+@pytest.mark.parametrize("n,t", [(3, 1), (5, 2), (7, 3)])
+def test_intake_detects_tampered_share(n, t):
+    # one altered share at any position is off the polynomial the others
+    # fix: refused at intake, leaving nothing registered, metered or recorded
+    engine = Engine(SharingParams(n, t), seed=n + t, record_transcript=True)
+    engine.input(1)
+    values = share_values(5, n, t, engine.rng)
+    before = engine_state(engine)
+    for i in range(n):
+        bad = values[:i] + [(values[i] + 1) % field.PRIME] + values[i + 1:]
+        with pytest.raises(InconsistentShares):
+            engine.input_shares(bad, "sm1")
+        assert engine_state(engine) == before
+    assert engine.open(engine.input_shares(values, "sm1")) == 5
 
 
 def test_opened_log_records_phase_and_kind(engine):
@@ -167,6 +175,45 @@ def test_input_shares_with_gaps(engine):
     assert engine.open(h) == 77
     with pytest.raises(InsufficientShares):
         engine.input_shares([vals[1], None, None])
+
+
+def test_input_shares_counts_live_holders_only():
+    engine = Engine(SharingParams(3, 1), seed=3, record_transcript=True)
+    engine.fail_party(2)
+    before = engine_state(engine)
+    # two shares given, one of them to the failed party: one live holder
+    with pytest.raises(InsufficientShares):
+        engine.input_shares([5, 6, None], "sm1")
+    assert engine_state(engine) == before
+    # all three given (on 4 + x): held, metered and recorded at 1 and 3 only
+    with engine.phase("probe"):
+        h = engine.input_shares([5, 6, 7], "sm1")
+    assert engine.handle_mask(h) == 0b101
+    assert engine.meter.bucket("probe").msgs_sm_to_dcc == 2
+    assert engine.transcript[-1][1] == ("sm1,p1", "sm1,p3")
+    assert engine.open(h) == 4
+
+
+def test_input_shares_fits_only_held_shares():
+    engine = Engine(SharingParams(3, 1), seed=3, record_transcript=True)
+    # a holder given no share does not hold the sharing (on 4 + x) ...
+    with engine.phase("probe"):
+        h = engine.input_shares([5, None, 7], "sm1", holders=0b111)
+    assert engine.handle_mask(h) == 0b101
+    assert engine.meter.bucket("probe").msgs_sm_to_dcc == 2
+    assert engine.transcript[-1][1] == ("sm1,p1", "sm1,p3")
+    assert engine.open(h) == 4
+    # ... so it does not count toward a product's 2t+1 quorum
+    before = engine_state(engine)
+    with pytest.raises(InsufficientShares):
+        engine.product(h, h)
+    assert engine_state(engine) == before
+    # a share outside holders, or at a failed party, is not fitted or checked
+    g = engine.input_shares([5, 6, 99], "sm1", holders=0b011)
+    assert engine.handle_mask(g) == 0b011 and engine.open(g) == 4
+    engine.fail_party(3)
+    f = engine.input_shares([5, 6, 99], "sm1")
+    assert engine.handle_mask(f) == 0b011 and engine.open(f) == 4
 
 
 def test_random_bits_are_bits(engine, rng):
@@ -250,7 +297,7 @@ def test_fail_party_then_product_still_correct():
     engine.fail_party(2)
     h = engine.product(x, y)
     assert engine.open(h) == 42
-    values, mask = engine._h[h]
+    values, mask = share_row(engine, h)
     assert values[1] is None and not mask & 0b10
     assert engine._active == 0b11101
 
@@ -275,14 +322,6 @@ def test_open_after_failures(engine):
     h = engine.input(13)
     engine.fail_party(2)
     assert engine.open(h) == 13
-
-
-def tamper(engine, h, i):
-    """Store h's row with party i+1's share changed; returns the old row."""
-    values, mask = row = engine._h[h]
-    bad = (values[i] + 1) % field.PRIME
-    engine._h[h] = (values[:i] + (bad,) + values[i + 1:], mask)
-    return row
 
 
 @pytest.mark.parametrize("n,t", [(3, 1), (5, 2), (7, 3)])
@@ -319,16 +358,20 @@ def test_open_and_reconstruct_share_one_rule(n, t, failed):
         assert list(links) == [f"p{i},p{j}" for i in engine.export_shares(h)
                                for j in live if j != i]
 
-    holders = list(engine.export_shares(full[0]))
-    if len(holders) < t + 2:
+    shares = engine.export_shares(full[2])
+    if len(shares) < t + 2:
         return      # t+1 shares fit any polynomial: nothing to cross-check
-    for i in holders:
-        row = tamper(engine, full[2], i - 1)
+    # a tampered share is refused by the recipients' rule and at intake,
+    # which is where the engine checks shares
+    before = engine_state(engine)
+    for i in shares:
+        bad = {p: (v + 1) % field.PRIME if p == i else v
+               for p, v in shares.items()}
         with pytest.raises(InconsistentShares):
-            reconstruct(exported(full[2]))
+            reconstruct([Share(p, v, t) for p, v in bad.items()])
         with pytest.raises(InconsistentShares):
-            engine.open_batch(mixed)
-        engine._h[full[2]] = row
+            engine.input_shares([bad.get(p) for p in range(1, n + 1)])
+        assert engine_state(engine) == before
 
 
 def test_transcript_recording():
@@ -373,8 +416,8 @@ def reference_reshare(engine, pairs):
     rng = engine.rng
     out = []
     for ha, hb in pairs:
-        av, am = engine._h[ha]
-        bv, bm = engine._h[hb]
+        av, am = share_row(engine, ha)
+        bv, bm = share_row(engine, hb)
         q = am & bm & active
         senders = [i for i in range(n) if q >> i & 1][: 2 * t + 1]
         targets = [i for i in range(n) if active >> i & 1]
@@ -406,13 +449,14 @@ def reference_reshare(engine, pairs):
     return out
 
 
-def reference_lincomb(engine, terms, const=0):
-    """Term-by-term affine combination; returns (values, mask)."""
+def reference_lincomb(engine, terms, const=0, extra=None):
+    """Term-by-term affine combination; returns (values, mask).  ``extra``
+    maps handles the engine does not hold to their rows."""
     n, p = engine.n, field.PRIME
     mask = (1 << n) - 1
     vals = [const % p] * n
     for coef, h in terms:
-        hv, hm = engine._h[h]
+        hv, hm = extra[h] if extra and h in extra else share_row(engine, h)
         mask &= hm
         c = coef % p
         for i in range(n):
@@ -432,7 +476,7 @@ def loaded_engine(n, t, degrade, record_transcript=False):
     for k in range(12):
         h = engine.input(draw.randrange(field.PRIME))
         if degrade == "gapped" and k % 2:
-            values = list(engine._h[h][0])
+            values = list(share_row(engine, h)[0])
             values[k % n] = None
             h = engine.input_shares(values)
         handles.append(h)
@@ -457,7 +501,7 @@ def test_product_batch_is_share_exact(n, t, degrade):
     pairs.append((handles[0], handles[0]))
 
     out = engine.product_batch(pairs)
-    assert [engine._h[h] for h in out] == reference_reshare(ref, pairs)
+    assert [share_row(engine, h) for h in out] == reference_reshare(ref, pairs)
     assert engine.rng.getstate() == ref.rng.getstate()
     for h, (ha, hb) in zip(out, pairs):
         want = engine.open(ha) * engine.open(hb) % field.PRIME
@@ -474,6 +518,10 @@ class StoreLog(dict):
     def __setitem__(self, h, value):
         self.stored.append(h)
         super().__setitem__(h, value)
+
+    def update(self, pairs):
+        for h, value in pairs:
+            self[h] = value
 
 
 @pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
@@ -494,13 +542,12 @@ def test_product_batch_as_or_is_share_exact(n, t, degrade):
     with plain.phase("probe"):
         products = plain.product_batch(pairs)
     assert products == list(range(first, first + k))
-    for h, product in zip(products, reference_reshare(ref, pairs)):
-        ref._h[h] = product
-    want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)])
+    rows = dict(zip(products, reference_reshare(ref, pairs)))
+    want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)], extra=rows)
             for (a, b), ab in zip(pairs, products)]
 
     assert out == list(range(first + k, first + 2 * k))
-    assert [engine._h[h] for h in out] == want
+    assert [share_row(engine, h) for h in out] == want
     assert engine._next_handle == first + 2 * k
     assert engine.rng.getstate() == ref.rng.getstate() == plain.rng.getstate()
     # records name the products; counters match the plain round
@@ -537,13 +584,13 @@ def test_product_batch_redraws_words_above_prime(n, t, degrade, as_or, where,
     want = reference_reshare(ref, pairs)
     if as_or:
         products = range(first, first + k)
-        ref._h.update(zip(products, want))
-        want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)])
+        rows = dict(zip(products, want))
+        want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)], extra=rows)
                 for (a, b), ab in zip(pairs, products)]
     shift = k if as_or else 0
     assert out == list(range(first + shift, first + shift + k))
     assert engine._next_handle == first + shift + k
-    assert [engine._h[h] for h in out] == want
+    assert [share_row(engine, h) for h in out] == want
     assert engine.rng.getstate() == ref.rng.getstate()
 
 
@@ -554,24 +601,29 @@ def engine_state(engine):
 
 
 @pytest.mark.parametrize("op", ["product", "product as_or", "open short",
-                                "open tampered"])
+                                "intake tampered"])
 def test_refused_round_changes_nothing(op):
     engine = Engine(SharingParams(5, 2), seed=21, record_transcript=True)
     a, b = engine.input(3), engine.input(4)
-    values = engine._h[engine.input(5)][0]
+    values = share_row(engine, engine.input(5))[0]
     # c is held by parties 1-3 only: enough to open, too few to multiply
     c = engine.input_shares(values[:3] + (None, None))
-    tampered = engine.input_shares(values[:4] + ((values[4] + 1) % field.PRIME,))
+    tampered = values[:4] + ((values[4] + 1) % field.PRIME,)
     engine.open(engine.product(a, b))
     if op == "open short":
         engine.fail_party(3)
     before = engine_state(engine)
     with engine.phase("probe"), pytest.raises((InsufficientShares,
-                                               InconsistentShares)):
+                                               InconsistentShares)) as refused:
         if op.startswith("product"):
             engine.product_batch([(a, b), (a, c)], as_or=op.endswith("as_or"))
+        elif op == "open short":
+            engine.open_batch([a, c])
         else:
-            engine.open_batch([a, c if op == "open short" else tampered])
+            engine.input_shares(tampered)
+    if op == "open short":
+        # shamir.fit_rule's refusal, word for word
+        assert str(refused.value) == "degree 2 needs 3 shares, got 2"
     assert engine_state(engine) == before
     assert "probe" not in engine.meter.phases
 
@@ -579,7 +631,7 @@ def test_refused_round_changes_nothing(op):
 def test_refused_lincomb_batch_changes_nothing():
     engine = Engine(SharingParams(5, 2), seed=22, record_transcript=True)
     a = engine.input(3)
-    values = engine._h[engine.input(5)][0]
+    values = share_row(engine, engine.input(5))[0]
     # c and d are held by parties 1-3 and 3-5: their sum by party 3 only
     c = engine.input_shares(values[:3] + (None, None))
     d = engine.input_shares((None, None) + values[2:])
@@ -622,10 +674,9 @@ def reference_random_bits(engine, k):
         rs = []
         for _ in pending:
             r = engine.rng.randrange(p)
-            rs.append(engine._register(
-                share_values(r, engine.n, engine.t, engine.rng),
-                engine._active,
-            ))
+            # the coefficients share_values draws after the secret
+            coeffs = [engine.rng.randrange(p) for _ in range(engine.t)]
+            rs.append(engine._register((r, *coeffs), engine._active))
         squares = engine.product_batch([(h, h) for h in rs])
         opened = engine.open_batch(squares, kind="rand")
         retry = []
@@ -693,10 +744,10 @@ def test_lincomb_is_share_exact(n, t, degrade, n_terms):
     ]
     const = draw.randrange(-5, field.PRIME)
     want = reference_lincomb(engine, terms, const)
-    assert engine._h[engine.lincomb(terms, const)] == want
+    assert share_row(engine, engine.lincomb(terms, const)) == want
     batch = engine.lincomb_batch([(terms, const), (terms[:1], 0)])
-    assert engine._h[batch[0]] == want
-    assert engine._h[batch[1]] == reference_lincomb(engine, terms[:1])
+    assert share_row(engine, batch[0]) == want
+    assert share_row(engine, batch[1]) == reference_lincomb(engine, terms[:1])
 
 
 @pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
@@ -716,22 +767,21 @@ def test_unit_sums_are_share_exact(n, t, degrade, monkeypatch):
     terms = [(1, h) for h in handles + handles[:3]]
     for const in (0, 12345, -1):
         want = reference_lincomb(engine, terms, const)
-        assert engine._h[engine.lincomb(terms, const)] == want
+        assert share_row(engine, engine.lincomb(terms, const)) == want
     assert not products  # every coefficient is 1: a bare column sum
     # p + 1 is 1 in the field but not the integer 1, so it multiplies
     near = [(p + 1, h) for _, h in terms]
     want = reference_lincomb(engine, terms, 7)
-    assert engine._h[engine.lincomb(near, 7)] == want
+    assert share_row(engine, engine.lincomb(near, 7)) == want
     assert products
 
 
 def test_every_stored_row_is_a_tuple(engine5):
+    # t+1 reduced coefficients, whatever made the sharing
     e = engine5
     a, b, c = e.input(3), e.input(4), e.input(5)
     values = e.export_shares(a)
-    row = (values[1], None, values[3], values[4], None)
-    gapped = e.input_shares(row)
-    assert e._h[gapped][0] is row  # a tuple is stored without a copy
+    gapped = e.input_shares((values[1], None, values[3], values[4], None))
     stored = {
         "input": a,
         "input_shares gapped": gapped,
@@ -746,7 +796,9 @@ def test_every_stored_row_is_a_tuple(engine5):
         "random_bits_batch": e.random_bits_batch(1)[0],
     }
     for path, h in stored.items():
-        assert type(e._h[h][0]) is tuple, path
+        coeffs, _ = e._h[h]
+        assert type(coeffs) is tuple and len(coeffs) == e.t + 1, path
+        assert all(0 <= c < field.PRIME for c in coeffs), path
 
 
 def test_lincomb_batch_registers_in_order(engine):
@@ -823,9 +875,10 @@ def test_fuzz_engine_circuits_match_plaintext(params, ops, fail, seed):
         return value % P, mask
 
     for op, *args in ops:
+        # a sharing is delivered to, and held by, live parties only
         if op == "input":
             h = engine.input(args[0])
-            plain[h] = (args[0], full)
+            plain[h] = (args[0], active)
         elif op == "input_shares":
             value, lost = args
             mask = full
@@ -833,12 +886,12 @@ def test_fuzz_engine_circuits_match_plaintext(params, ops, fail, seed):
                 mask &= ~(1 << (party - 1))
             shares = share_values_for(value, n, t, seed)
             values = [v if mask >> i & 1 else None for i, v in enumerate(shares)]
-            if mask.bit_count() < t + 1:
+            if (mask & active).bit_count() < t + 1:
                 with pytest.raises(InsufficientShares):
                     engine.input_shares(values)
                 continue
             h = engine.input_shares(values)
-            plain[h] = (value, mask)
+            plain[h] = (value, mask & active)
         elif not handles:
             continue
         elif op in ("lincomb", "lincomb_batch"):

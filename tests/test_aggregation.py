@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from metershare import field
+from metershare import cli, field
 from metershare.abb import Engine
 from metershare.aggregation import (
     STREAMS,
@@ -140,6 +140,26 @@ def test_ncaa_region_opens_only_supplier_ids():
                 # control-bit generation opens blinded squares only
                 assert phase.startswith("randomness_setup/")
                 assert kind == "rand"
+
+
+@pytest.mark.parametrize("alg", ["naa", "ncaa", "niaa"])
+def test_run_opens_only_what_its_algorithm_reveals(alg):
+    # opened values by phase and kind over a whole run: naa and niaa open
+    # nothing before output distribution, ncaa the routed supplier IDs and
+    # the blinded squares of its control bits
+    sc = small_scenario(alg, seed=61)
+    run = cli.run_scenario(sc)
+    assert cli.check_result(run) == [] and not run.excluded
+    opened: dict = {}
+    for phase, kind, value in run.opened_log:
+        opened.setdefault((phase.split("/")[0], kind), []).append(value)
+    if alg != "ncaa":
+        assert opened == {}
+        return
+    assert set(opened) == {("region_aggregation", "supplier_id"),
+                           ("randomness_setup", "rand")}
+    ids = [u for m in build_meters(sc) for u in m.suppliers]
+    assert sorted(opened["region_aggregation", "supplier_id"]) == sorted(ids)
 
 
 def test_ncaa_rejects_unregistered_id():

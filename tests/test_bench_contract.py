@@ -52,6 +52,18 @@ def load_bench(name: str):
     return module
 
 
+def bench_test_table(name: str):
+    """A literal table of ``bench/test_bench.py``, read without importing
+    it (it imports pytest fixtures and the benchmark's modules)."""
+    tree = ast.parse((BENCH_DIR / "test_bench.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise KeyError(name)
+
+
 def test_tracer_probes_resolve_and_fire():
     tracer_module = load_bench("tracer")
     missing = [
@@ -60,24 +72,36 @@ def test_tracer_probes_resolve_and_fire():
     ]
     assert missing == []
     # a probe on a name the program no longer calls would resolve and
-    # silently count nothing; one small run per algorithm reaches them all
+    # silently count nothing.  One small run of each workload's scenario
+    # must call every probed span that the benchmark's own tests require to
+    # move on that workload (NONZERO), and the runs together every probe
+    workloads = load_bench("run").WORKLOADS
+    nonzero = bench_test_table("NONZERO")
     tracer = tracer_module.Tracer(metershare)
-    calls = dict.fromkeys(tracer.names, 0)
+    total = dict.fromkeys(tracer.names, 0)
+    silent = {}
     tracer.install()
     try:
-        for alg in ("naa", "ncaa", "niaa"):
+        for name, spec in workloads.items():
             tracer.start_pass()
-            sc = Scenario(n_dno=2, n_suppliers=2, sm_per_region=[3, 2],
-                          seed=4, sigma=3, algorithm=alg)
-            run = cli.run_scenario(sc)
+            shape = dict(spec["scenario"], seed=4,
+                         sm_per_region=[3] * spec["scenario"]["n_dno"])
+            run = cli.run_scenario(Scenario(**shape),
+                                   record_transcript=spec["transcript"])
             assert cli.check_result(run) == []
             cli.build_report(run)
-            for name, (n_calls, *_rest) in tracer.finish_pass().items():
-                if name in calls:
-                    calls[name] += n_calls
+            calls = {span: totals[0]
+                     for span, totals in tracer.finish_pass().items()
+                     if span in total}
+            for span, n_calls in calls.items():
+                total[span] += n_calls
+            required = {key.rpartition(".")[0] for key in nonzero[name]}
+            silent[name] = sorted(span for span in required & set(calls)
+                                  if not calls[span])
     finally:
         tracer.uninstall()
-    assert [name for name, n in calls.items() if not n] == []
+    assert silent == dict.fromkeys(workloads, [])
+    assert [name for name, n in total.items() if not n] == []
 
 
 def test_run_pass_calls_resolve_on_cli():

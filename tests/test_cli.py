@@ -323,26 +323,29 @@ def test_selftest_catches_flipped_equality(monkeypatch):
     assert problem is not None and "opened" in problem
 
 
-def test_selftest_catches_missing_degree_reduction(monkeypatch):
-    def local_product(self, pairs):
+def test_selftest_catches_missing_degree_reduction(monkeypatch, capsys):
+    def local_product(self, pairs, *, as_or=False):
         # multiply shares pointwise, skipping the reshare step
+        p = cli.field.PRIME
         out = []
         for a, b in pairs:
-            va, ma = self._h[a]
-            vb, mb = self._h[b]
-            vals = [
-                None if (x is None or y is None) else x * y % cli.field.PRIME
-                for x, y in zip(va, vb)
-            ]
-            out.append(self._register(vals, ma & mb))
+            sa, sb = self.export_shares(a), self.export_shares(b)
+            values = [None] * self.n
+            for i in sa.keys() & sb.keys():
+                x, y = sa[i], sb[i]
+                values[i - 1] = (x + y - x * y if as_or else x * y) % p
+            out.append(self.input_shares(values))
         return out
 
     monkeypatch.setattr(Engine, "product_batch", local_product)
-    # the degree-2 result fails the open-time consistency check; the
-    # selftest command reports the stage as FAIL instead of crashing
+    # the degree-2 results fail the consistency check where shares enter
+    # the engine; the selftest command reports the stage as FAIL instead
+    # of crashing
     monkeypatch.setattr(cli, "selftest_shamir", lambda: None)
     monkeypatch.setattr(cli, "selftest_equivalence", lambda: None)
     assert cli.main(["selftest"]) == 2
+    assert "FAIL equality_exhaustive: InconsistentShares" in \
+        capsys.readouterr().out
 
 
 def test_selftest_command_exit_codes(monkeypatch, capsys):
@@ -401,9 +404,9 @@ def test_encode_streams_into_submit(monkeypatch):
         events.append(meter.sm_id)
         return encode(meter, *args)
 
-    def spy_input_shares(self, values, sender="dealer"):
+    def spy_input_shares(self, values, sender="dealer", holders=None):
         events.append(int(sender[2:]))
-        return input_shares(self, values, sender)
+        return input_shares(self, values, sender, holders)
 
     monkeypatch.setattr(cli, "encode", spy_encode)
     monkeypatch.setattr(Engine, "input_shares", spy_input_shares)

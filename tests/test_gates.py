@@ -3,6 +3,7 @@
 import itertools
 import random
 
+from conftest import share_row
 import pytest
 
 from metershare.abb import Engine
@@ -314,7 +315,7 @@ def equality_case(n, t, width, case):
     if case == "partial":
         gapped = []
         for bh in meters[1]:
-            values = list(engine._h[bh][0])
+            values = list(share_row(engine, bh)[0])
             values[2 * t + 1:] = [None] * (n - 2 * t - 1)
             gapped.append(engine.input_shares(values))
         meters[1] = gapped

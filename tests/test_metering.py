@@ -15,6 +15,8 @@ from metershare.errors import (
     UnknownSupplier,
 )
 from metershare.metering import (
+    DEFAULT_EXP_LEVEL,
+    DEFAULT_IMP_LEVEL,
     Scenario,
     SmartMeter,
     build_meters,
@@ -39,6 +41,23 @@ def test_derive_seed_is_stable():
     assert derive_seed(1, "engine", 2) == derive_seed(1, "engine", 2)
     assert derive_seed(1, "engine", 2) != derive_seed(1, "engine", 3)
     assert 0 <= derive_seed("x") < 2 ** 64
+
+
+@pytest.mark.parametrize("n_suppliers", [10, 16])
+def test_meters_and_readings_draw_as_randint(n_suppliers):
+    # 5,000 meters, each drawing from its own derived seeds; 16 suppliers
+    # need 5-bit words, half of which are redrawn
+    sc = scenario(n_suppliers=n_suppliers, sm_per_region=[2000, 3000],
+                  seed=n_suppliers)
+    meters = build_meters(sc)
+    readings = generate_readings(sc, meters, slot=2)
+    for m in meters:
+        rng = random.Random(derive_seed(sc.seed, "meter", m.sm_id))
+        assert m.suppliers == (rng.randint(1, n_suppliers),
+                               rng.randint(1, n_suppliers))
+        rng = random.Random(derive_seed(sc.seed, "reading", 2, m.sm_id))
+        assert readings[m.sm_id] == (rng.randint(0, DEFAULT_IMP_LEVEL),
+                                     rng.randint(0, DEFAULT_EXP_LEVEL))
 
 
 @pytest.mark.parametrize("bad", [
@@ -293,9 +312,9 @@ def test_submit_reads_encoded_lazily(rng, alg, fault_rate):
     calls = []
     input_shares = engine.input_shares
 
-    def spy_input_shares(values, sender="dealer"):
+    def spy_input_shares(values, sender="dealer", holders=None):
         calls.append((sender, drawn[-1]))
-        return input_shares(values, sender)
+        return input_shares(values, sender, holders)
 
     engine.input_shares = spy_input_shares
     _, report = submit(engine, sc, spy(), rng)
@@ -457,6 +476,9 @@ def test_submit_intake_matches_per_share_reference(alg, rng):
     assert all(type(group) is tuple for tup in tuples
                for group in (tup.fields, *tup.fields, tup.readings))
     assert [tup.sm for tup in tuples] == report.included
+    # all of a meter's handles carry its bundle's holder mask
+    assert all(len({engines[0].handle_mask(h) for h in sharings_of(tup)}) == 1
+               for tup in tuples)
     handles = [h for tup in tuples for h in sharings_of(tup)]
     assert handles == engines[1].live_handles()
     per_meter = len(sharings_of(enc[0]))

@@ -18,6 +18,7 @@ from metershare.shamir import (
     Share,
     SharingParams,
     extend_to_secret,
+    fit,
     interpolate,
     lagrange_at,
     reconstruct,
@@ -140,6 +141,24 @@ def test_shares_lie_on_declared_polynomial():
     coeffs = [twin.randrange(PRIME) for _ in range(2)]
     for x, v in enumerate(vals, start=1):
         assert v == naive_poly([42, *coeffs], x)
+
+
+def test_fit_reads_the_coefficients_back(rng):
+    # any t+1 points in any order fix the polynomial; the rest are checked
+    for n, t in ((3, 1), (5, 2), (7, 3), (2, 0)):
+        coeffs = tuple(rng.randrange(PRIME) for _ in range(t + 1))
+        xs = tuple(rng.sample(range(1, 20), n))
+        ys = [naive_poly(coeffs, x) for x in xs]
+        assert fit(ys, xs, t) == coeffs
+        assert fit([y + PRIME for y in ys], xs, t) == coeffs
+        for k in range(t + 1, n):
+            bad = ys[:k] + [(ys[k] + 1) % PRIME] + ys[k + 1:]
+            with pytest.raises(InconsistentShares,
+                               match=f"share of party {xs[k]} is off"):
+                fit(bad, xs, t)
+        with pytest.raises(InsufficientShares,
+                           match=f"degree {t} needs {t + 1} shares, got {t}"):
+            fit(ys[:t], xs[:t], t)
 
 
 def test_reconstruct_needs_threshold(rng):
