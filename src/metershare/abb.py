@@ -35,21 +35,21 @@ round (``product_batch(..., as_or=True)``) issues its products' numbers
 this way, and the transcript still names them; the equality gate issues
 the numbers of flips that reuse a stored complement this way.
 
-Sharings: each live sharing is stored as ``(coeffs, mask)``.  ``coeffs``
-is an immutable tuple of the t+1 coefficients c_0..c_t, reduced mod p, of
-the one degree-t polynomial P whose value P(i) is party i's share (Shamir,
-CACM 1979); c_0 is the secret.  Bit i of ``mask`` is set if party i+1 holds
-its share.  Every operation works on the coefficients: an affine
-combination combines them, an opening reads c_0, and a product computes
-its new coefficients directly (see ``product_batch``).  A share is
-evaluated only where one is read: ``export_shares``; shares are read into
-coefficients only at intake (``input_shares``, by ``shamir.fit``'s rule,
-which checks every further live holder's share).  A row is never
-changed after it is stored; every operation writes a new one.  Tuples
-because a region holds tens of thousands of rows at once: the cyclic
-garbage collector stops tracking a tuple of ints after its first scan,
-while it rescans a list on every full collection for as long as the list
-lives.
+Sharings: each live sharing is stored as one flat tuple of ints,
+``(c_0, ..., c_t, mask)``.  c_0..c_t are the t+1 coefficients, reduced mod
+p, of the one degree-t polynomial P whose value P(i) is party i's share
+(Shamir, CACM 1979); c_0 is the secret.  The mask comes last: bit i is set
+if party i+1 holds its share.  Every operation works on the coefficients:
+an affine combination combines them, an opening reads c_0, and a product
+computes its new coefficients directly (see ``product_batch``).  A share
+is evaluated only where one is read: ``export_shares``; shares are read
+into coefficients only at intake (``input_shares``, by ``shamir.fit``'s
+rule, which checks every further live holder's share).  A row is never
+changed after it is stored; every operation writes a new one.  One flat
+tuple because a region holds tens of thousands of rows at once: it is one
+allocation towards the next collection, not two as with nested
+coefficients, and the cyclic garbage collector stops tracking a tuple of
+ints at its first scan, while it rescans a list on every full collection.
 
 Why a product needs no shares: the 2t+1 senders' local products
 a(x_s)*b(x_s) lie on A*B, of degree 2t, so their Lagrange combination at
@@ -69,7 +69,7 @@ into one line per link.
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dfield, fields as dfields
 from functools import lru_cache, partial, reduce
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, and_, itemgetter, mod, mul, sub
 import random
 from typing import NamedTuple
@@ -158,7 +158,7 @@ class CostMeter:
             self.bucket(label).add(pc)
 
 
-_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+_FIRST, _SECOND, _LAST = itemgetter(0), itemgetter(1), itemgetter(-1)
 
 # element-wise sum of two columns; reduce() folds a list of columns with it
 _add_columns = partial(map, add)
@@ -212,7 +212,7 @@ class Engine:
         self.transcript: list[tuple] | None = [] if record_transcript else None
         self._phase = "setup"
         self._round = 0
-        self._h: dict[int, tuple[tuple, int]] = {}
+        self._h: dict[int, tuple[int, ...]] = {}  # (c_0, ..., c_t, mask)
         # intake's plans by live holder mask: a dict lookup per sharing,
         # about 50 against 125 ns for _plan's lru_cache key
         self._intake: dict[int, _Plan] = {}
@@ -254,10 +254,10 @@ class Engine:
 
     # -- handle plumbing --------------------------------------------------
 
-    def _register(self, coeffs: tuple, mask: int) -> Handle:
+    def _register(self, row: tuple) -> Handle:
         h = self._next_handle
         self._next_handle += 1
-        self._h[h] = (coeffs, mask)
+        self._h[h] = row
         return h
 
     def _draw(self, k: int) -> list[int]:
@@ -293,11 +293,11 @@ class Engine:
 
     def handle_mask(self, h: Handle) -> int:
         """Holder bitmask of a sharing: bit i is set if party i+1 holds it."""
-        return self._h[h][1]
+        return self._h[h][-1]
 
     def export_shares(self, h: Handle) -> dict[int, int]:
         """Shares held by live parties, keyed by party index."""
-        coeffs, mask = self._h[h]
+        *coeffs, mask = self._h[h]
         mask &= self._active
         return {i + 1: _evaluate(coeffs, i + 1)
                 for i in range(self.n) if mask >> i & 1}
@@ -315,7 +315,7 @@ class Engine:
         coefficients are drawn as ``share_values`` draws them."""
         field.validate(value)
         live = self._active
-        h = self._register((value, *self._draw(self.t)), live)
+        h = self._register((value, *self._draw(self.t), live))
         self.meter.bucket(self._phase).msgs_sm_to_dcc += live.bit_count()
         if self.transcript is not None:
             self._record_delivery(h, live, sender)
@@ -361,16 +361,17 @@ class Engine:
             y = values[x - 1]
             c1 = (values[x2 - 1] - y) * w % p
             c0 = (y - x * c1) % p
-            coeffs = (c0, c1)
+            row = (c0, c1, live)
             for _, x, _ in checks:
                 if (c0 + c1 * x - values[x - 1]) % p:
                     raise InconsistentShares(
                         f"share of party {x} is off the polynomial")
         else:
-            coeffs = fit([values[i] for i in plan.holders], plan.points, t)
+            row = (*fit([values[i] for i in plan.holders], plan.points, t),
+                   live)
         h = self._next_handle
         self._next_handle = h + 1
-        self._h[h] = (coeffs, live)
+        self._h[h] = row
         self.meter.bucket(self._phase).msgs_sm_to_dcc += held
         if self.transcript is not None:
             self._record_delivery(h, live, sender)
@@ -378,8 +379,8 @@ class Engine:
 
     def constant(self, value: int) -> Handle:
         """Public constant as a degree-0 sharing known to everyone."""
-        return self._register((value % PRIME,) + (0,) * self.t,
-                              (1 << self.n) - 1)
+        return self._register((value % PRIME,) + (0,) * self.t
+                              + ((1 << self.n) - 1,))
 
     # -- local linear algebra ----------------------------------------------
 
@@ -392,51 +393,54 @@ class Engine:
         """Affine combinations ``(terms, const)``, registered in list order.
 
         Each party applies the combination to its own shares, so a result
-        lives at exactly the parties holding every term, and at least t+1
-        must.  Evaluation is linear, so the result's coefficients are the
-        same combination of the terms' coefficients, with ``const`` added
-        to c_0.  Each coefficient is summed unreduced and reduced mod p
-        once, as a bare sum when every coefficient is exactly 1 (the cell
-        and bucket sums of the region circuits); one or two terms (the gate
-        glue) take unrolled paths.  Every combination is computed and
-        checked before any is registered, so a refused batch changes
-        nothing.
+        lives at exactly the parties holding every term (failed ones too),
+        and at least t+1 of them must be live.  Evaluation is linear, so
+        the result's coefficients are the same combination of the terms'
+        coefficients, with ``const`` added to c_0.  Each coefficient is
+        summed unreduced and reduced mod p once, as a bare sum when every
+        coefficient is exactly 1 (the cell and bucket sums of the region
+        circuits); one or two terms (the gate glue) take unrolled paths,
+        whose zip with the t+1-long (const, 0, ...) stops before the mask.
+        Every combination is computed and checked before any is
+        registered, so a refused batch changes nothing.
         """
         t = self.t
         p = PRIME
         shares = self._h
+        active = self._active
         zeros = (0,) * t
         made = []
         for terms, const in combos:
             k = len(terms)
             if k == 1:
                 (c, a), = terms
-                ac, mask = shares[a]
-                coeffs = tuple([(c * x + z) % p
-                                for x, z in zip(ac, (const, *zeros))])
+                row = shares[a]
+                mask = row[-1]
+                coeffs = [(c * x + z) % p
+                          for x, z in zip(row, (const, *zeros))]
             elif k == 2:
                 (c, a), (d, b) = terms
-                ac, am = shares[a]
-                bc, bm = shares[b]
-                mask = am & bm
-                coeffs = tuple([(c * x + d * y + z) % p
-                                for x, y, z in zip(ac, bc, (const, *zeros))])
+                ar, br = shares[a], shares[b]
+                mask = ar[-1] & br[-1]
+                coeffs = [(c * x + d * y + z) % p
+                          for x, y, z in zip(ar, br, (const, *zeros))]
             else:
                 rows = list(map(shares.__getitem__, map(_SECOND, terms)))
-                mask = reduce(and_, map(_SECOND, rows), (1 << self.n) - 1)
+                mask = reduce(and_, map(_LAST, rows), (1 << self.n) - 1)
                 coefs = list(map(_FIRST, terms))
-                cols = zip(*map(_FIRST, rows)) if rows else [()] * (t + 1)
+                cols = islice(zip(*rows), t + 1) if rows else [()] * (t + 1)
                 if coefs.count(1) == k:
                     sums = list(map(sum, cols))
                 else:
                     sums = [sum(map(mul, coefs, col)) for col in cols]
                 sums[0] += const
-                coeffs = tuple([v % p for v in sums])
-            if mask.bit_count() <= t:
+                coeffs = [v % p for v in sums]
+            if (mask & active).bit_count() <= t:
                 raise InsufficientShares(
-                    "combination survives at fewer than t+1 parties"
+                    "combination survives at fewer than t+1 live parties"
                 )
-            made.append((coeffs, mask))
+            coeffs.append(mask)
+            made.append(tuple(coeffs))
         first = self._next_handle
         out = range(first, first + len(made))
         shares.update(zip(out, made))
@@ -478,7 +482,8 @@ class Engine:
         is a_0*b_0 because lam interpolates the degree-2t product at 0 from
         2t+1 points, and F_d = sum_s lam_s*r_sd for d >= 1.  No share is
         evaluated.  The round computes whole coefficient columns over its
-        products with ``map``:
+        products with ``map``, reading column d off the factors' rows with
+        ``itemgetter(d)`` and their masks with ``itemgetter(t+1)``:
 
         - Products are grouped by the parties holding both factors.  Every
           group's live holders must form a 2t+1 quorum, and all groups are
@@ -487,7 +492,8 @@ class Engine:
           weights lam weigh its products' draws.
         - All K*(2t+1)*t draws come from one list, in product, then sender,
           then d order, by ``randrange(p)``'s rule (see ``_draw``).
-        - Each coefficient is summed unreduced and reduced mod p once.
+        - Each coefficient is summed unreduced and reduced mod p once, and
+          each product is stored as one tuple ``(F_0, ..., F_t, mask)``.
 
         ``as_or=True`` returns sharings of a + b - ab (the OR of two shared
         bits) instead of ab: each coefficient is a_d + b_d - F_d, which is
@@ -508,9 +514,9 @@ class Engine:
         shares = self._h
         left = list(map(shares.__getitem__, map(_FIRST, pairs)))
         right = list(map(shares.__getitem__, map(_SECOND, pairs)))
-        acoefs, bcoefs = list(map(_FIRST, left)), list(map(_FIRST, right))
         # products group by the parties holding both factors
-        masks = list(map(and_, map(_SECOND, left), map(_SECOND, right)))
+        mask_of = itemgetter(t + 1)
+        masks = list(map(and_, map(mask_of, left), map(mask_of, right)))
         groups = dict.fromkeys(masks)
         for m in groups:
             if (m & active).bit_count() < size:
@@ -533,14 +539,14 @@ class Engine:
             # sender s's weight per product, by the product's group
             weights = list(zip(*[groups[m].weights for m in masks]))
 
-        cols = [map(mul, map(_FIRST, acoefs), map(_FIRST, bcoefs))]
+        cols = [map(mul, map(_FIRST, left), map(_FIRST, right))]
         for d in range(t):
             cols.append(reduce(_add_columns, [
                 map(mul, words[s * t + d::step], w)
                 for s, w in enumerate(weights)
             ]))
         if as_or:
-            cols = [map(sub, map(add, map(get, acoefs), map(get, bcoefs)), col)
+            cols = [map(sub, map(add, map(get, left), map(get, right)), col)
                     for get, col in zip(map(itemgetter, range(t + 1)), cols)]
             # a merge lives where both factors and the party do
             held = map(and_, masks, repeat(active))
@@ -548,7 +554,7 @@ class Engine:
             self.skip_handles(k)
         else:
             held = repeat(active)
-        rows = zip(zip(*[map(mod, col, repeat(p)) for col in cols]), held)
+        rows = zip(*[map(mod, col, repeat(p)) for col in cols], held)
         out = range(self._next_handle, self._next_handle + k)
         shares.update(zip(out, rows))
         self._next_handle = out.stop
@@ -572,9 +578,9 @@ class Engine:
         t = self.t
         active = self._active
         rows = list(map(self._h.__getitem__, handles))
-        present = list(map(and_, map(_SECOND, rows), repeat(active)))
+        present = list(map(and_, map(_LAST, rows), repeat(active)))
         groups = {q: _plan(q, active, t) for q in dict.fromkeys(present)}
-        out = list(map(_FIRST, map(_FIRST, rows)))
+        out = list(map(_FIRST, rows))
 
         links = {q: plan.broadcast for q, plan in groups.items()}
         self._charge(present, links, handles).opens += len(handles)
@@ -603,8 +609,8 @@ class Engine:
             rs = []
             for _ in pending:
                 r = self.rng.randrange(p)
-                rs.append(self._register((r, *self._draw(self.t)),
-                                         self._active))
+                rs.append(self._register((r, *self._draw(self.t),
+                                          self._active)))
             squares = self.product_batch([(h, h) for h in rs])
             opened = self.open_batch(squares, kind="rand")
             kept = [(slot, hr, sq)

@@ -8,7 +8,7 @@ the servers only ever see shares.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field as dfield, asdict
+from dataclasses import MISSING, dataclass, field as dfield, asdict
 import hashlib
 import json
 import random
@@ -135,14 +135,15 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
+        known = cls.__dataclass_fields__
+        extra = set(data) - set(known)
         if extra:
             raise ScenarioError(f"unknown scenario keys: {sorted(extra)}")
-        try:
-            return cls(**data)
-        except TypeError as e:
-            raise ScenarioError(str(e)) from None
+        missing = [name for name, f in known.items() if name not in data
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ScenarioError(f"missing scenario keys: {missing}")
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path) -> "Scenario":

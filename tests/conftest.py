@@ -25,8 +25,9 @@ def engine5():
 
 def share_row(engine, h):
     """Sharing h as a row of party shares, ``(values, mask)``: its
-    polynomial's value at each party in the mask, None elsewhere."""
-    coeffs, mask = engine._h[h]
+    polynomial's value at each party in the mask, None elsewhere.  The
+    engine stores h as ``(c_0, ..., c_t, mask)``."""
+    *coeffs, mask = engine._h[h]
     values = tuple(
         sum(c * x ** d for d, c in enumerate(coeffs)) % PRIME
         if mask >> (x - 1) & 1 else None

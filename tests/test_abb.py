@@ -676,7 +676,7 @@ def reference_random_bits(engine, k):
             r = engine.rng.randrange(p)
             # the coefficients share_values draws after the secret
             coeffs = [engine.rng.randrange(p) for _ in range(engine.t)]
-            rs.append(engine._register((r, *coeffs), engine._active))
+            rs.append(engine._register((r, *coeffs, engine._active)))
         squares = engine.product_batch([(h, h) for h in rs])
         opened = engine.open_batch(squares, kind="rand")
         retry = []
@@ -777,7 +777,8 @@ def test_unit_sums_are_share_exact(n, t, degrade, monkeypatch):
 
 
 def test_every_stored_row_is_a_tuple(engine5):
-    # t+1 reduced coefficients, whatever made the sharing
+    # one flat tuple of plain ints, whatever made the sharing: t+1
+    # coefficients reduced mod p, then the holder mask
     e = engine5
     a, b, c = e.input(3), e.input(4), e.input(5)
     values = e.export_shares(a)
@@ -796,9 +797,11 @@ def test_every_stored_row_is_a_tuple(engine5):
         "random_bits_batch": e.random_bits_batch(1)[0],
     }
     for path, h in stored.items():
-        coeffs, _ = e._h[h]
-        assert type(coeffs) is tuple and len(coeffs) == e.t + 1, path
-        assert all(0 <= c < field.PRIME for c in coeffs), path
+        row = e._h[h]
+        assert type(row) is tuple and len(row) == e.t + 2, path
+        assert all(type(v) is int for v in row), path
+        assert all(0 <= c < field.PRIME for c in row[:-1]), path
+        assert row[-1] == e.handle_mask(h), path
 
 
 def test_lincomb_batch_registers_in_order(engine):
@@ -817,6 +820,27 @@ def test_lincomb_below_quorum_raises(engine5):
     right = engine5.input_shares([None, None] + values[2:])
     with pytest.raises(InsufficientShares):
         engine5.lincomb([(1, left), (1, right)])
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_lincomb_counts_live_holders_only(batch):
+    # a is held by parties 1 and 2; once party 2 fails it lives at party 1
+    # alone, which fixes no line, so no combination of it may be stored
+    engine = Engine(SharingParams(3, 1), seed=23, record_transcript=True)
+    a = engine.input_shares([5, 6, None])
+    b = engine.input(7)
+    engine.fail_party(2)
+    combos = [([(2, a)], 1)]
+    if batch:
+        combos = [([(1, b)], 0)] + combos + [([(1, a), (1, b)], 0)]
+    before = engine_state(engine)
+    with engine.phase("probe"), pytest.raises(InsufficientShares):
+        engine.lincomb_batch(combos)
+    assert engine_state(engine) == before
+    assert "probe" not in engine.meter.phases
+    # the stored mask is left as it is: b still lists the failed party
+    assert engine.handle_mask(b) == 0b111
+    assert engine.handle_mask(engine.lincomb([(1, b)], 0)) == 0b111
 
 
 # -- fuzz: random engine circuits against the plaintext circuit ------------
@@ -899,7 +923,7 @@ def test_fuzz_engine_circuits_match_plaintext(params, ops, fail, seed):
             combos = [([(c, pick(s)) for c, s in terms], const)
                       for terms, const in combos]
             want = [combine(terms, const) for terms, const in combos]
-            if any(m.bit_count() < t + 1 for _, m in want):
+            if any((m & active).bit_count() < t + 1 for _, m in want):
                 with pytest.raises(InsufficientShares):
                     engine.lincomb_batch(combos)
                 continue

@@ -1,5 +1,6 @@
 """Region algorithms against the plaintext group-by oracle."""
 
+import gc
 import random
 
 import pytest
@@ -95,6 +96,18 @@ def test_naa_multiplication_count_is_exact():
             assert pc.multiplications == \
                 scenario.sigma * m * scenario.n_suppliers + m * scenario.n_suppliers
             assert pc.opens == 0
+
+
+def test_naa_rows_leave_the_garbage_collector():
+    # a stored sharing is one flat tuple of ints, which the first full
+    # collection stops tracking; a row nesting a second tuple can survive
+    # that collection still tracked
+    outs, _ = run_regions(small_scenario("naa"))
+    gc.collect()
+    for engine, _ in outs:
+        rows = list(engine._h.values())
+        assert rows
+        assert not any(map(gc.is_tracked, rows))
 
 
 @pytest.mark.parametrize("alg", sorted(CIRCUITS))

@@ -78,6 +78,14 @@ def test_run_invalid_scenario_exits_1(tmp_path, capsys):
     assert cli.main(["run", "--scenario", str(bad)]) == 1
 
 
+def test_run_scenario_missing_keys_names_them(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n_dno": 1, "n_suppliers": 2}))
+    assert cli.main(["run", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "error: missing scenario keys: ['sm_per_region', 'seed']\n")
+
+
 @pytest.mark.parametrize("field, value", [
     ("sm_per_region", [2.5, 6]),
     ("n_servers", 3.0),
