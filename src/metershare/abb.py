@@ -56,6 +56,17 @@ a(x_s)*b(x_s) lie on A*B, of degree 2t, so their Lagrange combination at
 0 over those 2t+1 points is (A*B)(0) = a_0*b_0 (Gennaro, Rabin, Rabin,
 PODC 1998).  That is the combined reshare polynomial's constant term.
 
+Affine combinations are local: each party applies one to its own shares,
+so they send no message (Ben-Or, Goldwasser, Wigderson, STOC 1988), and
+the engine applies it to the coefficients.  ``lincomb_batch`` has two
+cases and no path unrolled for a number of terms.  Combinations of k
+terms in a batch of at least k are computed as whole columns, one ``map``
+pass per term position over the batch (the gates' one- and two-term
+glue, hundreds of combinations per call).  A combination with more terms
+than its batch has combinations is summed on its own, one column sum per
+coefficient (a region's cell and bucket sums, hundreds of terms in one
+combination).
+
 Transcript: with ``record_transcript=True`` the engine appends one record
 per message group, ``(round, links, handle, bytes)``: a sharing's delivery
 to the servers, one product's reshare round or one handle's opening
@@ -397,55 +408,92 @@ class Engine:
         and at least t+1 of them must be live.  Evaluation is linear, so
         the result's coefficients are the same combination of the terms'
         coefficients, with ``const`` added to c_0.  Each coefficient is
-        summed unreduced and reduced mod p once, as a bare sum when every
-        coefficient is exactly 1 (the cell and bucket sums of the region
-        circuits); one or two terms (the gate glue) take unrolled paths,
-        whose zip with the t+1-long (const, 0, ...) stops before the mask.
-        Every combination is computed and checked before any is
-        registered, so a refused batch changes nothing.
+        summed unreduced and reduced mod p once; a term position whose
+        coefficients are all exactly 1 adds its bare column.  Combinations
+        of k terms are computed in one of two ways (see ``_combine``):
+
+        - as whole columns when the batch holds at least k of them (the
+          gate glue: one or two terms over hundreds of combinations): one
+          ``map`` pass per term position over the batch;
+        - one by one when k exceeds the number of combinations (the region
+          cell and bucket sums: hundreds of terms in a single combination):
+          one column sum per coefficient over the terms.
+
+        A batch of mixed lengths is grouped by length, and its rows are
+        stored back in list order by one ``dict.update``.  Every
+        combination is computed and checked before any is registered, so
+        a refused batch changes nothing.
+        """
+        if not combos:
+            return []
+        lengths = list(map(len, map(_FIRST, combos)))
+        if lengths.count(lengths[0]) == len(lengths):
+            rows, masks = self._combine(combos, lengths[0])
+        else:
+            rows, masks = [None] * len(combos), []
+            for k in dict.fromkeys(lengths):
+                at = [i for i, size in enumerate(lengths) if size == k]
+                made, held = self._combine([combos[i] for i in at], k)
+                for i, row in zip(at, made):
+                    rows[i] = row
+                masks += held
+        live = map(and_, set(masks), repeat(self._active))
+        if min(map(int.bit_count, live)) <= self.t:
+            raise InsufficientShares(
+                "combination survives at fewer than t+1 live parties"
+            )
+        first = self._next_handle
+        out = range(first, first + len(combos))
+        self._h.update(zip(out, rows))
+        self._next_handle = out.stop
+        return list(out)
+
+    def _combine(self, combos: list, k: int) -> tuple:
+        """Rows and holder masks of combinations that all have k terms.
+
+        Every term's row is read here, so an unknown handle raises before
+        anything is stored; the rows come back as an iterator only when
+        computing them can no longer fail.
         """
         t = self.t
         p = PRIME
         shares = self._h
-        active = self._active
-        zeros = (0,) * t
-        made = []
-        for terms, const in combos:
-            k = len(terms)
-            if k == 1:
-                (c, a), = terms
-                row = shares[a]
-                mask = row[-1]
-                coeffs = [(c * x + z) % p
-                          for x, z in zip(row, (const, *zeros))]
-            elif k == 2:
-                (c, a), (d, b) = terms
-                ar, br = shares[a], shares[b]
-                mask = ar[-1] & br[-1]
-                coeffs = [(c * x + d * y + z) % p
-                          for x, y, z in zip(ar, br, (const, *zeros))]
-            else:
+        if k > len(combos):
+            made, masks = [], []
+            for terms, const in combos:
                 rows = list(map(shares.__getitem__, map(_SECOND, terms)))
-                mask = reduce(and_, map(_LAST, rows), (1 << self.n) - 1)
+                mask = reduce(and_, map(_LAST, rows))
                 coefs = list(map(_FIRST, terms))
-                cols = islice(zip(*rows), t + 1) if rows else [()] * (t + 1)
+                cols = islice(zip(*rows), t + 1)
                 if coefs.count(1) == k:
                     sums = list(map(sum, cols))
                 else:
                     sums = [sum(map(mul, coefs, col)) for col in cols]
                 sums[0] += const
-                coeffs = [v % p for v in sums]
-            if (mask & active).bit_count() <= t:
-                raise InsufficientShares(
-                    "combination survives at fewer than t+1 live parties"
-                )
-            coeffs.append(mask)
-            made.append(tuple(coeffs))
-        first = self._next_handle
-        out = range(first, first + len(made))
-        shares.update(zip(out, made))
-        self._next_handle = out.stop
-        return list(out)
+                made.append((*map(mod, sums, repeat(p)), mask))
+                masks.append(mask)
+            return made, masks
+
+        size = len(combos)
+        terms = list(map(_FIRST, combos))
+        cols = [repeat(0, size) for _ in range(t + 1)]
+        masks = [(1 << self.n) - 1] * size
+        for j in range(k):
+            position = list(map(itemgetter(j), terms))
+            coefs = list(map(_FIRST, position))
+            rows = list(map(shares.__getitem__, map(_SECOND, position)))
+            masks = list(map(and_, masks, map(_LAST, rows)))
+            unit = coefs.count(1) == size
+            for d in range(t + 1):
+                col = map(itemgetter(d), rows)
+                if not unit:
+                    col = map(mul, coefs, col)
+                cols[d] = col if j == 0 else map(add, cols[d], col)
+        consts = list(map(_SECOND, combos))
+        if consts.count(0) != size:
+            cols[0] = map(add, cols[0], consts)
+        reduced = [map(mod, col, repeat(p)) for col in cols]
+        return zip(*reduced, masks), masks
 
     # -- interactive operations --------------------------------------------
 
@@ -592,8 +640,12 @@ class Engine:
 
         Parties jointly hold a random field element, square it, open the
         square, and normalise the element by the public root; the result
-        is a sharing of +-1 mapped affinely to {0, 1}.  A zero draw is
-        rejected and retried.  Each attempt's random elements and their
+        is a sharing of +-1 mapped affinely to {0, 1} (Damgard et al., TCC
+        2006).  A zero draw is rejected and retried.  An attempt draws
+        every pending element's polynomial, r then its t coefficients, as
+        one ``_draw`` list, which gives the same words and rng state as a
+        ``randrange(p)`` and a ``_draw(t)`` per element, and registers
+        them in one update.  Each attempt's random elements and their
         squares are released once its bits exist.  The squaring round's
         2t+1 quorum is checked first, so a refused call draws and
         registers nothing.
@@ -605,13 +657,19 @@ class Engine:
         p = PRIME
         inv2 = pow(2, -1, p)
         pc = self.meter.bucket(self._phase)
+        width = self.t + 1
         while pending:
-            rs = []
-            for _ in pending:
-                r = self.rng.randrange(p)
-                rs.append(self._register((r, *self._draw(self.t),
-                                          self._active)))
-            squares = self.product_batch([(h, h) for h in rs])
+            # element u's polynomial (r, c_1, ..., c_t) is
+            # words[u*width:(u+1)*width], drawn in that order by randrange's
+            # rule, which is the order and rule of randrange(p) then _draw(t)
+            words = self._draw(len(pending) * width)
+            polys = zip(*[words[d::width] for d in range(width)],
+                        repeat(self._active))
+            first = self._next_handle
+            rs = list(range(first, first + len(pending)))
+            self._h.update(zip(rs, polys))
+            self._next_handle = first + len(rs)
+            squares = self.product_batch(list(zip(rs, rs)))
             opened = self.open_batch(squares, kind="rand")
             kept = [(slot, hr, sq)
                     for slot, hr, sq in zip(pending, rs, opened) if sq]

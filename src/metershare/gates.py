@@ -5,6 +5,7 @@ on an Engine, so the cost meter sees exactly the multiplication pattern
 a real run would produce.
 """
 
+from functools import lru_cache
 from itertools import compress, cycle
 import random
 
@@ -123,16 +124,18 @@ def compose_bits_batch(engine: Engine, rows: list[BitSharedId]) -> list[Handle]:
     ])
 
 
-def exchange_layers(m: int) -> list[list[tuple[int, int]]]:
+@lru_cache(maxsize=64)
+def exchange_layers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Comparator layers of the odd-even merge network, pruned to m wires.
 
     The construction is for the next power of two; comparators touching a
     wire >= m are dropped, which preserves sortedness on the remaining
     wires (they would only ever push padding maxima downward).  Gates
-    within a layer touch disjoint wires and so share a round.
+    within a layer touch disjoint wires and so share a round.  The network
+    depends on m alone, so it is built once per m and shared as tuples.
     """
     if m < 2:
-        return []
+        return ()
     size = 1 << (m - 1).bit_length()
     layers = []
     p = 1
@@ -146,10 +149,10 @@ def exchange_layers(m: int) -> list[list[tuple[int, int]]]:
                         if i + j + k < m:
                             layer.append((i + j, i + j + k))
             if layer:
-                layers.append(layer)
+                layers.append(tuple(layer))
             k //= 2
         p *= 2
-    return layers
+    return tuple(layers)
 
 
 def oblivious_permute(engine: Engine, rows: list[tuple],

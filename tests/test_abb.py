@@ -236,14 +236,8 @@ def test_random_bit_cost_two_mult_equivalents():
 def test_random_bits_batch_leaves_only_its_bits(engine, monkeypatch):
     mine = [engine.input(v) for v in (3, 4)]
     # the first random element is 0, so its square opens to 0 and retries
-    draw = engine.rng.randrange
-    calls = []
-
-    def zero_first(*args):
-        calls.append(args)
-        return 0 if len(calls) == 1 else draw(*args)
-
-    monkeypatch.setattr(engine.rng, "randrange", zero_first)
+    monkeypatch.setattr(engine.rng, "getrandbits",
+                        zero_first(engine.rng.getrandbits))
     with engine.phase("probe"):
         bits = engine.random_bits_batch(5)
     pc = engine.meter.bucket("probe")
@@ -252,6 +246,19 @@ def test_random_bits_batch_leaves_only_its_bits(engine, monkeypatch):
     assert set(engine.live_handles()) == set(mine + bits)
     assert engine.open_batch(mine) == [3, 4]
     assert set(engine.open_batch(bits)) <= {0, 1}
+
+
+def zero_first(getrandbits):
+    """``getrandbits`` that returns a zero word at its first call, without
+    consuming the generator there; ``randrange`` and ``Engine._draw`` both
+    draw through it, so the first field element either of them draws is 0."""
+    calls = []
+
+    def draw(k):
+        calls.append(k)
+        return 0 if len(calls) == 1 else getrandbits(k)
+
+    return draw
 
 
 def test_release_is_strict_and_never_reuses_numbers(engine):
@@ -635,11 +642,28 @@ def test_refused_lincomb_batch_changes_nothing():
     # c and d are held by parties 1-3 and 3-5: their sum by party 3 only
     c = engine.input_shares(values[:3] + (None, None))
     d = engine.input_shares((None, None) + values[2:])
+    gone = engine.input(7)
+    engine.release([gone])
     before = engine_state(engine)
     with engine.phase("probe"), pytest.raises(InsufficientShares):
         engine.lincomb_batch([([(1, a)], 0), ([(1, c), (1, d)], 0)])
     assert engine_state(engine) == before
     assert engine.live_handles() == list(before[-1])
+
+    # a refused or unreadable combination anywhere in a batch that also
+    # takes both ways of combining: the 2-term group is summed as columns,
+    # the lone 3-term combination on its own
+    good = [([(1, a)], 0), ([(2, a), (1, c)], 4), ([], 9), ([(-1, c)], 1),
+            ([(1, a), (1, a)], 0), ([(1, a), (5, a), (3, c)], 2)]
+    refused = [([(1, c), (1, d)], 0), ([(1, a), (1, c), (1, d)], 0)]
+    for bad in refused + [([(1, gone)], 0), ([(1, a), (1, gone)], 0)]:
+        for at in (0, len(good) // 2, len(good)):
+            combos = good[:at] + [bad] + good[at:]
+            with engine.phase("probe"), pytest.raises(
+                    InsufficientShares if bad in refused else KeyError):
+                engine.lincomb_batch(combos)
+            assert engine_state(engine) == before, (bad, at)
+    assert "probe" not in engine.meter.phases
 
 
 def test_random_bits_below_quorum_changes_nothing():
@@ -694,25 +718,17 @@ def reference_random_bits(engine, k):
     return out
 
 
-@pytest.mark.parametrize("retry", [False, True])
-@pytest.mark.parametrize("n,t,failed", [(3, 1, False), (5, 1, True)])
-def test_random_bits_batch_is_share_exact(n, t, failed, retry):
+def assert_random_bits_match_reference(n, t, failed, steer):
+    """Nine bits from ``random_bits_batch`` and from the reference, on two
+    engines whose generators ``steer`` has patched alike; returns the
+    engine's meter."""
     def make():
         engine = Engine(SharingParams(n, t), seed=40 + n)
         for v in (3, 4):
             engine.input(v)
         if failed:
             engine.fail_party(2)
-        if retry:
-            # the first random element is 0, so its square opens to 0
-            draw = engine.rng.randrange
-            calls = []
-
-            def zero_first(*args):
-                calls.append(args)
-                return 0 if len(calls) == 1 else draw(*args)
-
-            engine.rng.randrange = zero_first
+        steer(engine.rng)
         return engine
 
     engine, ref = make(), make()
@@ -726,7 +742,93 @@ def test_random_bits_batch_is_share_exact(n, t, failed, retry):
     assert engine.rng.getstate() == ref.rng.getstate()
     assert engine.meter == ref.meter
     assert engine.opened_log == ref.opened_log
-    assert engine.meter.bucket("bits").opens == (10 if retry else 9)
+    return engine.meter
+
+
+@pytest.mark.parametrize("retry", [False, True])
+@pytest.mark.parametrize("n,t,failed", [(3, 1, False), (5, 1, True)])
+def test_random_bits_batch_is_share_exact(n, t, failed, retry):
+    def steer(rng):
+        if retry:
+            # the first random element is 0, so its square opens to 0
+            rng.getrandbits = zero_first(rng.getrandbits)
+
+    meter = assert_random_bits_match_reference(n, t, failed, steer)
+    assert meter.bucket("bits").opens == (10 if retry else 9)
+
+
+@pytest.mark.parametrize("n,t,failed", [(3, 1, False), (5, 1, True),
+                                        (5, 2, False)])
+def test_random_bits_batch_redraws_words_above_prime(n, t, failed,
+                                                     force_rejects):
+    # words >= p at the two draws after the fifth element's r, which
+    # randrange redraws in turn and the one-list draw drops and tops up,
+    # and at the second top-up word, which the top-up loop redraws itself
+    width = t + 1
+    at = {4 * width + 1, 4 * width + 2, 9 * width + 1}
+    meter = assert_random_bits_match_reference(
+        n, t, failed, lambda rng: force_rejects(rng, at))
+    assert meter.bucket("bits").opens == 9
+
+
+def coefficients(kind, draw):
+    p = field.PRIME
+    if kind == "unit":
+        return lambda: 1
+    if kind == "minus":
+        return lambda: -1
+    if kind == "near p":
+        # each is 1, -1 or 2 in the field but not the integer 1
+        return lambda: draw.choice([p + 1, p - 1, 2 * p + 2, p + 2])
+    return lambda: draw.choice([1, -1, 2, 0, draw.randrange(p)])
+
+
+@pytest.mark.parametrize("n,t", [(3, 1), (5, 2), (7, 3)])
+@pytest.mark.parametrize("degrade", [None, "gapped", "failed"])
+@pytest.mark.parametrize("arity", [0, 1, 2, 3, 8, "mixed"])
+@pytest.mark.parametrize("kind", ["unit", "minus", "mixed", "near p"])
+def test_columnar_lincomb_is_share_exact(n, t, degrade, arity, kind,
+                                         monkeypatch):
+    # ten combinations of one arity take the columns; a mixed batch groups
+    # its lengths and sums any group shorter than its arity one by one
+    engine, handles = loaded_engine(n, t, degrade)
+    if degrade == "gapped":
+        # one sharing lacks a share, so the combinations' masks differ
+        handles = handles[:2] + handles[2::2]
+    draw = random.Random(f"{n}{t}{degrade}{arity}{kind}")
+    coef = coefficients(kind, draw)
+    arities = [0, 1, 2, 3, 8, 1, 2, 2, 0, 1] if arity == "mixed" else [arity] * 10
+    combos = []
+    for k in arities:
+        terms = [(coef(), draw.choice(handles)) for _ in range(k)]
+        if kind == "unit":
+            const = 0
+        elif kind == "minus":
+            const = 1
+        else:
+            const = draw.choice([0, 7, -3, field.PRIME - 1,
+                                 draw.randrange(field.PRIME)])
+        combos.append((terms, const))
+    want = [reference_lincomb(engine, terms, const) for terms, const in combos]
+    products = []
+    real_mul = abb.mul
+
+    def counting_mul(x, y):
+        products.append(1)
+        return real_mul(x, y)
+
+    monkeypatch.setattr(abb, "mul", counting_mul)
+    first = engine._next_handle
+    out = engine.lincomb_batch(combos)
+    assert out == list(range(first, first + len(combos)))
+    assert engine._next_handle == first + len(combos)
+    assert [share_row(engine, h) for h in out] == want
+    for h in out:
+        row = engine._h[h]
+        assert type(row) is tuple and len(row) == t + 2
+        assert all(0 <= c < field.PRIME for c in row[:-1])
+    # every coefficient exactly 1: bare columns, no multiplication
+    assert bool(products) == (kind != "unit" and arity != 0)
 
 
 @pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)

@@ -84,8 +84,8 @@ def test_exchange_layers_sort_binary_inputs(m):
 
 
 def test_exchange_layers_trivial_sizes():
-    assert exchange_layers(0) == []
-    assert exchange_layers(1) == []
+    assert exchange_layers(0) == ()
+    assert exchange_layers(1) == ()
     assert sum(len(l) for l in exchange_layers(2)) == 1
 
 
