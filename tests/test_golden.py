@@ -7,12 +7,17 @@ line shows up here.  Re-record only when a change to the artifacts is the
 point of the change, never to make an engine refactor pass.  The two ncaa
 cost reports were re-recorded when the report's CPU projection stopped
 counting ncaa's both-stream formula twice; their only changed value is
-``cpu.projected_seconds_formula``, which halved.
+``cpu.projected_seconds_formula``, which halved.  ``SWEEP`` pins 48
+smaller scenarios the same way, refusals included; ``print_sweep_table``
+prints it afresh, under the same rule.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from dataclasses import asdict
+from itertools import product
 
 import pytest
 
@@ -125,6 +130,299 @@ PHASE_GOLDEN = {
         "33329c5054f32cc6d83e3dd9c7143ebf3e05cafd17a6d3a91f302f890cc23942",
 }
 
+# sweep name (see ``sweep_scenarios``) -> ``sweep_entry``'s result
+SWEEP = {
+    'naa-31-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'fbcf89255cdcc8c428eee2ed8b21c99002159b4cc69d8d601c3de64200665502',
+        '4fb972600cca750aa9d17020d129b15d6ac8a3d20cb0dcff8910df6595c4332e',
+    )),
+    'naa-31-rate0-failed2': (
+        1, 'error: naa multiplies and needs 2t+1 live servers, 2 remain\n',
+        ()),
+    'naa-31-rate0.2-all': (0, '', (
+        '191b7c4b6bb224fcdd26c045c18d39611da082e5a15bae5798aff42f23c1bc36',
+        '7b46fed6753943d01fc22d43c2586abcb9332b990b4481ea744ea7895fa3a5af',
+        '5ae65808fbdec5d92059ca385d30c797d356180873f9f2920acfc08f1afa865e',
+        '103345f92c4e0c258779fa499210fe88bc35c3c885e38b178ace4d0626e92bbc',
+    )),
+    'naa-31-rate0.2-failed2': (
+        1, 'error: naa multiplies and needs 2t+1 live servers, 2 remain\n',
+        ()),
+    'naa-51-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        '5742fa7fbe3500ab2b116caa9e44eb01f2f3ee974df740b0632285734caa45f1',
+        'ffb8c47b5f2465d14f35f94b04842e339f6cbc8dfda7c3e40d8a3fec3b697acf',
+    )),
+    'naa-51-rate0-failed2': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        '5cefe6f3fbead5b28e88d70d6a02091605c53ce06e2c458a4836653774c47663',
+        'f7263aea2e3fe40499799a3382047f69775900247fb6081a5d476648d81e2f36',
+    )),
+    'naa-51-rate0.2-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'ec1bd52d9f55696a9fe6e94875f3fff87a5162dd08de710d06b3b04752042090',
+        '4abd9e44c77887a9441eda81ae368587ef0b7cfb27f48dc3a320a6854185f91a',
+    )),
+    'naa-51-rate0.2-failed2': (0, '', (
+        '186744a04818b7a3949d54b634dbaa43460372a82b7c75d20700589b26433a10',
+        'a1d39a31b4e8bf5aa1204deb8ce361dfb849d92404569b552cce698da1563751',
+        '7d8edfa08d42328d7ab38c0e764ec6eb3f2544860eb12e3812261d49f3e937c9',
+        '10264a32acc6c7640a1dffb5880174380e8cf1ea58509788339fc950cf9d0182',
+    )),
+    'naa-52-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'ab0ac9117390e5258914e7e4ed915ff003102759995d7162a99eed982e20e2ac',
+        'f7278c4636723fe1d9b984577aaf4b9569bb05f9df09ab0aecdeebc727ec6028',
+    )),
+    'naa-52-rate0-failed2': (
+        1, 'error: naa multiplies and needs 2t+1 live servers, 4 remain\n',
+        ()),
+    'naa-52-rate0.2-all': (0, '', (
+        '7ecffcfcd5ab1003b4623de3bf2a9906d6bfbc36e0fce9b29658f9bd8a1a2dd0',
+        'b25d53f94dc6daffa99510e59e14d760c60a8e5e858c50f536845496c19774f2',
+        'd95334cb0fcc2ac6504758b081dac7c2621faa83bf29e359a5b0402fc2d02e8d',
+        'f1ba4e09b2d3fc2a7f29257250aef51a6ec68cae86fdf3de132cbcae4255f8f4',
+    )),
+    'naa-52-rate0.2-failed2': (
+        1, 'error: naa multiplies and needs 2t+1 live servers, 4 remain\n',
+        ()),
+    'naa-73-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'a2023065c569f6977474310d4bb11cddf487f5a231cebcb4b0b2935e5d463d87',
+        'b7c94f890264e2217b40888f89c4ae1a5f2662473d7de57e5c5e599b5035f256',
+    )),
+    'naa-73-rate0-failed2': (
+        1, 'error: naa multiplies and needs 2t+1 live servers, 6 remain\n',
+        ()),
+    'naa-73-rate0.2-all': (0, '', (
+        '2ab7acab013d68058baba61041589c4f785c236c90ecb70c5ce6227cec87e3e7',
+        '491bbc7289f37ad0390b450b56f59fe4dd438e085cf3e5c9673ec2d8150c8d46',
+        '91855a2e7d4d35be5e5160503a3683d3bf887f97c7b0461facad4eccd5b947cd',
+        'f12d9c98927aba8d56f53a6f60091f3d5338e73308b03043956dd9e8670069c9',
+    )),
+    'naa-73-rate0.2-failed2': (
+        1, 'error: naa multiplies and needs 2t+1 live servers, 6 remain\n',
+        ()),
+    'ncaa-31-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'bd787bdab34904a3d4b4d30ad00dfadb7102bf70910ab998ac52d048977d9ef4',
+        '977e6583cb06d83e476dc7012dff4618ac727078645038aab9cf0a2e3282c049',
+    )),
+    'ncaa-31-rate0-failed2': (
+        1, 'error: ncaa multiplies and needs 2t+1 live servers, 2 remain\n',
+        ()),
+    'ncaa-31-rate0.2-all': (0, '', (
+        '191b7c4b6bb224fcdd26c045c18d39611da082e5a15bae5798aff42f23c1bc36',
+        '7b46fed6753943d01fc22d43c2586abcb9332b990b4481ea744ea7895fa3a5af',
+        '13dd89731dd6882b175b21c1f77c3216696b0b67e384117c30a062cf78a7dce8',
+        'c8f850b3ae5e566210b8428a33a2a74d1385607adba66ab8b75339b30e33f7db',
+    )),
+    'ncaa-31-rate0.2-failed2': (
+        1, 'error: ncaa multiplies and needs 2t+1 live servers, 2 remain\n',
+        ()),
+    'ncaa-51-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'ba4af18c8bb02c5f46ac0a230219254a292888d558f4f7b82d6b0f1e78ad7374',
+        'bdc050be050361cb633051f5589d7d3b006ae776791e865a4732c9d798828f65',
+    )),
+    'ncaa-51-rate0-failed2': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        '17ce48cee573609ef39d79f83de17b586877da7ee99113e2495e2d31465bb3d5',
+        '7431d4c92acb116969752f5921df81796f60f8fc7dec3ff2054e1774c2f9b4d4',
+    )),
+    'ncaa-51-rate0.2-all': (0, '', (
+        '7ecffcfcd5ab1003b4623de3bf2a9906d6bfbc36e0fce9b29658f9bd8a1a2dd0',
+        'b25d53f94dc6daffa99510e59e14d760c60a8e5e858c50f536845496c19774f2',
+        '246d303bce3bb667a4f584335878fac8f279820555f9e834ec109e61426472e9',
+        '19a41d471e70d6feddc71897a9211f99e0d4a11bbe5b4399c214597f4e18daf2',
+    )),
+    'ncaa-51-rate0.2-failed2': (0, '', (
+        'd556ddaa5b7211ef3b55ed8afa9c3cd0c06659d65ec746821e71b8595748357b',
+        'f61174f2d2e0f8dd4333f23e434802ccff1f2274e204a782bb857916379555d3',
+        'f98580e33365e92564fa94a6b2fd4b79b15a36fd037e94cdb8db80c65ba863ec',
+        '9f6409be6aef1e4e1b785d5edc5b87e1bc9c6e433524f07a6483eb2a5e9ca61d',
+    )),
+    'ncaa-52-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'd06a6589305b4c5ffb4646b6cd7c5ea67759e6b4d02df11552a6e463bef51f7b',
+        'ccd6108c4ac40e8ee0f0810cb8851b61a5825deff10a050c3bc568c54c61af26',
+    )),
+    'ncaa-52-rate0-failed2': (
+        1, 'error: ncaa multiplies and needs 2t+1 live servers, 4 remain\n',
+        ()),
+    'ncaa-52-rate0.2-all': (0, '', (
+        '7ecffcfcd5ab1003b4623de3bf2a9906d6bfbc36e0fce9b29658f9bd8a1a2dd0',
+        'b25d53f94dc6daffa99510e59e14d760c60a8e5e858c50f536845496c19774f2',
+        '902d5cd7542639bd48421d8253a35a11e02691f7d9859f8d39e03a3061a22f96',
+        '9b55e1aeb9a1e7beaad44bfb5a7e1d44c772dd239f6b91407ab57036f7ae9c37',
+    )),
+    'ncaa-52-rate0.2-failed2': (
+        1, 'error: ncaa multiplies and needs 2t+1 live servers, 4 remain\n',
+        ()),
+    'ncaa-73-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'a9c8973bf56fe0b703d398ed90001612fce522b42b0c18e1ec530de412af28a1',
+        '72b0517757314e51869aa3304a4de26bd9600cbdc364da01fc3c261520f2a467',
+    )),
+    'ncaa-73-rate0-failed2': (
+        1, 'error: ncaa multiplies and needs 2t+1 live servers, 6 remain\n',
+        ()),
+    'ncaa-73-rate0.2-all': (0, '', (
+        '2ab7acab013d68058baba61041589c4f785c236c90ecb70c5ce6227cec87e3e7',
+        '491bbc7289f37ad0390b450b56f59fe4dd438e085cf3e5c9673ec2d8150c8d46',
+        '22b6e97e48dec3ae9a73f5690d25ee7b4a012b7b301c762be200854431552c60',
+        '6674de64459243b4ae0eae77ad6b22814e3858fbf48f9da443998564696dc7b8',
+    )),
+    'ncaa-73-rate0.2-failed2': (
+        1, 'error: ncaa multiplies and needs 2t+1 live servers, 6 remain\n',
+        ()),
+    'niaa-31-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        '9788c160789c12bac66954bb085fc35ac2092cd3c41ebfc783a8d7624acf29d6',
+        '44df8e6668ecbcb78d2c32c5d1897a04dd91ff23f4da9eccc7c2bf38ac838228',
+    )),
+    'niaa-31-rate0-failed2': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'f29d2ea13683b1d1138c305ed3eaf5713f51dde15ae11577bc7768671cfad796',
+        '1dd0e1fb476bbd5ae1f6aee39c5409d37919bbe22a0e6e903e33eeee1de0542b',
+    )),
+    'niaa-31-rate0.2-all': (0, '', (
+        '186744a04818b7a3949d54b634dbaa43460372a82b7c75d20700589b26433a10',
+        'a1d39a31b4e8bf5aa1204deb8ce361dfb849d92404569b552cce698da1563751',
+        'ebc6a8aa0df66727144a3ce7fbed84de73ca8cc3ff489b75fbfa377716c59718',
+        '30a383d6634df9f8cfd578827347083190c888648c13cf5b7580759e38867913',
+    )),
+    'niaa-31-rate0.2-failed2': (0, '', (
+        'e426c18044c7eef67fb65262cd1610745d2e86f999d8a25c8a9a0587b690b770',
+        '680c4a8ff7b0d2e5285538abe05d4d8c5c8df6f73665790f64eb02e61dc1efc4',
+        '1c584c9a99277bba1f32cbb83b6e6ede2b50e6f6126c64e2ec66644c17aa4df8',
+        'dce268e5300281edfb97aa1049e7a48767b837ca3631be388e620ddead8cc515',
+    )),
+    'niaa-51-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        '1784070e193bc22e4ab5bbbe8b7d0c8c04f501dfa0a3359e5f7cfd9cbf136c6a',
+        '4ab6575fd705fd5fd2e0ef7edd2c4e6f9d384509a4960ef62ea4abdfb26ed436',
+    )),
+    'niaa-51-rate0-failed2': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'c3785d567e191a21ec71d6d0cd40e5a37c71e19343d52ad0d7a41ff1f2063998',
+        '74c7f651cbab0bae24c0d7c31d4592ba6c59301c987c3e2965d17b1c65787ab5',
+    )),
+    'niaa-51-rate0.2-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'f292b4e63c42f33e5a3c14f4536557ba60756917ef7425b53e52e52f87d8baea',
+        '80fa80bbe655b98b973236744b7993525779d7b5e4a7c3e0093043f6f8ccaf71',
+    )),
+    'niaa-51-rate0.2-failed2': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        '52045b85a08c8a254e5913139aa5d9c5229c4af7020b57540642cbf63c9e3ae3',
+        '3083a560c49b53c29a642bedb6e84c19080ee9839838f1dec8b81ee4f0c76de2',
+    )),
+    'niaa-52-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        '3491252dbc3f3d0de5755edffcf7f6c92d5021c7035910475c87179137d6668f',
+        '4ab6575fd705fd5fd2e0ef7edd2c4e6f9d384509a4960ef62ea4abdfb26ed436',
+    )),
+    'niaa-52-rate0-failed2': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        '75a6c315b1977d6bfd3032caae1a4b1349e1c4c3c99fc3342e58c901d239fa7d',
+        '74c7f651cbab0bae24c0d7c31d4592ba6c59301c987c3e2965d17b1c65787ab5',
+    )),
+    'niaa-52-rate0.2-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'f1ed6f1170040e8fb3646f9c1d6c3f4313b82e97a2661e1e12b7ac23e55393b7',
+        '80fa80bbe655b98b973236744b7993525779d7b5e4a7c3e0093043f6f8ccaf71',
+    )),
+    'niaa-52-rate0.2-failed2': (0, '', (
+        '186744a04818b7a3949d54b634dbaa43460372a82b7c75d20700589b26433a10',
+        'a1d39a31b4e8bf5aa1204deb8ce361dfb849d92404569b552cce698da1563751',
+        '676ddf13224b836737dfa09a97e1040cff45038ec2cf46e2046be2fbf42da80e',
+        '381a075c2fcd364384b9c0d582330e9f6f690b933817b2485f09c09ad91efb9d',
+    )),
+    'niaa-73-rate0-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'c5203cb1ccd1bf37ab34a5fdeaa8d0d1644c96794b985fcd7b28b8a40078078c',
+        '4852ddb009b2bf2df92fdf1d3f947c300030bf71cdcd1e467284129352bf5963',
+    )),
+    'niaa-73-rate0-failed2': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        'fbd9999c9d433bc0ea943395f23341484e9f3c3562f6bfc3610024e395312310',
+        'cf63bbd83a50e39683e94670c9de9317f5765288bbd627dffc3050543640ffdf',
+    )),
+    'niaa-73-rate0.2-all': (0, '', (
+        '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
+        '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
+        '1db1c683e7459bca7cb251975335a9f3a7f3e7f7cd1e5229313a5d22066f21a1',
+        'baf52f96bddd2210cccd8759e3a3ea144e61ffc8b59801b5bc0117b033752bf3',
+    )),
+    'niaa-73-rate0.2-failed2': (0, '', (
+        '43bbe8200f929f448a67be9e3ca643531e6db5d746775600ec16fe6e9e213015',
+        '9c77f4d0b260b6879af3586b63b786c2ef384c7021a9050f3934042a0bee33cd',
+        '72f36a5c0627a6299a11b223d3b2a352cf34390448c2cd1b0605bd0a1fd77c95',
+        '03e37b915654fafd78a3aaebf3f144cd20373eac4581f4a81019ab54483b6b88',
+    )),
+}
+
+
+# The 48-scenario sweep: every algorithm at (3,1), (5,1), (5,2) and (7,3),
+# with and without transport faults, with server 2 failed or not, on one
+# small two-region shape.  It covers what the six goldens do not: (5,1) and
+# (7,3), faults with a failed server for every algorithm, and the refusals'
+# exit codes and messages.
+SWEEP_SHAPE = dict(n_dno=2, n_suppliers=4, sm_per_region=[12, 9], sigma=6,
+                   seed=31)
+SWEEP_AXES = (("naa", "ncaa", "niaa"), ((3, 1), (5, 1), (5, 2), (7, 3)),
+              (0, 0.2), ((), (2,)))
+
+
+def sweep_scenarios() -> dict:
+    """Sweep name -> scenario, e.g. ``naa-52-rate0.2-failed2``."""
+    return {
+        f"{alg}-{n}{t}-rate{rate}-{'failed2' if failed else 'all'}": dict(
+            SWEEP_SHAPE, algorithm=alg, n_servers=n, threshold=t,
+            fault_rate=rate, fail_servers=list(failed))
+        for alg, (n, t), rate, failed in product(*SWEEP_AXES)
+    }
+
+
+def sweep_entry(tmp_path, scenario: dict) -> tuple:
+    """``run --check --out`` on one scenario: (exit code, standard error,
+    sha256 of each artifact in ARTIFACTS order, () when none is written)."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--scenario", str(path), "--check",
+                         "--out", str(out)])
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ARTIFACTS) if out.exists() else ()
+    return code, err.getvalue(), digests
+
 
 def artifact_digests(tmp_path, scenario: dict) -> dict:
     path = tmp_path / "scenario.json"
@@ -153,3 +451,39 @@ def test_golden_phase_counters(name):
     }
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode())
     assert digest.hexdigest() == PHASE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(sweep_scenarios()))
+def test_golden_sweep(name, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    assert sweep_entry(tmp_path, sweep_scenarios()[name]) == SWEEP[name]
+
+
+def print_sweep_table() -> None:
+    """Print ``SWEEP`` as recorded by the code on the path.
+
+    Run ``PYTHONPATH=src python3 tests/test_golden.py`` and paste only the
+    entries whose change is the point of the change, naming each in
+    CHANGES.md; the rule of the goldens above holds for every entry.
+    """
+    import os
+    import pathlib
+    import tempfile
+
+    os.environ.pop(cli.SEED_ENV, None)
+    print("SWEEP = {")
+    for name, scenario in sorted(sweep_scenarios().items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err, digests = sweep_entry(pathlib.Path(tmp), scenario)
+        if not digests:
+            print(f"    {name!r}: (\n        {code}, {err!r},\n        ()),")
+            continue
+        print(f"    {name!r}: ({code}, {err!r}, (")
+        for digest in digests:
+            print(f"        {digest!r},")
+        print("    )),")
+    print("}")
+
+
+if __name__ == "__main__":
+    print_sweep_table()
