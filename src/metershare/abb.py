@@ -73,8 +73,13 @@ to the servers, one product's reshare round or one handle's opening
 broadcast.  ``links`` is a non-empty tuple of ``"sender,receiver"``
 strings, one per share message of ``bytes`` bytes, sender-major.  A
 round's links come from one cached plan per (live holders, live parties),
-and the meter counts those same tuples.  A writer expands each record
-into one line per link.
+and the meter counts those same tuples.  Records share their links tuple
+wherever they can: a product round's or an opening's records hold its
+group's plan tuple, and consecutive deliveries from one sender to the same
+live holders (a meter's bundle, a run of dealer inputs) hold one tuple,
+built at the first of them.  A writer expands each record into one line
+per link, and may cut those lines once per run of records with the same
+round, links tuple and size (see ``cli.write_transcript``).
 """
 
 from contextlib import contextmanager
@@ -171,8 +176,10 @@ class CostMeter:
 
 _FIRST, _SECOND, _LAST = itemgetter(0), itemgetter(1), itemgetter(-1)
 
-# element-wise sum of two columns; reduce() folds a list of columns with it
+# element-wise sum and difference of two columns; reduce() folds a list of
+# columns with them
 _add_columns = partial(map, add)
+_sub_columns = partial(map, sub)
 
 
 class _Plan(NamedTuple):
@@ -180,6 +187,7 @@ class _Plan(NamedTuple):
     points: tuple       # their points x = index + 1
     rule: tuple         # shamir.fit_rule of those points, read by intake
     weights: tuple      # Lagrange weights at 0 of the first 2t+1 holders
+    factored: tuple     # the same weights by magnitude, see _factor
     reshare: tuple      # "pI,pJ" links of a product round
     broadcast: tuple    # "pI,pJ" links of an opening
 
@@ -198,7 +206,22 @@ def _plan(q: int, live: int, t: int) -> _Plan:
     broadcast = tuple(f"p{i + 1},p{j + 1}"
                       for i in holders for j in receivers if j != i)
     reshare = broadcast[: len(weights) * (len(receivers) - 1)]
-    return _Plan(holders, points, rule, weights, reshare, broadcast)
+    return _Plan(holders, points, rule, weights, _factor(weights), reshare,
+                 broadcast)
+
+
+def _factor(weights: tuple) -> tuple:
+    """Weights as terms ``(w, plus, minus)``, one per magnitude |w|, with
+    sum_s weights[s]*r_s = sum over terms of w*(sum of r_s over the sender
+    numbers s in plus - sum over minus).  Senders weighted w and -w share
+    one multiplication: (3, -3, 1) is 3*(r_0 - r_1) + r_2.  A magnitude
+    that only negative weights have becomes one term with w < 0."""
+    signs: dict = {}
+    for s, w in enumerate(weights):
+        signs.setdefault(abs(w), ([], []))[w < 0].append(s)
+    return tuple((m, tuple(plus), tuple(minus)) if plus
+                 else (-m, tuple(minus), ())
+                 for m, (plus, minus) in signs.items())
 
 
 def _evaluate(coeffs, x: int) -> int:
@@ -227,6 +250,9 @@ class Engine:
         # intake's plans by live holder mask: a dict lookup per sharing,
         # about 50 against 125 ns for _plan's lru_cache key
         self._intake: dict[int, _Plan] = {}
+        # the last delivery's (sender, live holders, links): a bundle's
+        # sharings share one links tuple
+        self._delivered: tuple = (None, 0, ())
         self._next_handle = 1
         self._active = (1 << self.n) - 1
 
@@ -317,8 +343,11 @@ class Engine:
 
     def _record_delivery(self, h: Handle, live: int, sender: str) -> None:
         """Record sharing h's delivery: one message to each live holder."""
-        links = tuple(f"{sender},p{i + 1}"
-                      for i in _plan(live, live, self.t).holders)
+        last, held, links = self._delivered
+        if sender != last or live != held:
+            links = tuple(f"{sender},p{i + 1}"
+                          for i in _plan(live, live, self.t).holders)
+            self._delivered = (sender, live, links)
         self.transcript.append((self._round, links, h, SHARE_BYTES))
 
     def input(self, value: int, sender: str = "dealer") -> Handle:
@@ -540,6 +569,15 @@ class Engine:
           weights lam weigh its products' draws.
         - All K*(2t+1)*t draws come from one list, in product, then sender,
           then d order, by ``randrange(p)``'s rule (see ``_draw``).
+        - When every product is in one group, the weights are taken by
+          magnitude (``_Plan.factored``): the draw columns of senders
+          weighted w and -w are subtracted, and their difference is
+          multiplied by w once; a weight of 1 multiplies nothing.  From
+          consecutive holders the weights come in such pairs, so F_d is
+          3*(r_0d - r_1d) + r_2d at (3,1) and 5*(r_0d - r_3d) +
+          10*(r_2d - r_1d) + r_4d at (5,2).  The integer sums do not
+          change, so neither do the stored coefficients.  Products of
+          several groups weigh each draw by its own group's weight.
         - Each coefficient is summed unreduced and reduced mod p once, and
           each product is stored as one tuple ``(F_0, ..., F_t, mask)``.
 
@@ -581,21 +619,33 @@ class Engine:
         # product u's draws for sender s are words[u*step + s*t:][:t]
         step = size * t
         words = self._draw(k * step)
+        # the factors' c_0 columns, read once for the product and the merge
+        firsts = [list(map(_FIRST, left)), list(map(_FIRST, right))]
+        cols = [map(mul, *firsts)]
         if len(groups) == 1:
-            weights = list(map(repeat, groups[masks[0]].weights))
+            factored = groups[masks[0]].factored
+            for d in range(t):
+                draws = [words[s * t + d::step] for s in range(size)]
+                terms = []
+                for w, plus, minus in factored:
+                    col = reduce(_add_columns, [draws[s] for s in plus])
+                    col = reduce(_sub_columns, [draws[s] for s in minus], col)
+                    terms.append(col if w == 1 else map(mul, col, repeat(w)))
+                cols.append(reduce(_add_columns, terms))
         else:
             # sender s's weight per product, by the product's group
             weights = list(zip(*[groups[m].weights for m in masks]))
-
-        cols = [map(mul, map(_FIRST, left), map(_FIRST, right))]
-        for d in range(t):
-            cols.append(reduce(_add_columns, [
-                map(mul, words[s * t + d::step], w)
-                for s, w in enumerate(weights)
-            ]))
+            for d in range(t):
+                cols.append(reduce(_add_columns, [
+                    map(mul, words[s * t + d::step], w)
+                    for s, w in enumerate(weights)
+                ]))
         if as_or:
-            cols = [map(sub, map(add, map(get, left), map(get, right)), col)
-                    for get, col in zip(map(itemgetter, range(t + 1)), cols)]
+            factors = [firsts] + [
+                [map(get, left), map(get, right)]
+                for get in map(itemgetter, range(1, t + 1))]
+            cols = [map(sub, map(add, *pair), col)
+                    for pair, col in zip(factors, cols)]
             # a merge lives where both factors and the party do
             held = map(and_, masks, repeat(active))
             # the products' numbers: named by the transcript, never stored

@@ -256,11 +256,28 @@ def write_report(report: dict, out_dir: str, fmt: str) -> None:
 
 
 def write_transcript(run: RunResult, path: str) -> None:
+    """One line ``round,sender,receiver,handle,bytes`` per link of each record.
+
+    A record's lines are ``label.join(pieces)``, the pieces being the text
+    between its labels.  They depend only on the round, the links and the
+    size, so they are cut once for each run of records that share all three
+    (a product round's records share one links tuple, and so do a bundle's
+    deliveries), and each record is written on its own: the file's text is
+    never held whole.
+    """
     with open(path, "w") as fh:
         fh.write("round,sender,receiver,handle,bytes\n")
+        write = fh.write
+        cut = at = size = None  # links, round and bytes of the pieces
         for rnd, links, label, nb in run.transcript:
-            head, tail = f"{rnd},", f",{label},{nb}\n"
-            fh.write(head + (tail + head).join(links) + tail)
+            if links is not cut or rnd != at or nb != size:
+                cut, at, size = links, rnd, nb
+                head, tail = f"{rnd},", f",{nb}\n"
+                sep = tail + head
+                pieces = [head + links[0] + ","]
+                pieces += [sep + link + "," for link in links[1:]]
+                pieces.append(tail)
+            write(label.join(pieces))
 
 
 # -- subcommands -------------------------------------------------------------

@@ -216,6 +216,30 @@ def test_input_shares_fits_only_held_shares():
     assert engine.handle_mask(f) == 0b011 and engine.open(f) == 4
 
 
+def test_delivery_links_follow_sender_and_holders():
+    # interleaved deliveries: each record's links are its own sender's to
+    # its own live holders, however the one before it was sent
+    engine = Engine(SharingParams(3, 1), seed=3, record_transcript=True)
+    sent = [("sm1", 0b111), ("sm1", 0b111), ("sm1", 0b101), ("sm2", 0b101),
+            ("dealer", 0b111), ("sm1", 0b111)]
+    for sender, holders in sent:
+        if sender == "dealer":
+            engine.input(4)
+        else:
+            engine.input_shares([5, 6, 7], sender, holders)
+    engine.fail_party(2)
+    engine.input_shares([5, 6, 7], "sm1")
+    sent.append(("sm1", 0b101))
+
+    records = engine.transcript
+    assert len(records) == len(sent)
+    for (sender, holders), (_, links, _, _) in zip(sent, records):
+        assert links == tuple(f"{sender},p{i}" for i in (1, 2, 3)
+                              if holders >> (i - 1) & 1)
+    # one bundle's sharings share one links tuple
+    assert records[0][1] is records[1][1]
+
+
 def test_random_bits_are_bits(engine, rng):
     bits = engine.random_bits_batch(64)
     opened = engine.open_batch(bits)
@@ -487,8 +511,8 @@ def loaded_engine(n, t, degrade, record_transcript=False):
             values[k % n] = None
             h = engine.input_shares(values)
         handles.append(h)
-    if degrade == "failed":
-        engine.fail_party(2)
+    if degrade in ("failed", "failed3"):
+        engine.fail_party(3 if degrade == "failed3" else 2)
     return engine, handles
 
 
@@ -496,6 +520,8 @@ RESHARE_CASES = [
     (3, 1, None), (5, 2, None), (7, 3, None),
     # a lost share or failed party needs a spare sender beyond 2t+1
     (5, 1, "failed"), (7, 2, "failed"), (9, 3, "failed"),
+    # senders {1, 2, 4}: weights (8/3, -2, 1/3), no two of one magnitude
+    (5, 1, "failed3"),
     (5, 1, "gapped"), (7, 2, "gapped"), (9, 3, "gapped"),
 ]
 

@@ -9,6 +9,8 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
+import types
 
 import pytest
 
@@ -17,6 +19,7 @@ from metershare.abb import Engine
 from metershare.errors import UnknownSupplier
 from metershare.metering import Scenario, build_meters, derive_seed
 from metershare.shamir import SHARE_BYTES
+from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 
 def write_scenario(tmp_path, **kw):
@@ -499,6 +502,52 @@ def test_transcript_matches_meter(tmp_path, alg, n, t, rate, failed):
     lines = path.read_text().splitlines()
     shares = sum(len(links) for _, links, _, _ in run.transcript)
     assert len(lines) == 1 + shares
+
+
+def reference_transcript(records) -> str:
+    """The transcript file rendered one line per link, nothing reused."""
+    return "round,sender,receiver,handle,bytes\n" + "".join(
+        f"{rnd},{link},{label},{nb}\n"
+        for rnd, links, label, nb in records for link in links)
+
+
+def test_write_transcript_matches_line_per_link(tmp_path):
+    shared = ("p1,p2", "p1,p3", "p2,p1", "p2,p3")
+    equal = tuple(list(shared))
+    assert equal == shared and equal is not shared
+    records = [
+        # one links object over many records
+        (1, shared, "r1.h5", 16), (1, shared, "r1.h6", 16),
+        (1, shared, "r1.h7", 16),
+        # the same object in the next round
+        (2, shared, "r1.h8", 16), (2, shared, "r1.h9", 16),
+        # an equal tuple that is another object, then a change of size
+        (2, equal, "r1.h10", 16), (2, equal, "r1.h11", 32),
+        (2, equal, "r1.h12", 16), (2, shared, "r2.h3", 16),
+        # single-link records, one link object each or shared
+        (3, ("p1,tso",), "cell/imp/1/1", 16),
+        (3, ("p2,tso",), "cell/imp/1/1", 16),
+        (3, ("p2,tso",), "cell/exp/1/1", 16),
+        (4, shared[:1], "r2.h4", 16), (4, shared[:1], "r2.h5", 16),
+    ]
+    path = tmp_path / "transcript.log"
+    cli.write_transcript(types.SimpleNamespace(transcript=records), path)
+    assert path.read_text() == reference_transcript(records)
+
+
+def test_write_transcript_streams_its_lines(tmp_path):
+    run = cli.run_scenario(Scenario(**GOLDEN_SCENARIOS["naa-t2-faults"]),
+                           record_transcript=True)
+    path = tmp_path / "transcript.log"
+    tracemalloc.start()
+    try:
+        cli.write_transcript(run, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 4_000_000
+    assert peak < 1_000_000
+    assert path.read_text() == reference_transcript(run.transcript)
 
 
 def test_report_rows_round_trip_through_writer(tmp_path):
