@@ -514,6 +514,7 @@ def reference_transcript(records) -> str:
 def test_write_transcript_matches_line_per_link(tmp_path):
     shared = ("p1,p2", "p1,p3", "p2,p1", "p2,p3")
     equal = tuple(list(shared))
+    single = ("p3,p1",)
     assert equal == shared and equal is not shared
     records = [
         # one links object over many records
@@ -524,11 +525,11 @@ def test_write_transcript_matches_line_per_link(tmp_path):
         # an equal tuple that is another object, then a change of size
         (2, equal, "r1.h10", 16), (2, equal, "r1.h11", 32),
         (2, equal, "r1.h12", 16), (2, shared, "r2.h3", 16),
-        # single-link records, one link object each or shared
+        # single-link records, with a links object each, then sharing one
         (3, ("p1,tso",), "cell/imp/1/1", 16),
-        (3, ("p2,tso",), "cell/imp/1/1", 16),
-        (3, ("p2,tso",), "cell/exp/1/1", 16),
-        (4, shared[:1], "r2.h4", 16), (4, shared[:1], "r2.h5", 16),
+        (3, shared[:1], "cell/imp/1/1", 16),
+        (3, shared[:1], "cell/exp/1/1", 16),
+        (4, single, "r2.h4", 16), (4, single, "r2.h5", 16),
     ]
     path = tmp_path / "transcript.log"
     cli.write_transcript(types.SimpleNamespace(transcript=records), path)

@@ -16,6 +16,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
+import tempfile
 from dataclasses import asdict
 from itertools import product
 
@@ -466,10 +469,6 @@ def print_sweep_table() -> None:
     entries whose change is the point of the change, naming each in
     CHANGES.md; the rule of the goldens above holds for every entry.
     """
-    import os
-    import pathlib
-    import tempfile
-
     os.environ.pop(cli.SEED_ENV, None)
     print("SWEEP = {")
     for name, scenario in sorted(sweep_scenarios().items()):
