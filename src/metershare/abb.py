@@ -42,12 +42,13 @@ p, of the one degree-t polynomial P whose value P(i) is party i's share
 if party i+1 holds its share.  Every operation works on the coefficients:
 an affine combination combines them, an opening reads c_0, and a product
 computes its new coefficients directly (see ``product_batch``).  A share
-is evaluated only where one is read: ``export_shares``; shares are read
-into coefficients only at intake (``input_shares``, by ``shamir.fit``'s
-rule, which checks every further live holder's share).  A row is never
-changed after it is stored; every operation writes a new one.  One flat
-tuple because a region holds tens of thousands of rows at once: it is one
-allocation towards the next collection, not two as with nested
+is evaluated only where one is read: ``export_shares``, by
+``shamir.evaluate``; shares are read into coefficients only at intake
+(``input_shares``, by ``shamir.fit``'s rule, which checks every further
+live holder's share).  Coefficients are drawn by ``shamir.draw``.  A row
+is never changed after it is stored; every operation writes a new one.
+One flat tuple because a region holds tens of thousands of rows at once:
+it is one allocation towards the next collection, not two as with nested
 coefficients, and the cyclic garbage collector stops tracking a tuple of
 ints at its first scan, while it rescans a list on every full collection.
 
@@ -93,12 +94,12 @@ from typing import NamedTuple
 from . import field
 from .errors import InconsistentShares, InsufficientShares, TooManyFailures
 from .shamir import (
-    RAND_BITS,
     SHARE_BYTES,
     SharingParams,
+    draw,
+    evaluate,
     fit,
     fit_rule,
-    lagrange_at,
     share_values,  # noqa: F401  not called here; bench/tracer.py probes it
 )
 
@@ -201,7 +202,9 @@ def _plan(q: int, live: int, t: int) -> _Plan:
     holders = tuple(i for i in range(q.bit_length()) if q >> i & 1)
     points = tuple(i + 1 for i in holders)
     rule = fit_rule(points, t)
-    weights = lagrange_at(points[: 2 * t + 1], 0)
+    # the Lagrange weights at 0 are row 0 of the fit through the senders
+    base = points[: 2 * t + 1]
+    weights = fit_rule(base, len(base) - 1)[1][0]
     receivers = [j for j in range(live.bit_length()) if live >> j & 1]
     broadcast = tuple(f"p{i + 1},p{j + 1}"
                       for i in holders for j in receivers if j != i)
@@ -222,14 +225,6 @@ def _factor(weights: tuple) -> tuple:
     return tuple((m, tuple(plus), tuple(minus)) if plus
                  else (-m, tuple(minus), ())
                  for m, (plus, minus) in signs.items())
-
-
-def _evaluate(coeffs, x: int) -> int:
-    """P(x) mod p by Horner, for P's coefficients c_0..c_t."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc % PRIME
 
 
 class Engine:
@@ -297,24 +292,6 @@ class Engine:
         self._h[h] = row
         return h
 
-    def _draw(self, k: int) -> list[int]:
-        """k field elements by ``randrange(p)``'s rule, in draw order.
-
-        Words at or above p are dropped and the list is topped up one word
-        at a time, which accepts exactly the words k ``randrange`` calls
-        would (see ``shamir.RAND_BITS``).
-        """
-        p = PRIME
-        getrandbits = self.rng.getrandbits
-        words = list(map(getrandbits, repeat(RAND_BITS, k)))
-        if k and max(words) >= p:
-            words = [w for w in words if w < p]
-            while len(words) < k:
-                w = getrandbits(RAND_BITS)
-                if w < p:
-                    words.append(w)
-        return words
-
     def skip_handles(self, k: int) -> None:
         """Issue the next k handle numbers without storing a sharing."""
         self._next_handle += k
@@ -336,8 +313,8 @@ class Engine:
         """Shares held by live parties, keyed by party index."""
         *coeffs, mask = self._h[h]
         mask &= self._active
-        return {i + 1: _evaluate(coeffs, i + 1)
-                for i in range(self.n) if mask >> i & 1}
+        xs = [i + 1 for i in range(self.n) if mask >> i & 1]
+        return dict(zip(xs, evaluate(coeffs, xs)))
 
     # -- inputs and constants ----------------------------------------------
 
@@ -352,10 +329,10 @@ class Engine:
 
     def input(self, value: int, sender: str = "dealer") -> Handle:
         """Dealer-side sharing delivered to every live party; its t random
-        coefficients are drawn as ``share_values`` draws them."""
+        coefficients come from ``shamir.draw``, as ``share_values``' do."""
         field.validate(value)
         live = self._active
-        h = self._register((value, *self._draw(self.t), live))
+        h = self._register((value, *draw(self.rng, self.t), live))
         self.meter.bucket(self._phase).msgs_sm_to_dcc += live.bit_count()
         if self.transcript is not None:
             self._record_delivery(h, live, sender)
@@ -568,7 +545,7 @@ class Engine:
           nothing.  A group's first 2t+1 live holders send, and its
           weights lam weigh its products' draws.
         - All K*(2t+1)*t draws come from one list, in product, then sender,
-          then d order, by ``randrange(p)``'s rule (see ``_draw``).
+          then d order, by ``randrange(p)``'s rule (``shamir.draw``).
         - When every product is in one group, the weights are taken by
           magnitude (``_Plan.factored``): the draw columns of senders
           weighted w and -w are subtracted, and their difference is
@@ -618,7 +595,7 @@ class Engine:
 
         # product u's draws for sender s are words[u*step + s*t:][:t]
         step = size * t
-        words = self._draw(k * step)
+        words = draw(self.rng, k * step)
         # the factors' c_0 columns, read once for the product and the merge
         firsts = [list(map(_FIRST, left)), list(map(_FIRST, right))]
         cols = [map(mul, *firsts)]
@@ -693,8 +670,8 @@ class Engine:
         is a sharing of +-1 mapped affinely to {0, 1} (Damgard et al., TCC
         2006).  A zero draw is rejected and retried.  An attempt draws
         every pending element's polynomial, r then its t coefficients, as
-        one ``_draw`` list, which gives the same words and rng state as a
-        ``randrange(p)`` and a ``_draw(t)`` per element, and registers
+        one ``shamir.draw`` list, which gives the same words and rng state
+        as a ``draw(rng, t + 1)`` per element, and registers
         them in one update.  Each attempt's random elements and their
         squares are released once its bits exist.  The squaring round's
         2t+1 quorum is checked first, so a refused call draws and
@@ -710,9 +687,9 @@ class Engine:
         width = self.t + 1
         while pending:
             # element u's polynomial (r, c_1, ..., c_t) is
-            # words[u*width:(u+1)*width], drawn in that order by randrange's
-            # rule, which is the order and rule of randrange(p) then _draw(t)
-            words = self._draw(len(pending) * width)
+            # words[u*width:(u+1)*width]: one list gives the words and rng
+            # state of one draw per element
+            words = draw(self.rng, len(pending) * width)
             polys = zip(*[words[d::width] for d in range(width)],
                         repeat(self._active))
             first = self._next_handle

@@ -289,7 +289,11 @@ def cmd_run(args) -> int:
         env_seed = os.environ.get(SEED_ENV)
         if env_seed is not None:
             data = scenario.to_dict()
-            data["seed"] = int(env_seed)
+            try:
+                data["seed"] = int(env_seed)
+            except ValueError:
+                raise ValueError(f"{SEED_ENV} must be an integer, "
+                                 f"got {env_seed!r}") from None
             scenario = Scenario.from_dict(data)
     except (MeterShareError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -21,7 +21,9 @@ from .shamir import SHARE_BYTES
 PROTOCOLS = ("trad", "dep2sa", *ALGORITHMS)
 SEGMENTS = ("sms_to_dcc", "between_dcc", "dcc_to_recipients")
 
-# messages exchanged between 3 servers per multiplication (or open)
+# messages between the servers per multiplication (or open) in the paper's
+# 3-server model, n*(n-1) at n = 3; the engine counts (2t+1)*(live-1) per
+# product and every live holder to every other live party per open
 MESSAGES_PER_MULT = 6
 
 # bit widths of the paper's model
@@ -192,9 +194,17 @@ def bytes_from_transcript(records: list[tuple]) -> dict:
     ``abb``); each ``"sender,receiver"`` link carries ``bytes``.  Senders
     named sm* are meters, p* are servers; any other receiver is an output
     party.  Returns byte totals per segment for cross-checking the meter.
+
+    Records share their links tuples (see ``abb``), so bytes are summed
+    per tuple object first and each tuple's links are classified once.
     """
-    out = {seg: 0 for seg in SEGMENTS}
+    # id(links) -> [links, bytes per link over its records]; the entry
+    # holds the tuple, so its id is not reused while the call runs
+    carried: dict = {}
     for _round, links, _handle, nbytes in records:
+        carried.setdefault(id(links), [links, 0])[1] += nbytes
+    out = {seg: 0 for seg in SEGMENTS}
+    for links, nbytes in carried.values():
         for link in links:
             sender, receiver = link.split(",")
             if sender.startswith("sm") or sender == "dealer":

@@ -4,10 +4,18 @@ Shares are evaluations of a random degree-t polynomial at the party
 indices 1..n; the secret sits at x = 0.  With n >= 2t+1 the scheme
 tolerates n-(t+1) missing shares and any t shares reveal nothing,
 which is the honest-majority setting the aggregation engine assumes.
+
+This module holds the only polynomial rules (Shamir, CACM 1979), which
+the engine's coefficient rows use too: ``draw`` (coefficients by
+``randrange(p)``'s rule), ``evaluate`` (values at a list of points) and
+``fit_rule``/``fit`` (the polynomial through t+1 points, checked against
+the rest; a rule's row 0 is the Lagrange weights at 0 of reconstruction
+and of a product's reshare, Gennaro, Rabin, Rabin, PODC 1998).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import mul
 import random
 
@@ -28,8 +36,8 @@ PRIME = field.PRIME
 SHARE_BYTES = 1 + 1 + 8
 
 # randrange(PRIME) draws words of this many bits and rejects those >= PRIME.
-# share_values and Engine.product_batch draw by that rule; the shares of
-# every golden scenario depend on it matching randrange draw for draw.
+# draw and share_values draw by that rule; the shares of every golden
+# scenario depend on it matching randrange draw for draw.
 RAND_BITS = PRIME.bit_length()
 
 @dataclass(frozen=True)
@@ -55,44 +63,65 @@ class Share:
     degree: int
 
 
+def draw(rng: random.Random, k: int) -> list[int]:
+    """k field elements by ``randrange(p)``'s rule, in draw order.
+
+    Words at or above p are dropped and the list is topped up one word
+    at a time, which accepts exactly the words k ``randrange`` calls
+    would (see ``RAND_BITS``) and leaves the same rng state.
+    """
+    p = PRIME
+    getrandbits = rng.getrandbits
+    words = list(map(getrandbits, repeat(RAND_BITS, k)))
+    if k and max(words) >= p:
+        words = [w for w in words if w < p]
+        while len(words) < k:
+            w = getrandbits(RAND_BITS)
+            if w < p:
+                words.append(w)
+    return words
+
+
+def evaluate(coeffs, xs) -> list[int]:
+    """P(x) mod p at each point x of ``xs``, for P's coefficients c_0..c_t,
+    summed unreduced by Horner and reduced once.  It takes a whole
+    sharing's points, so a sharing pays one call, not one per point."""
+    p = PRIME
+    top = coeffs[::-1]
+    out = []
+    for x in xs:
+        acc = 0
+        for c in top:
+            acc = acc * x + c
+        out.append(acc % p)
+    return out
+
+
 def share_values(secret: int, n: int, t: int, rng: random.Random) -> list[int]:
     """Share values at x = 1..n as a plain list (index i holds party i+1).
 
-    The t random coefficients a_1..a_t are drawn in that order, each by
-    ``rng.randrange(PRIME)``'s rule (see ``RAND_BITS``), so the values and
-    the rng state afterwards equal those of t ``randrange`` calls.  Each
-    share is summed unreduced and reduced mod p once: at t = 1 by stepping
-    secret + a_1*x along x, with a_1 drawn straight into the step (0.67
-    against 0.84 us a call at n = 3 through a coefficient list), above by
-    Horner.
+    The t random coefficients a_1..a_t are drawn in that order by ``draw``,
+    so the values and the rng state afterwards equal those of t
+    ``randrange`` calls.  At t = 1 the one draw is inlined and each share
+    is stepped as secret + a_1*x along x, reduced mod p once (0.67 against
+    0.84 us a call at n = 3 through a coefficient list); above, the shares
+    are ``evaluate``d.
     """
     p = PRIME
     if not (isinstance(secret, int) and 0 <= secret < p):
         field.validate(secret)
-    getrandbits = rng.getrandbits
-    out = []
     if t == 1:
+        getrandbits = rng.getrandbits
         c = getrandbits(RAND_BITS)
         while c >= p:
             c = getrandbits(RAND_BITS)
+        out = []
         v = secret
         for _ in range(n):
             v += c
             out.append(v % p)
         return out
-    coeffs = []
-    for _ in range(t):
-        c = getrandbits(RAND_BITS)
-        while c >= p:
-            c = getrandbits(RAND_BITS)
-        coeffs.append(c)
-    top = coeffs[::-1]
-    for x in range(1, n + 1):
-        acc = 0
-        for c in top:
-            acc = acc * x + c
-        out.append((acc * x + secret) % p)
-    return out
+    return evaluate([secret, *draw(rng, t)], range(1, n + 1))
 
 
 def share(secret: int, params: SharingParams,
@@ -102,46 +131,19 @@ def share(secret: int, params: SharingParams,
 
 
 @lru_cache(maxsize=4096)
-def lagrange_at(xs: tuple[int, ...], x: int) -> tuple[int, ...]:
-    """Lagrange basis coefficients for interpolating at ``x`` from points ``xs``.
-
-    They are centred into (-p/2, p/2]: small integers for consecutive
-    points ((3, -3, 1) at 0 from 1, 2, 3), which keeps every product and
-    column sum short.  A value is the same after its one reduction mod p.
-    """
-    coeffs = []
-    for i, xi in enumerate(xs):
-        num, den = 1, 1
-        for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            num = num * (x - xj) % PRIME
-            den = den * (xi - xj) % PRIME
-        w = num * pow(den, -1, PRIME) % PRIME
-        coeffs.append(w - PRIME if w > PRIME >> 1 else w)
-    return tuple(coeffs)
-
-
-def interpolate(points: list[tuple[int, int]], x: int = 0) -> int:
-    """Value at ``x`` of the unique polynomial through ``points``."""
-    xs = tuple(px for px, _ in points)
-    lam = lagrange_at(xs, x)
-    acc = 0
-    for (_, y), c in zip(points, lam):
-        acc += y * c
-    return acc % PRIME
-
-
-@lru_cache(maxsize=4096)
 def fit_rule(xs: tuple[int, ...], t: int) -> tuple:
     """How ``fit`` reads a degree-t polynomial off shares at the ordered
     points ``xs``: ``(base, rows, checks)``.
 
     ``base`` holds the first t+1 points.  Coefficient d is ``sum(rows[d][k]
-    * y_k)`` over their shares (the inverse Vandermonde matrix of ``base``,
-    centred like ``lagrange_at``), and each check ``(k, x, powers)`` names
-    a further point x = xs[k] with its powers x^0..x^t.  Fewer than t+1
-    points fix no degree-t polynomial and are refused.
+    * y_k)`` over their shares (the inverse Vandermonde matrix of ``base``),
+    so ``rows[0]`` holds the Lagrange weights at 0.  The weights are
+    centred into (-p/2, p/2]: small integers for consecutive points ((3,
+    -3, 1) at 0 from 1, 2, 3), which keeps every product and column sum
+    short, and a sum is the same after its one reduction mod p.  Each
+    check ``(k, x, powers)`` names a further point x = xs[k] with its
+    powers x^0..x^t.  Fewer than t+1 points fix no degree-t polynomial and
+    are refused.
     """
     if len(xs) < t + 1:
         raise InsufficientShares(
@@ -214,7 +216,7 @@ def extend_to_secret(known: list[Share], alt_secret: int,
     This is the privacy argument made constructive: any t shares are
     consistent with every possible secret, and the completion below
     exhibits the polynomial.  Free party indices are filled with
-    arbitrary (zero) values before interpolating.
+    arbitrary (zero) values before the polynomial is fitted.
     """
     field.validate(alt_secret)
     if len(known) > params.t:
@@ -227,7 +229,7 @@ def extend_to_secret(known: list[Share], alt_secret: int,
             break
         if x not in taken:
             points.append((x, 0))
-    return [
-        Share(x, interpolate(points, x), params.t)
-        for x in range(1, params.n + 1)
-    ]
+    xs, ys = zip(*points)
+    parties = range(1, params.n + 1)
+    values = evaluate(fit(ys, xs, params.t), parties)
+    return [Share(x, v, params.t) for x, v in zip(parties, values)]

@@ -19,7 +19,6 @@ from metershare.shamir import (
     Share,
     SharingParams,
     extend_to_secret,
-    lagrange_at,
     reconstruct,
     share_values,
 )
@@ -274,7 +273,7 @@ def test_random_bits_batch_leaves_only_its_bits(engine, monkeypatch):
 
 def zero_first(getrandbits):
     """``getrandbits`` that returns a zero word at its first call, without
-    consuming the generator there; ``randrange`` and ``Engine._draw`` both
+    consuming the generator there; ``randrange`` and ``shamir.draw`` both
     draw through it, so the first field element either of them draws is 0."""
     calls = []
 
@@ -439,6 +438,40 @@ def test_meter_merge_and_matching():
 # reshare polynomial evaluated at every target (with a separate t == 1
 # loop), and a lincomb reducing after every term.  The engine must produce
 # the very same shares and leave its random generator in the same state.
+# The reshare weights come from the textbook formula, not from shamir.
+
+def textbook_weights(xs):
+    """Lagrange weights at 0 over the points ``xs``: the product of x_j /
+    (x_j - x_i) over j != i, mod p, centred into (-p/2, p/2]."""
+    p = field.PRIME
+    out = []
+    for i, xi in enumerate(xs):
+        w = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                w = w * xj * pow(xj - xi, -1, p) % p
+        out.append(w - p if w > p // 2 else w)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n,t", [(3, 1), (5, 1), (5, 2), (7, 3)])
+def test_plan_weights_match_the_textbook_formula(n, t):
+    # every holder set of t+1 or more parties; the weights are over its
+    # first 2t+1 holders, or all of them when it has fewer
+    for q in range(1 << n):
+        if q.bit_count() <= t:
+            continue
+        plan = abb._plan(q, (1 << n) - 1, t)
+        want = textbook_weights(plan.points[: 2 * t + 1])
+        assert plan.weights == want
+        expanded = [0] * len(want)
+        for w, plus, minus in plan.factored:
+            for s in plus:
+                expanded[s] += w
+            for s in minus:
+                expanded[s] -= w
+        assert tuple(expanded) == want
+
 
 def reference_reshare(engine, pairs):
     """Per-sender degree reduction; returns (values, mask) per product."""
@@ -452,7 +485,7 @@ def reference_reshare(engine, pairs):
         q = am & bm & active
         senders = [i for i in range(n) if q >> i & 1][: 2 * t + 1]
         targets = [i for i in range(n) if active >> i & 1]
-        lam = lagrange_at(tuple(i + 1 for i in senders), 0)
+        lam = textbook_weights([i + 1 for i in senders])
         new = [None] * n
         for idx, i in enumerate(senders):
             d = av[i] * bv[i] % p

@@ -160,6 +160,16 @@ def test_seed_env_override(tmp_path, monkeypatch):
         (out_b / "aggregates.csv").read_bytes()
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_seed_env_not_an_integer_exits_1(tmp_path, capsys, monkeypatch,
+                                          value):
+    path = write_scenario(tmp_path)
+    monkeypatch.setenv(cli.SEED_ENV, value)
+    assert cli.main(["run", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: METERSHARE_SEED must be an integer, got {value!r}\n")
+
+
 def test_report_segments_naa(tmp_path):
     path = write_scenario(tmp_path)
     out = tmp_path / "r"

@@ -7,6 +7,7 @@ import pytest
 
 from metershare import cli
 from metershare.costs import (
+    SEGMENTS,
     CostParams,
     build_report,
     build_table,
@@ -169,3 +170,50 @@ def test_bytes_from_transcript_classification():
         "between_dcc": 20,
         "dcc_to_recipients": 20,
     }
+
+
+def per_link_bytes(records) -> dict:
+    """``bytes_from_transcript``'s classification applied link by link,
+    record by record, with nothing shared between records."""
+    out = dict.fromkeys(SEGMENTS, 0)
+    for _, links, _, nbytes in records:
+        for link in links:
+            sender, receiver = link.split(",")
+            if sender.startswith("sm") or sender == "dealer":
+                out["sms_to_dcc"] += nbytes
+            elif receiver.startswith("p"):
+                out["between_dcc"] += nbytes
+            else:
+                out["dcc_to_recipients"] += nbytes
+    return out
+
+
+def test_bytes_from_transcript_matches_per_link_reference():
+    bundle = ("sm1,p1", "sm1,p2", "sm1,p3")
+    twin = tuple(list(bundle))          # equal, but another object
+    assert twin == bundle and twin is not bundle
+    mixed = ("p1,p2", "p2,p1", "p1,tso", "dealer,p3")
+    records = [
+        (0, bundle, 1, 10), (0, bundle, 2, 10), (0, twin, 3, 7),
+        (1, mixed, 4, 10), (2, mixed, 5, 3), (3, bundle, 6, 4),
+        (4, ("p3,sup1",), "cell/imp/1/1", 10),
+    ]
+    assert bytes_from_transcript(records) == per_link_bytes(records)
+
+    # records made on the fly: each links tuple is freed after its record
+    # is read, so its id may come back for a tuple of another segment
+    def fresh():
+        for r in range(200):
+            yield (r, tuple(["sm2,p1"] if r % 2 else ["p1,tso"]), r, 10)
+
+    assert bytes_from_transcript(fresh()) == per_link_bytes(list(fresh()))
+
+
+def test_bytes_from_transcript_on_a_fault_run():
+    sc = Scenario(n_dno=2, n_suppliers=3, sm_per_region=[6, 5], seed=21,
+                  sigma=4, n_servers=5, threshold=1, algorithm="naa",
+                  fault_rate=0.2, fail_servers=[2])
+    run = cli.run_scenario(sc, record_transcript=True)
+    assert run.excluded
+    assert bytes_from_transcript(run.transcript) == \
+        per_link_bytes(run.transcript)

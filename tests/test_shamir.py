@@ -1,4 +1,5 @@
-"""Sharing layer: sharing and its draws, reconstruction, privacy."""
+"""Sharing layer: the draw, evaluation and fit rules, sharing,
+reconstruction, privacy."""
 
 import random
 
@@ -17,10 +18,11 @@ from metershare.shamir import (
     RAND_BITS,
     Share,
     SharingParams,
+    draw,
+    evaluate,
     extend_to_secret,
     fit,
-    interpolate,
-    lagrange_at,
+    fit_rule,
     reconstruct,
     share,
     share_values,
@@ -30,6 +32,33 @@ from metershare.shamir import (
 def naive_poly(coeffs, x):
     # reference evaluation, no Horner
     return sum(c * pow(x, i, field.PRIME) for i, c in enumerate(coeffs)) % field.PRIME
+
+
+@pytest.mark.parametrize("where", [None, "first", "middle", "last", "all"])
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_draw_matches_randrange(k, where, force_rejects):
+    # the one draw rule: a word >= p at any draw is dropped and the next
+    # word taken, exactly as k randrange calls do
+    ours, ref = random.Random(k), random.Random(k)
+    if where is not None:
+        at = {"first": {0}, "middle": {k // 2}, "last": {k - 1},
+              "all": set(range(k))}[where]
+        force_rejects(ours, at)
+        force_rejects(ref, at)
+    assert draw(ours, k) == [ref.randrange(PRIME) for _ in range(k)]
+    assert ours.getstate() == ref.getstate()
+    assert draw(ours, 0) == []
+    assert ours.getstate() == ref.getstate()
+
+
+def test_evaluate_matches_naive_poly(rng):
+    xs = [0, 1, 2, 7, 255, PRIME - 1]
+    for t in range(5):
+        coeffs = [rng.randrange(PRIME) for _ in range(t + 1)]
+        want = [naive_poly(coeffs, x) for x in xs]
+        assert evaluate(coeffs, xs) == want
+        assert evaluate(tuple(coeffs), iter(xs)) == want
+    assert evaluate([5, 1], []) == []
 
 
 def test_share_values_matches_naive_polynomial(rng):
@@ -98,8 +127,8 @@ def test_share_values_redraws_words_above_prime():
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("n,t", [(3, 1), (5, 2), (7, 3), (9, 4)])
 def test_share_values_redraws_at_any_draw(n, t, where, force_rejects):
-    # the rule product_batch follows: a word >= p at any of the t draws is
-    # dropped and the next word taken, exactly as randrange does
+    # share_values' draws follow draw's rule: a word >= p at any of the t
+    # draws is dropped and the next word taken, exactly as randrange does
     at = {"first": {0}, "middle": {t // 2}, "last": {t - 1}}[where]
     ours, ref = random.Random(n * t), random.Random(n * t)
     force_rejects(ours, at)
@@ -198,17 +227,20 @@ def test_reconstruct_refuses_a_degree_that_is_not_an_int_at_least_0(degrees):
 
 
 def test_lagrange_weights_sum_property(rng):
-    # weights at zero applied to a constant polynomial give the constant
-    xs = (1, 3, 4)
-    lam = lagrange_at(xs, 0)
-    assert sum(lam) % field.PRIME == 1
+    # the weights at zero (fit_rule's row 0) applied to a constant
+    # polynomial give the constant
+    for xs in ((1, 3, 4), (2, 7), (1, 2, 3, 4, 5)):
+        _, rows, _ = fit_rule(xs, len(xs) - 1)
+        assert sum(rows[0]) % field.PRIME == 1
 
 
 def test_interpolate_matches_poly(rng):
+    # fit through four points, then evaluate anywhere, 0 included
     coeffs = [rng.randrange(field.PRIME) for _ in range(4)]
-    pts = [(x, naive_poly(coeffs, x)) for x in (2, 5, 9, 11)]
-    for x in (0, 1, 7):
-        assert interpolate(pts, x) == naive_poly(coeffs, x)
+    xs = (2, 5, 9, 11)
+    fitted = fit([naive_poly(coeffs, x) for x in xs], xs, 3)
+    assert evaluate(fitted, (0, 1, 7)) == \
+        [naive_poly(coeffs, x) for x in (0, 1, 7)]
 
 
 def test_t_privacy_constructive(rng):
