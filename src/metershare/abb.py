@@ -16,7 +16,8 @@ Batch variants of the interactive operations share one round, which is
 what a real implementation would do; per-call variants (``product``,
 ``open`` and the local ``lincomb``) are conveniences that wrap a batch of
 one.  Determinism: all randomness flows from the seed given at
-construction, and parties are driven in lockstep by the calling thread.
+construction, including the control bits of ``gates.oblivious_permute``,
+and parties are driven in lockstep by the calling thread.
 A party-per-thread driver would have to reproduce the same message
 schedule to stay contract-compatible; this engine does not provide one.
 
@@ -59,12 +60,13 @@ PODC 1998).  That is the combined reshare polynomial's constant term.
 
 Affine combinations are local: each party applies one to its own shares,
 so they send no message (Ben-Or, Goldwasser, Wigderson, STOC 1988), and
-the engine applies it to the coefficients.  ``lincomb_batch`` has two
-cases and no path unrolled for a number of terms.  Combinations of k
-terms in a batch of at least k are computed as whole columns, one ``map``
-pass per term position over the batch (the gates' one- and two-term
-glue, hundreds of combinations per call).  A combination with more terms
-than its batch has combinations is summed on its own, one column sum per
+the engine applies it to the coefficients.  Every combination of one
+``lincomb_batch`` has the same number of terms, k, and the batch takes
+one of two cases, with no path unrolled for a number of terms.  A batch
+of at least k combinations is computed as whole columns, one ``map`` pass
+per term position over the batch (the gates' one- and two-term glue,
+hundreds of combinations per call).  A combination with more terms than
+its batch has combinations is summed on its own, one column sum per
 coefficient (a region's cell and bucket sums, hundreds of terms in one
 combination).
 
@@ -92,7 +94,12 @@ import random
 from typing import NamedTuple
 
 from . import field
-from .errors import InconsistentShares, InsufficientShares, TooManyFailures
+from .errors import (
+    InconsistentShares,
+    InsufficientShares,
+    LengthMismatch,
+    TooManyFailures,
+)
 from .shamir import (
     SHARE_BYTES,
     SharingParams,
@@ -253,9 +260,6 @@ class Engine:
 
     # -- phase bookkeeping ------------------------------------------------
 
-    def set_phase(self, label: str) -> None:
-        self._phase = label
-
     @contextmanager
     def phase(self, label: str):
         old = self._phase
@@ -342,15 +346,16 @@ class Engine:
                      holders: int | None = None) -> Handle:
         """Register an externally produced sharing from its party shares.
 
-        ``values`` has one slot per party, None where no share is given.
-        ``holders`` is the mask of the parties that received the sharing,
-        by default all of them.  The sharing is held by the live holders
-        given a share, at least t+1 of them must be, and only they are
-        metered and recorded; every other slot is ignored.  The polynomial
-        is read off the first t+1 held shares by ``shamir.fit``'s rule, and
-        every further held share must lie on it: one that does not raises
-        InconsistentShares (detected, not corrected).  A refused sharing
-        registers, meters and records nothing.
+        ``values`` has one share per party, in party order.  ``holders`` is
+        the mask of the parties that received the sharing, by default all
+        of them.  The sharing is held by the live holders, at least t+1 of
+        them must be, and only they are metered and recorded; the share of
+        a failed party or of a party outside ``holders`` is not read.  The
+        polynomial is read off the first t+1 held shares by
+        ``shamir.fit``'s rule, and every further held share must lie on
+        it: one that does not raises InconsistentShares (detected, not
+        corrected).  A refused sharing registers, meters and records
+        nothing.
 
         At t = 1 (each meter's intake at (3,1)) that rule is unrolled
         inline for a line, about 1.1 against 3.0 us per sharing at (3,1)
@@ -361,8 +366,6 @@ class Engine:
         if len(values) != n:
             raise InsufficientShares(f"expected {n} share slots")
         live = self._active if holders is None else holders & self._active
-        if None in values:
-            live &= sum(1 << i for i, v in enumerate(values) if v is not None)
         held = live.bit_count()
         if held <= t:
             raise InsufficientShares(
@@ -425,24 +428,17 @@ class Engine:
           cell and bucket sums: hundreds of terms in a single combination):
           one column sum per coefficient over the terms.
 
-        A batch of mixed lengths is grouped by length, and its rows are
-        stored back in list order by one ``dict.update``.  Every
-        combination is computed and checked before any is registered, so
-        a refused batch changes nothing.
+        Every combination in a batch has the same number of terms; a batch
+        of mixed lengths raises LengthMismatch before any row is read.
+        Every combination is computed and checked before any is
+        registered, so a refused batch changes nothing.
         """
         if not combos:
             return []
         lengths = list(map(len, map(_FIRST, combos)))
-        if lengths.count(lengths[0]) == len(lengths):
-            rows, masks = self._combine(combos, lengths[0])
-        else:
-            rows, masks = [None] * len(combos), []
-            for k in dict.fromkeys(lengths):
-                at = [i for i, size in enumerate(lengths) if size == k]
-                made, held = self._combine([combos[i] for i in at], k)
-                for i, row in zip(at, made):
-                    rows[i] = row
-                masks += held
+        if lengths.count(lengths[0]) != len(lengths):
+            raise LengthMismatch("combinations in a batch differ in length")
+        rows, masks = self._combine(combos, lengths[0])
         live = map(and_, set(masks), repeat(self._active))
         if min(map(int.bit_count, live)) <= self.t:
             raise InsufficientShares(

@@ -19,7 +19,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import costs, field
 from .abb import CostMeter, Engine
@@ -105,7 +105,6 @@ def _run_region(scenario: Scenario, region: int, meters, readings,
     )
     for s in scenario.fail_servers:
         engine.fail_party(s)
-    engine.set_phase("input_distribution")
     enc_rng = random.Random(derive_seed(scenario.seed, "encode", region))
     fault_rng = random.Random(derive_seed(scenario.seed, "fault", region))
     # encoded lazily: each meter's bundle is delivered before the next is
@@ -115,7 +114,8 @@ def _run_region(scenario: Scenario, region: int, meters, readings,
         encode(m, readings[m.sm_id][0], readings[m.sm_id][1], scenario, enc_rng)
         for m in meters
     )
-    tuples, report = submit(engine, scenario, encoded, fault_rng)
+    with engine.phase("input_distribution"):
+        tuples, report = submit(engine, scenario, encoded, fault_rng)
 
     # built per call, so a circuit patched into this module's globals runs
     circuit = {"naa": naa_region, "ncaa": ncaa_region,
@@ -288,13 +288,12 @@ def cmd_run(args) -> int:
         scenario = Scenario.from_file(args.scenario)
         env_seed = os.environ.get(SEED_ENV)
         if env_seed is not None:
-            data = scenario.to_dict()
             try:
-                data["seed"] = int(env_seed)
+                seed = int(env_seed)
             except ValueError:
                 raise ValueError(f"{SEED_ENV} must be an integer, "
                                  f"got {env_seed!r}") from None
-            scenario = Scenario.from_dict(data)
+            scenario = replace(scenario, seed=seed)
     except (MeterShareError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -263,7 +263,7 @@ def region_mult_rows(scenario, meter, region: int, included: int) -> list:
         gates_total += pc.exchange_gates
         measured_eq += pc.mult_equivalents + rnd.mult_equivalents
         opens += pc.opens
-    gates_one = gates_total // 2 if gates_total else 0
+    gates_one = gates_total // 2
     rows.append({
         "region": region,
         "included_sms": included,

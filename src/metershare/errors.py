@@ -38,7 +38,8 @@ class TooManyFailures(MeterShareError):
 
 
 class LengthMismatch(MeterShareError):
-    """Bit vectors of different lengths were compared."""
+    """Inputs that must have one length do not: bit vectors compared,
+    rows permuted, or the combinations of one ``lincomb_batch``."""
 
 
 class UnknownSupplier(MeterShareError):

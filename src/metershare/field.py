@@ -17,8 +17,6 @@ PRIME = 9223372036854775783
 # Readings are bounded by the meter register width.
 READING_BITS = 32
 
-FieldElement = int
-
 
 def validate(value: int) -> int:
     """Return ``value`` unchanged if it is a canonical field element."""

@@ -7,7 +7,6 @@ a real run would produce.
 
 from functools import lru_cache
 from itertools import compress, cycle
-import random
 
 from .abb import Engine, Handle
 from .errors import LengthMismatch
@@ -156,8 +155,7 @@ def exchange_layers(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def oblivious_permute(engine: Engine, rows: list[tuple],
-                      rng: random.Random | None = None,
-                      setup_phase: str | None = None) -> list[tuple]:
+                      setup_phase: str) -> list[tuple]:
     """Permute tuple rows under secret, uniformly random control bits.
 
     Every comparator of the exchange network becomes an exchange gate
@@ -165,14 +163,15 @@ def oblivious_permute(engine: Engine, rows: list[tuple],
     about the applied permutation: per stream, m = c*(b - a) is one
     product, then a' = a + m and b' = b - m.  Layers are applied in
     network order, each as one batch of deltas, one product round and one
-    batch of updates; control bits are drawn once up front in a single
-    batch.  Precondition: every row handle has the same holder mask
-    (true for region rows, which are admitted only on the full live set);
-    otherwise b' would be held more widely than a + b - a' was.  Bit
-    generation opens blinded squares; callers that audit what a phase
-    reveals can shunt it into ``setup_phase``.  Each layer releases its
-    deltas, products and control bits and the gate-owned rows it
-    replaced; the caller's rows are never released.
+    batch of updates.  The control bits are drawn once up front by one
+    ``engine.random_bits_batch``, from the engine's own rng, under the
+    phase ``setup_phase``: bit generation opens blinded squares, and that
+    phase keeps those opens apart from the caller's.  Precondition: every
+    row handle has the same holder mask (true for region rows, which are
+    admitted only on the full live set); otherwise b' would be held more
+    widely than a + b - a' was.  Each layer releases its deltas, products
+    and control bits and the gate-owned rows it replaced; the caller's
+    rows are never released.
     """
     width = {len(r) for r in rows}
     if len(width) > 1:
@@ -181,23 +180,8 @@ def oblivious_permute(engine: Engine, rows: list[tuple],
     n_gates = sum(len(layer) for layer in layers)
     if n_gates == 0:
         return list(rows)
-
-    def draw():
-        if rng is None:
-            return engine.random_bits_batch(n_gates)
-        # dedicated randomness source for the permutation
-        saved = engine.rng
-        engine.rng = rng
-        try:
-            return engine.random_bits_batch(n_gates)
-        finally:
-            engine.rng = saved
-
-    if setup_phase is not None:
-        with engine.phase(setup_phase):
-            bits = draw()
-    else:
-        bits = draw()
+    with engine.phase(setup_phase):
+        bits = engine.random_bits_batch(n_gates)
     # every handle the gate still holds was registered after the caller's
     # rows; the bit generator has already released its own scratch
     mark = min(bits)

@@ -12,6 +12,7 @@ from metershare.abb import Engine
 from metershare.errors import (
     InconsistentShares,
     InsufficientShares,
+    LengthMismatch,
     TooManyFailures,
 )
 from metershare.shamir import (
@@ -117,7 +118,8 @@ def test_round_links_follow_the_live_set(n, t):
     # their holder set as it was: links cached by holder set alone would
     # still reach party n
     engine = Engine(SharingParams(n, t), seed=n + t, record_transcript=True)
-    a, b = (engine.input_shares(share_values(v, n, t, engine.rng)[:-1] + [None])
+    a, b = (engine.input_shares(share_values(v, n, t, engine.rng),
+                                holders=(1 << (n - 1)) - 1)
             for v in (3, 4))
     for live in (n, n - 1):
         if live < n:
@@ -170,21 +172,21 @@ def test_input_shares_with_gaps(engine):
     # only parties 1 and 2 received their share
     full = engine.input(77)
     vals = engine.export_shares(full)
-    h = engine.input_shares([vals[1], vals[2], None])
+    h = engine.input_shares(list(vals.values()), holders=0b011)
     assert engine.open(h) == 77
     with pytest.raises(InsufficientShares):
-        engine.input_shares([vals[1], None, None])
+        engine.input_shares(list(vals.values()), holders=0b001)
 
 
 def test_input_shares_counts_live_holders_only():
     engine = Engine(SharingParams(3, 1), seed=3, record_transcript=True)
     engine.fail_party(2)
     before = engine_state(engine)
-    # two shares given, one of them to the failed party: one live holder
+    # sent to two parties, one of them failed: one live holder
     with pytest.raises(InsufficientShares):
-        engine.input_shares([5, 6, None], "sm1")
+        engine.input_shares([5, 6, 7], "sm1", holders=0b011)
     assert engine_state(engine) == before
-    # all three given (on 4 + x): held, metered and recorded at 1 and 3 only
+    # sent to all three (on 4 + x): held, metered and recorded at 1 and 3 only
     with engine.phase("probe"):
         h = engine.input_shares([5, 6, 7], "sm1")
     assert engine.handle_mask(h) == 0b101
@@ -195,9 +197,9 @@ def test_input_shares_counts_live_holders_only():
 
 def test_input_shares_fits_only_held_shares():
     engine = Engine(SharingParams(3, 1), seed=3, record_transcript=True)
-    # a holder given no share does not hold the sharing (on 4 + x) ...
+    # a party the sharing was not sent to does not hold it (on 4 + x) ...
     with engine.phase("probe"):
-        h = engine.input_shares([5, None, 7], "sm1", holders=0b111)
+        h = engine.input_shares([5, 6, 7], "sm1", holders=0b101)
     assert engine.handle_mask(h) == 0b101
     assert engine.meter.bucket("probe").msgs_sm_to_dcc == 2
     assert engine.transcript[-1][1] == ("sm1,p1", "sm1,p3")
@@ -363,9 +365,8 @@ def test_open_and_reconstruct_share_one_rule(n, t, failed):
     full = [engine.input(v) for v in secrets]
     # the same secrets held by all but one party: a second holder mask
     missing = n if n - 2 >= t + 1 else 2
-    part = [engine.input_shares([None if i == missing else v for i, v in
-                                 enumerate(share_values(s, n, t, engine.rng),
-                                           start=1)])
+    part = [engine.input_shares(share_values(s, n, t, engine.rng),
+                                holders=(1 << n) - 1 - (1 << (missing - 1)))
             for s in secrets]
     if failed:
         engine.fail_party(failed)
@@ -400,7 +401,7 @@ def test_open_and_reconstruct_share_one_rule(n, t, failed):
         with pytest.raises(InconsistentShares):
             reconstruct([Share(p, v, t) for p, v in bad.items()])
         with pytest.raises(InconsistentShares):
-            engine.input_shares([bad.get(p) for p in range(1, n + 1)])
+            engine.input_shares([bad.get(p, 0) for p in range(1, n + 1)])
         assert engine_state(engine) == before
 
 
@@ -540,9 +541,8 @@ def loaded_engine(n, t, degrade, record_transcript=False):
     for k in range(12):
         h = engine.input(draw.randrange(field.PRIME))
         if degrade == "gapped" and k % 2:
-            values = list(share_row(engine, h)[0])
-            values[k % n] = None
-            h = engine.input_shares(values)
+            h = engine.input_shares(share_row(engine, h)[0],
+                                    holders=(1 << n) - 1 - (1 << k % n))
         handles.append(h)
     if degrade in ("failed", "failed3"):
         engine.fail_party(3 if degrade == "failed3" else 2)
@@ -673,7 +673,7 @@ def test_refused_round_changes_nothing(op):
     a, b = engine.input(3), engine.input(4)
     values = share_row(engine, engine.input(5))[0]
     # c is held by parties 1-3 only: enough to open, too few to multiply
-    c = engine.input_shares(values[:3] + (None, None))
+    c = engine.input_shares(values, holders=0b00111)
     tampered = values[:4] + ((values[4] + 1) % field.PRIME,)
     engine.open(engine.product(a, b))
     if op == "open short":
@@ -699,29 +699,38 @@ def test_refused_lincomb_batch_changes_nothing():
     a = engine.input(3)
     values = share_row(engine, engine.input(5))[0]
     # c and d are held by parties 1-3 and 3-5: their sum by party 3 only
-    c = engine.input_shares(values[:3] + (None, None))
-    d = engine.input_shares((None, None) + values[2:])
+    c = engine.input_shares(values, holders=0b00111)
+    d = engine.input_shares(values, holders=0b11100)
     gone = engine.input(7)
     engine.release([gone])
     before = engine_state(engine)
     with engine.phase("probe"), pytest.raises(InsufficientShares):
-        engine.lincomb_batch([([(1, a)], 0), ([(1, c), (1, d)], 0)])
+        engine.lincomb_batch([([(1, a), (1, a)], 0), ([(1, c), (1, d)], 0)])
     assert engine_state(engine) == before
     assert engine.live_handles() == list(before[-1])
 
-    # a refused or unreadable combination anywhere in a batch that also
-    # takes both ways of combining: the 2-term group is summed as columns,
-    # the lone 3-term combination on its own
-    good = [([(1, a)], 0), ([(2, a), (1, c)], 4), ([], 9), ([(-1, c)], 1),
-            ([(1, a), (1, a)], 0), ([(1, a), (5, a), (3, c)], 2)]
+    # a refused or unreadable combination anywhere in a batch, combined
+    # either way: with two others of its length a 1- or 2-term one is
+    # summed as columns, with one other a 3-term one on its own
+    good = {1: [([(1, a)], 0), ([(-1, c)], 1)],
+            2: [([(2, a), (1, c)], 4), ([(1, a), (1, a)], 0)],
+            3: [([(1, a), (5, a), (3, c)], 2)]}
     refused = [([(1, c), (1, d)], 0), ([(1, a), (1, c), (1, d)], 0)]
     for bad in refused + [([(1, gone)], 0), ([(1, a), (1, gone)], 0)]:
-        for at in (0, len(good) // 2, len(good)):
-            combos = good[:at] + [bad] + good[at:]
+        same = good[len(bad[0])]
+        for at in range(len(same) + 1):
+            combos = same[:at] + [bad] + same[at:]
             with engine.phase("probe"), pytest.raises(
                     InsufficientShares if bad in refused else KeyError):
                 engine.lincomb_batch(combos)
             assert engine_state(engine) == before, (bad, at)
+    # a batch of mixed lengths is refused before any row is read, also
+    # when it names a released handle
+    mixed = [combo for same in good.values() for combo in same]
+    for combos in (mixed, mixed + [([(1, gone)], 0)]):
+        with engine.phase("probe"), pytest.raises(LengthMismatch):
+            engine.lincomb_batch(combos)
+        assert engine_state(engine) == before
     assert "probe" not in engine.meter.phases
 
 
@@ -848,9 +857,9 @@ def coefficients(kind, draw):
 @pytest.mark.parametrize("kind", ["unit", "minus", "mixed", "near p"])
 def test_columnar_lincomb_is_share_exact(n, t, degrade, arity, kind,
                                          monkeypatch):
-    # ten combinations of one arity take the columns; a mixed batch groups
-    # its lengths and sums any group shorter than its arity one by one
-    engine, handles = loaded_engine(n, t, degrade)
+    # ten combinations of one arity take the columns; a batch of mixed
+    # arities is refused before any row is read
+    engine, handles = loaded_engine(n, t, degrade, record_transcript=True)
     if degrade == "gapped":
         # one sharing lacks a share, so the combinations' masks differ
         handles = handles[:2] + handles[2::2]
@@ -868,6 +877,12 @@ def test_columnar_lincomb_is_share_exact(n, t, degrade, arity, kind,
             const = draw.choice([0, 7, -3, field.PRIME - 1,
                                  draw.randrange(field.PRIME)])
         combos.append((terms, const))
+    if arity == "mixed":
+        before = engine_state(engine)
+        with pytest.raises(LengthMismatch):
+            engine.lincomb_batch(combos)
+        assert engine_state(engine) == before
+        return
     want = [reference_lincomb(engine, terms, const) for terms, const in combos]
     products = []
     real_mul = abb.mul
@@ -906,9 +921,9 @@ def test_lincomb_is_share_exact(n, t, degrade, n_terms):
     const = draw.randrange(-5, field.PRIME)
     want = reference_lincomb(engine, terms, const)
     assert share_row(engine, engine.lincomb(terms, const)) == want
-    batch = engine.lincomb_batch([(terms, const), (terms[:1], 0)])
+    batch = engine.lincomb_batch([(terms, const), (terms[::-1], 0)])
     assert share_row(engine, batch[0]) == want
-    assert share_row(engine, batch[1]) == reference_lincomb(engine, terms[:1])
+    assert share_row(engine, batch[1]) == reference_lincomb(engine, terms)
 
 
 @pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
@@ -943,7 +958,7 @@ def test_every_stored_row_is_a_tuple(engine5):
     e = engine5
     a, b, c = e.input(3), e.input(4), e.input(5)
     values = e.export_shares(a)
-    gapped = e.input_shares((values[1], None, values[3], values[4], None))
+    gapped = e.input_shares(list(values.values()), holders=0b01101)
     stored = {
         "input": a,
         "input_shares gapped": gapped,
@@ -968,7 +983,8 @@ def test_every_stored_row_is_a_tuple(engine5):
 def test_lincomb_batch_registers_in_order(engine):
     a, b = engine.input(4), engine.input(9)
     first = engine.lincomb([(1, a)])
-    out = engine.lincomb_batch([([(1, a), (1, b)], 0), ([(3, b)], 1), ([], 5)])
+    out = engine.lincomb_batch([([(1, a), (1, b)], 0), ([(3, b), (0, a)], 1),
+                                ([(0, a), (0, b)], 5)])
     assert out == [first + 1, first + 2, first + 3]
     assert engine.open_batch(out) == [13, 28, 5]
     assert engine.lincomb_batch([]) == []
@@ -977,8 +993,8 @@ def test_lincomb_batch_registers_in_order(engine):
 def test_lincomb_below_quorum_raises(engine5):
     full = engine5.input(3)
     values = list(engine5.export_shares(full).values())
-    left = engine5.input_shares(values[:3] + [None, None])
-    right = engine5.input_shares([None, None] + values[2:])
+    left = engine5.input_shares(values, holders=0b00111)
+    right = engine5.input_shares(values, holders=0b11100)
     with pytest.raises(InsufficientShares):
         engine5.lincomb([(1, left), (1, right)])
 
@@ -988,12 +1004,12 @@ def test_lincomb_counts_live_holders_only(batch):
     # a is held by parties 1 and 2; once party 2 fails it lives at party 1
     # alone, which fixes no line, so no combination of it may be stored
     engine = Engine(SharingParams(3, 1), seed=23, record_transcript=True)
-    a = engine.input_shares([5, 6, None])
+    a = engine.input_shares([5, 6, 7], holders=0b011)
     b = engine.input(7)
     engine.fail_party(2)
     combos = [([(2, a)], 1)]
     if batch:
-        combos = [([(1, b)], 0)] + combos + [([(1, a), (1, b)], 0)]
+        combos = [([(1, b)], 0)] + combos + [([(3, a)], 0)]
     before = engine_state(engine)
     with engine.phase("probe"), pytest.raises(InsufficientShares):
         engine.lincomb_batch(combos)
@@ -1069,13 +1085,12 @@ def test_fuzz_engine_circuits_match_plaintext(params, ops, fail, seed):
             mask = full
             for party in lost:
                 mask &= ~(1 << (party - 1))
-            shares = share_values_for(value, n, t, seed)
-            values = [v if mask >> i & 1 else None for i, v in enumerate(shares)]
+            values = share_values_for(value, n, t, seed)
             if (mask & active).bit_count() < t + 1:
                 with pytest.raises(InsufficientShares):
-                    engine.input_shares(values)
+                    engine.input_shares(values, holders=mask)
                 continue
-            h = engine.input_shares(values)
+            h = engine.input_shares(values, holders=mask)
             plain[h] = (value, mask & active)
         elif not handles:
             continue
@@ -1083,6 +1098,10 @@ def test_fuzz_engine_circuits_match_plaintext(params, ops, fail, seed):
             combos = [args] if op == "lincomb" else args[0]
             combos = [([(c, pick(s)) for c, s in terms], const)
                       for terms, const in combos]
+            if len({len(terms) for terms, _ in combos}) > 1:
+                with pytest.raises(LengthMismatch):
+                    engine.lincomb_batch(combos)
+                continue
             want = [combine(terms, const) for terms, const in combos]
             if any((m & active).bit_count() < t + 1 for _, m in want):
                 with pytest.raises(InsufficientShares):

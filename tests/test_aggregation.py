@@ -53,13 +53,13 @@ def run_regions(scenario):
     outs = []
     for region in range(1, scenario.n_dno + 1):
         engine = Engine(scenario.params, seed=1000 + region)
-        engine.set_phase("input_distribution")
         rng = random.Random(region)
         enc = [
             encode(m, readings[m.sm_id][0], readings[m.sm_id][1], scenario, rng)
             for m in meters if m.region == region
         ]
-        tuples, report = submit(engine, scenario, enc, rng)
+        with engine.phase("input_distribution"):
+            tuples, report = submit(engine, scenario, enc, rng)
         rows = CIRCUITS[scenario.algorithm](engine, tuples, scenario.suppliers,
                                             region=region)
         outs.append((engine, export_rows(engine, rows)))
@@ -178,7 +178,6 @@ def test_run_opens_only_what_its_algorithm_reveals(alg):
 def test_ncaa_rejects_unregistered_id():
     engine = Engine(SharingParams(3, 1), seed=2)
     sigma, suppliers = 4, [1, 2, 3]
-    engine.set_phase("input_distribution")
 
     def mk(supplier):
         bits = [engine.input(supplier >> (sigma - 1 - k) & 1)
@@ -186,7 +185,8 @@ def test_ncaa_rejects_unregistered_id():
         return MeterTuple(sm=1, fields=(bits, bits),
                           readings=(engine.input(9), engine.input(9)))
 
-    tuples = [mk(2), mk(7)]  # 7 is nobody
+    with engine.phase("input_distribution"):
+        tuples = [mk(2), mk(7)]  # 7 is nobody
     with pytest.raises(OpenedIdInvalid):
         ncaa_region(engine, tuples, suppliers)
 
@@ -225,9 +225,9 @@ def test_niaa_groups_follow_sorted_holder_lists():
             vector = []
             for k in range(2):
                 secret = rng.randrange(1000)
-                values = [None if i == lost else v for i, v in
-                          enumerate(share_values(secret, 3, 1, rng))]
-                vector.append(engine.input_shares(values))
+                holders = 0b111 if lost is None else 0b111 ^ 1 << lost
+                vector.append(engine.input_shares(
+                    share_values(secret, 3, 1, rng), holders=holders))
                 key = (s, k, lost)
                 sums[key] = sums.get(key, 0) + secret
             vectors.append(vector)

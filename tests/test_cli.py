@@ -351,11 +351,13 @@ def test_selftest_catches_missing_degree_reduction(monkeypatch, capsys):
         out = []
         for a, b in pairs:
             sa, sb = self.export_shares(a), self.export_shares(b)
-            values = [None] * self.n
-            for i in sa.keys() & sb.keys():
+            both = sa.keys() & sb.keys()
+            values = [0] * self.n
+            for i in both:
                 x, y = sa[i], sb[i]
                 values[i - 1] = (x + y - x * y if as_or else x * y) % p
-            out.append(self.input_shares(values))
+            out.append(self.input_shares(
+                values, holders=sum(1 << (i - 1) for i in both)))
         return out
 
     monkeypatch.setattr(Engine, "product_batch", local_product)

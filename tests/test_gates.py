@@ -93,7 +93,7 @@ def test_oblivious_permute_preserves_multiset(rng):
     engine = Engine(SharingParams(3, 1), seed=21)
     vals = [(rng.randrange(50), rng.randrange(10 ** 6)) for _ in range(9)]
     rows = [tuple(engine.input(v) for v in pair) for pair in vals]
-    out = oblivious_permute(engine, rows)
+    out = oblivious_permute(engine, rows, setup_phase="perm_setup")
     opened = [tuple(engine.open(h) for h in row) for row in out]
     assert sorted(opened) == sorted(vals)
 
@@ -118,7 +118,7 @@ def test_oblivious_permute_hits_every_position():
     for seed in range(60):
         engine = Engine(SharingParams(3, 1), seed=seed)
         rows = [(engine.input(i),) for i in range(4)]
-        out = oblivious_permute(engine, rows)
+        out = oblivious_permute(engine, rows, setup_phase="perm_setup")
         opened = [engine.open(r[0]) for r in out]
         landed.add(opened.index(0))
         if landed == {0, 1, 2, 3}:
@@ -126,29 +126,31 @@ def test_oblivious_permute_hits_every_position():
     assert landed == {0, 1, 2, 3}
 
 
-def test_oblivious_permute_dedicated_rng_is_deterministic():
+def test_oblivious_permute_draws_from_the_engine_seed():
+    # the engine's rng is the one source of the control bits: one seed
+    # opens one order and leaves one generator state
     def run(seed):
-        engine = Engine(SharingParams(3, 1), seed=77)
+        engine = Engine(SharingParams(3, 1), seed=seed)
         rows = [(engine.input(i),) for i in range(6)]
-        out = oblivious_permute(engine, rows, rng=random.Random(seed))
-        return [engine.open(r[0]) for r in out]
+        out = oblivious_permute(engine, rows, setup_phase="perm_setup")
+        return [engine.open(r[0]) for r in out], engine.rng.getstate()
 
-    assert run(5) == run(5)
-    found_different = any(run(5) != run(other) for other in range(6, 26))
-    assert found_different
+    order, state = run(5)
+    assert run(5) == (order, state)
+    assert any(run(other)[0] != order for other in range(6, 26))
 
 
 def test_oblivious_permute_rejects_ragged_rows():
     engine = Engine(SharingParams(3, 1), seed=1)
     rows = [(engine.input(1),), (engine.input(2), engine.input(3))]
     with pytest.raises(LengthMismatch):
-        oblivious_permute(engine, rows)
+        oblivious_permute(engine, rows, setup_phase="perm_setup")
 
 
 def test_oblivious_permute_single_row_noop():
     engine = Engine(SharingParams(3, 1), seed=1)
     rows = [(engine.input(5),)]
-    assert oblivious_permute(engine, rows) == rows
+    assert oblivious_permute(engine, rows, setup_phase="perm_setup") == rows
     assert engine.live_handles() == [rows[0][0]]
 
 
@@ -187,13 +189,11 @@ def test_equals_public_batch_in_flight_bound(rng):
     assert max(in_flight) <= n_queries * (width + 1) + 1
 
 
-@pytest.mark.parametrize("dedicated", [False, True])
-def test_oblivious_permute_leaves_only_output_rows(dedicated):
+def test_oblivious_permute_leaves_only_output_rows():
     engine = Engine(SharingParams(3, 1), seed=33)
     rows = [tuple(engine.input(v) for v in (i, 100 + i)) for i in range(7)]
     caller = engine.live_handles()
-    rng = random.Random(5) if dedicated else None
-    out = oblivious_permute(engine, rows, rng=rng)
+    out = oblivious_permute(engine, rows, setup_phase="perm_setup")
     made = [h for row in out for h in row]
     assert sorted(engine.live_handles()) == sorted(caller + made)
     assert sorted(engine.open_batch(caller)) == sorted(
@@ -202,12 +202,13 @@ def test_oblivious_permute_leaves_only_output_rows(dedicated):
 
 # -- share-exact reference: the earlier per-gate exchange loop --------------
 
-def reference_permute(engine, rows):
+def reference_permute(engine, rows, setup_phase):
     """The earlier form of ``oblivious_permute``: three lincombs per gate
     and stream, b' formed as a + b - a'."""
     layers = exchange_layers(len(rows))
     n_gates = sum(len(layer) for layer in layers)
-    bits = engine.random_bits_batch(n_gates)
+    with engine.phase(setup_phase):
+        bits = engine.random_bits_batch(n_gates)
     mark = min(bits)
     engine.meter.bucket(engine.current_phase).exchange_gates += n_gates
     rows = list(rows)
@@ -253,9 +254,9 @@ def test_oblivious_permute_is_share_exact(n, t, failed):
 
     (engine, rows), (ref, ref_rows) = make(), make()
     with engine.phase("perm"):
-        out = oblivious_permute(engine, rows)
+        out = oblivious_permute(engine, rows, setup_phase="perm_setup")
     with ref.phase("perm"):
-        want = reference_permute(ref, ref_rows)
+        want = reference_permute(ref, ref_rows, "perm_setup")
     assert out == want
     assert list(engine._h.items()) == list(ref._h.items())
     assert engine._next_handle == ref._next_handle
@@ -315,9 +316,8 @@ def equality_case(n, t, width, case):
     if case == "partial":
         gapped = []
         for bh in meters[1]:
-            values = list(share_row(engine, bh)[0])
-            values[2 * t + 1:] = [None] * (n - 2 * t - 1)
-            gapped.append(engine.input_shares(values))
+            gapped.append(engine.input_shares(share_row(engine, bh)[0],
+                                              holders=(1 << (2 * t + 1)) - 1))
         meters[1] = gapped
     ids = sorted({0, (1 << width) - 1, *(draw.randrange(1 << width)
                                           for _ in range(3))})

@@ -221,9 +221,9 @@ def encode_all(sc, rng):
 def test_submit_without_faults_admits_all(rng):
     sc = scenario()
     engine = Engine(sc.params, seed=1)
-    engine.set_phase("input_distribution")
     enc = encode_all(sc, rng)
-    tuples, report = submit(engine, sc, enc, rng)
+    with engine.phase("input_distribution"):
+        tuples, report = submit(engine, sc, enc, rng)
     assert len(tuples) == len(enc)
     assert report.excluded == []
     assert report.delivered_bundles == len(enc) * 3
@@ -257,10 +257,10 @@ def test_submit_quorum_rules_per_algorithm(rng):
         sc = scenario(algorithm=alg, fault_rate=0.5,
                       n_servers=5, threshold=1)
         engine = Engine(sc.params, seed=1)
-        engine.set_phase("input_distribution")
         enc = encode_all(sc, rng)
         script = [1, 1, 1, 0, 0] + [0] * (5 * (len(enc) - 1))
-        tuples, report = submit(engine, sc, enc, FixedDrops(script))
+        with engine.phase("input_distribution"):
+            tuples, report = submit(engine, sc, enc, FixedDrops(script))
         first = enc[0].sm
         if survives:
             assert first in report.included
@@ -276,10 +276,10 @@ def test_submit_full_coverage_rule_for_permutation(rng):
         sc = scenario(algorithm=alg, fault_rate=0.5,
                       n_servers=5, threshold=1)
         engine = Engine(sc.params, seed=1)
-        engine.set_phase("input_distribution")
         enc = encode_all(sc, rng)
         script = [1, 1, 0, 0, 0] + [0] * (5 * (len(enc) - 1))
-        tuples, report = submit(engine, sc, enc, FixedDrops(script))
+        with engine.phase("input_distribution"):
+            tuples, report = submit(engine, sc, enc, FixedDrops(script))
         assert (enc[0].sm in report.included) == survives
 
 
@@ -289,8 +289,7 @@ def test_submit_requires_mult_quorum_of_servers(rng):
     engine = Engine(sc.params, seed=1)
     for s in sc.fail_servers:
         engine.fail_party(s)
-    engine.set_phase("input_distribution")
-    with pytest.raises(InsufficientShares):
+    with engine.phase("input_distribution"), pytest.raises(InsufficientShares):
         submit(engine, sc, encode_all(sc, rng), rng)
 
 
@@ -300,7 +299,6 @@ def test_submit_reads_encoded_lazily(rng, alg, fault_rate):
     # already registered is the one it belongs to
     sc = scenario(algorithm=alg, fault_rate=fault_rate)
     engine = Engine(sc.params, seed=1)
-    engine.set_phase("input_distribution")
     bundles = encode_all(sc, rng)
     drawn = []
 
@@ -317,7 +315,8 @@ def test_submit_reads_encoded_lazily(rng, alg, fault_rate):
         return input_shares(values, sender, holders)
 
     engine.input_shares = spy_input_shares
-    _, report = submit(engine, sc, spy(), rng)
+    with engine.phase("input_distribution"):
+        _, report = submit(engine, sc, spy(), rng)
     assert drawn == [rec.sm for rec in bundles]
     assert all(sender == f"sm{last}" for sender, last in calls)
     assert {sender for sender, _ in calls} == \
@@ -329,10 +328,10 @@ def test_submit_reads_encoded_lazily(rng, alg, fault_rate):
 def test_submit_excluded_traffic_still_counted(rng):
     sc = scenario(algorithm="ncaa", fault_rate=0.5)
     engine = Engine(sc.params, seed=1)
-    engine.set_phase("input_distribution")
     enc = encode_all(sc, rng)
     script = [1, 0, 0] + [0] * (3 * (len(enc) - 1))
-    tuples, report = submit(engine, sc, enc, FixedDrops(script))
+    with engine.phase("input_distribution"):
+        tuples, report = submit(engine, sc, enc, FixedDrops(script))
     assert enc[0].sm in report.excluded
     pc = engine.meter.bucket("input_distribution")
     # the two delivered legs of the excluded meter still cost traffic
@@ -420,8 +419,8 @@ def sharings_of(rec):
 
 
 def reference_intake(engine, sc, enc, script):
-    """Per-share intake as submit used to do it, for the quorum rules of
-    naa and niaa: a lost leg is a None put in by a membership test."""
+    """Per-sharing intake as submit used to do it, for the quorum rules of
+    naa and niaa: a lost leg is a server left out of the holder mask."""
     n, t = sc.n_servers, sc.threshold
     alive = [s for s in range(1, n + 1) if s not in sc.fail_servers]
     need = t + 1 if sc.algorithm == "niaa" else 2 * t + 1
@@ -432,13 +431,9 @@ def reference_intake(engine, sc, enc, script):
             engine.meter.bucket(engine.current_phase).msgs_sm_to_dcc += \
                 len(received) * len(sharings_of(rec))
             continue
-        keep = set(received)
+        holders = sum(1 << (s - 1) for s in received)
         for values in sharings_of(rec):
-            engine.input_shares(
-                [v if s in keep else None
-                 for s, v in zip(range(1, n + 1), values)],
-                sender=f"sm{rec.sm}",
-            )
+            engine.input_shares(values, f"sm{rec.sm}", holders)
 
 
 def engine_state(engine):
@@ -462,10 +457,11 @@ def test_submit_intake_matches_per_share_reference(alg, rng):
     for _ in range(2):
         engine = Engine(sc.params, seed=1, record_transcript=True)
         engine.fail_party(3)
-        engine.set_phase("input_distribution")
         engines.append(engine)
-    tuples, report = submit(engines[0], sc, enc, FixedDrops(script))
-    reference_intake(engines[1], sc, enc, script)
+    with engines[0].phase("input_distribution"):
+        tuples, report = submit(engines[0], sc, enc, FixedDrops(script))
+    with engines[1].phase("input_distribution"):
+        reference_intake(engines[1], sc, enc, script)
     assert enc == sent                     # the caller's shares are untouched
     # meter 3 keeps one leg; meter 4 keeps two, enough only to add
     assert report.excluded == ([3] if alg == "niaa" else [3, 4])
