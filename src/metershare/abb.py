@@ -29,9 +29,11 @@ never issued or is already released raises ``KeyError``, so an ownership
 mistake fails loudly instead of freeing a caller's sharing.  The rule
 every gate and region circuit follows: a routine releases only handles
 it registered itself, which by monotonic numbering are those at or above
-the first handle it registered, and never its own outputs.
+the first handle it registered, and never its own outputs.  Numbers are
+issued in three places: ``_admit`` registers a delivered sharing,
+``_store`` a batch of computed rows under consecutive numbers, and
 ``skip_handles(k)`` issues k numbers without storing a sharing under
-them; such a number is never live and must not be released.  A fused
+them.  Such a number is never live and must not be released.  A fused
 round (``product_batch(..., as_or=True)``) issues its products' numbers
 this way, and the transcript still names them; the equality gate issues
 the numbers of flips that reuse a stored complement this way.
@@ -47,7 +49,7 @@ is evaluated only where one is read: ``export_shares``, by
 ``shamir.evaluate``; shares are read into coefficients only at intake
 (``input_shares``, by ``shamir.fit``'s rule, which checks every further
 live holder's share).  Coefficients are drawn by ``shamir.draw``.  A row
-is never changed after it is stored; every operation writes a new one.
+is stored once (``_admit``, ``_store``) and never changed.
 One flat tuple because a region holds tens of thousands of rows at once:
 it is one allocation towards the next collection, not two as with nested
 coefficients, and the cyclic garbage collector stops tracking a tuple of
@@ -290,10 +292,32 @@ class Engine:
 
     # -- handle plumbing --------------------------------------------------
 
-    def _register(self, row: tuple) -> Handle:
+    def _store(self, rows, k: int) -> list[Handle]:
+        """Register k rows under the next k handle numbers, in order."""
+        first = self._next_handle
+        out = range(first, first + k)
+        self._h.update(zip(out, rows))
+        self._next_handle = out.stop
+        return list(out)
+
+    def _admit(self, row: tuple, sender: str) -> Handle:
+        """Register a sharing delivered by ``sender``: one sm->dcc message
+        per live holder (``row[-1]``) and, with a transcript, one record; a
+        run of deliveries from one sender to those holders shares one links
+        tuple.  Stored inline, not by ``_store``: a range, a zip and a dict
+        update per meter sharing would cost more than the store itself."""
         h = self._next_handle
-        self._next_handle += 1
+        self._next_handle = h + 1
         self._h[h] = row
+        live = row[-1]
+        self.meter.bucket(self._phase).msgs_sm_to_dcc += live.bit_count()
+        if self.transcript is not None:
+            last, held, links = self._delivered
+            if sender != last or live != held:
+                links = tuple(f"{sender},p{i + 1}"
+                              for i in _plan(live, live, self.t).holders)
+                self._delivered = (sender, live, links)
+            self.transcript.append((self._round, links, h, SHARE_BYTES))
         return h
 
     def skip_handles(self, k: int) -> None:
@@ -322,25 +346,14 @@ class Engine:
 
     # -- inputs and constants ----------------------------------------------
 
-    def _record_delivery(self, h: Handle, live: int, sender: str) -> None:
-        """Record sharing h's delivery: one message to each live holder."""
-        last, held, links = self._delivered
-        if sender != last or live != held:
-            links = tuple(f"{sender},p{i + 1}"
-                          for i in _plan(live, live, self.t).holders)
-            self._delivered = (sender, live, links)
-        self.transcript.append((self._round, links, h, SHARE_BYTES))
-
     def input(self, value: int, sender: str = "dealer") -> Handle:
         """Dealer-side sharing delivered to every live party; its t random
-        coefficients come from ``shamir.draw``, as ``share_values``' do."""
+        coefficients come from ``shamir.draw``, as ``share_values``' do.
+        ``_admit`` registers, meters and records it, as it does every
+        delivery; ``_store`` registers only computed rows."""
         field.validate(value)
-        live = self._active
-        h = self._register((value, *draw(self.rng, self.t), live))
-        self.meter.bucket(self._phase).msgs_sm_to_dcc += live.bit_count()
-        if self.transcript is not None:
-            self._record_delivery(h, live, sender)
-        return h
+        return self._admit((value, *draw(self.rng, self.t), self._active),
+                           sender)
 
     def input_shares(self, values, sender: str = "dealer",
                      holders: int | None = None) -> Handle:
@@ -366,8 +379,7 @@ class Engine:
         if len(values) != n:
             raise InsufficientShares(f"expected {n} share slots")
         live = self._active if holders is None else holders & self._active
-        held = live.bit_count()
-        if held <= t:
+        if live.bit_count() <= t:
             raise InsufficientShares(
                 "sharing arrived at fewer than t+1 live parties")
         plan = self._intake.get(live)
@@ -389,18 +401,12 @@ class Engine:
         else:
             row = (*fit([values[i] for i in plan.holders], plan.points, t),
                    live)
-        h = self._next_handle
-        self._next_handle = h + 1
-        self._h[h] = row
-        self.meter.bucket(self._phase).msgs_sm_to_dcc += held
-        if self.transcript is not None:
-            self._record_delivery(h, live, sender)
-        return h
+        return self._admit(row, sender)
 
     def constant(self, value: int) -> Handle:
         """Public constant as a degree-0 sharing known to everyone."""
-        return self._register((value % PRIME,) + (0,) * self.t
-                              + ((1 << self.n) - 1,))
+        return self._store([(value % PRIME,) + (0,) * self.t
+                            + ((1 << self.n) - 1,)], 1)[0]
 
     # -- local linear algebra ----------------------------------------------
 
@@ -444,11 +450,7 @@ class Engine:
             raise InsufficientShares(
                 "combination survives at fewer than t+1 live parties"
             )
-        first = self._next_handle
-        out = range(first, first + len(combos))
-        self._h.update(zip(out, rows))
-        self._next_handle = out.stop
-        return list(out)
+        return self._store(rows, len(combos))
 
     def _combine(self, combos: list, k: int) -> tuple:
         """Rows and holder masks of combinations that all have k terms.
@@ -626,10 +628,7 @@ class Engine:
         else:
             held = repeat(active)
         rows = zip(*[map(mod, col, repeat(p)) for col in cols], held)
-        out = range(self._next_handle, self._next_handle + k)
-        shares.update(zip(out, rows))
-        self._next_handle = out.stop
-        return list(out)
+        return self._store(rows, k)
 
     def open(self, h: Handle, kind: str = "value") -> int:
         return self.open_batch([h], kind)[0]
@@ -688,10 +687,7 @@ class Engine:
             words = draw(self.rng, len(pending) * width)
             polys = zip(*[words[d::width] for d in range(width)],
                         repeat(self._active))
-            first = self._next_handle
-            rs = list(range(first, first + len(pending)))
-            self._h.update(zip(rs, polys))
-            self._next_handle = first + len(rs)
+            rs = self._store(polys, len(pending))
             squares = self.product_batch(list(zip(rs, rs)))
             opened = self.open_batch(squares, kind="rand")
             kept = [(slot, hr, sq)

@@ -74,17 +74,16 @@ def formula_mults(algorithm: str, params: CostParams,
     """
     m = params.sm_per_region
     ns = params.n_suppliers
-    alg = algorithm.lower()
-    if alg == "naa":
+    if algorithm == "naa":
         return params.sigma * m * ns + m * ns
-    if alg == "ncaa":
+    if algorithm == "ncaa":
         lg = math.log2(m) if m > 1 else 0.0
         if variant == "table":
             return 2 * (m * lg + m)
         if variant == "batcher":
             return 2 * (3 * m * lg * lg + m)
         raise UnknownRow(f"unknown ncaa variant {variant!r}")
-    if alg == "niaa":
+    if algorithm == "niaa":
         return 0
     raise UnknownRow(f"no multiplication count for {algorithm!r}")
 
@@ -97,34 +96,32 @@ def formula_comm(protocol: str, segment: str, params: CostParams,
     protocols to the variant where only the grid operator receives
     shares and re-encrypts one symmetric message per other recipient.
     """
-    proto = protocol.lower()
-    seg = segment.lower()
-    if proto not in PROTOCOLS or seg not in SEGMENTS:
+    if protocol not in PROTOCOLS or segment not in SEGMENTS:
         raise UnknownRow(f"no table entry for {protocol!r}/{segment!r}")
     nd, ns, m = params.n_dno, params.n_suppliers, params.sm_per_region
     x, s, r, big_c = DATA_BITS, SHARE_BITS, BLIND_BITS, PUB_CIPHER_BITS
 
-    if proto == "trad":
+    if protocol == "trad":
         return {
             "sms_to_dcc": 2 * nd * m * x,
             "between_dcc": 0,
             "dcc_to_recipients": 6 * nd * ns * x,
-        }[seg]
-    if proto == "dep2sa":
+        }[segment]
+    if protocol == "dep2sa":
         return {
             "sms_to_dcc": 2 * nd * m * big_c,
             "between_dcc": 0,
             "dcc_to_recipients": 2 * nd * ns * (2 * big_c + x + r),
-        }[seg]
+        }[segment]
 
-    if seg == "sms_to_dcc":
-        if proto == "niaa":
+    if segment == "sms_to_dcc":
+        if protocol == "niaa":
             return 6 * nd * m * ns * s
         return 12 * nd * m * s
-    if seg == "between_dcc":
-        if proto == "niaa":
+    if segment == "between_dcc":
+        if protocol == "niaa":
             return 0
-        return MESSAGES_PER_MULT * s * formula_mults(proto, params)
+        return MESSAGES_PER_MULT * s * formula_mults(protocol, params)
     if trusted_tso:
         return 6 * nd * ns * s + (nd + ns) * SYM_CIPHER_BITS
     return 18 * nd * ns * s

@@ -216,12 +216,17 @@ def extend_to_secret(known: list[Share], alt_secret: int,
     This is the privacy argument made constructive: any t shares are
     consistent with every possible secret, and the completion below
     exhibits the polynomial.  Free party indices are filled with
-    arbitrary (zero) values before the polynomial is fitted.
+    arbitrary (zero) values before the polynomial is fitted.  A known
+    share must have degree t and a party in 1..n, as the returned ones do.
     """
     field.validate(alt_secret)
     if len(known) > params.t:
         raise InvalidParams(f"at most t={params.t} shares may be fixed")
-    _check_share_set(known) if known else None
+    if known:
+        if _check_share_set(known) != params.t:
+            raise DegreeMismatch(f"known shares must have degree {params.t}")
+        if max(s.party for s in known) > params.n:
+            raise PartyMismatch(f"known parties must be in 1..{params.n}")
     points = [(0, alt_secret)] + [(s.party, s.value) for s in known]
     taken = {x for x, _ in points}
     for x in range(1, params.n + 1):

@@ -1,6 +1,8 @@
 """Engine layer: products, opens, randomness, liveness, cost metering."""
 
+import ast
 import copy
+from pathlib import Path
 import random
 
 from conftest import share_row
@@ -754,6 +756,51 @@ def test_skip_handles_issues_unstored_numbers(engine):
     assert engine.input(5) == a + 4
 
 
+def handle_issuers() -> set:
+    """The ``Engine`` methods in ``abb.py`` that issue a handle number or
+    add a row: they assign ``_next_handle`` or ``_h``, or store into
+    ``_h`` by item, ``update`` or ``setdefault``, directly or through a
+    local name bound to it (``shares = self._h``)."""
+    tree = ast.parse(Path(abb.__file__).read_text())
+    (engine,) = [node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Engine"]
+    found = set()
+    for method in engine.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(method))
+        aliases = {target.id for node in nodes if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.Attribute)
+                   and node.value.attr == "_h"
+                   for target in node.targets if isinstance(target, ast.Name)}
+
+        def is_store(node):
+            return (isinstance(node, ast.Attribute) and node.attr == "_h"
+                    or isinstance(node, ast.Name) and node.id in aliases)
+
+        for node in nodes:
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for target in (n for t in targets for n in ast.walk(t)):
+                    if (isinstance(target, ast.Attribute)
+                            and target.attr in ("_next_handle", "_h")
+                            or isinstance(target, ast.Subscript)
+                            and is_store(target.value)):
+                        found.add(method.name)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("update", "setdefault")
+                  and is_store(node.func.value)):
+                found.add(method.name)
+    return found
+
+
+def test_only_the_registration_helpers_issue_handles():
+    # one admission path for delivered sharings, one store for computed
+    # batches, and the unstored numbers of skip_handles
+    assert handle_issuers() == {"__init__", "_store", "_admit", "skip_handles"}
+
+
 def reference_random_bits(engine, k):
     """The earlier form of ``random_bits_batch``: one lincomb and one
     inversion per bit."""
@@ -768,7 +815,7 @@ def reference_random_bits(engine, k):
             r = engine.rng.randrange(p)
             # the coefficients share_values draws after the secret
             coeffs = [engine.rng.randrange(p) for _ in range(engine.t)]
-            rs.append(engine._register((r, *coeffs, engine._active)))
+            rs += engine._store([(r, *coeffs, engine._active)], 1)
         squares = engine.product_batch([(h, h) for h in rs])
         opened = engine.open_batch(squares, kind="rand")
         retry = []

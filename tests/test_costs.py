@@ -116,6 +116,13 @@ def test_unknown_rows_raise():
         formula_mults("trad", DEFAULTS)
     with pytest.raises(UnknownRow):
         formula_mults("ncaa", DEFAULTS, variant="bubble")
+    # names match exactly; they are not case-folded
+    with pytest.raises(UnknownRow):
+        formula_mults("NAA", DEFAULTS)
+    with pytest.raises(UnknownRow):
+        formula_comm("NAA", "sms_to_dcc", DEFAULTS)
+    with pytest.raises(UnknownRow):
+        formula_comm("naa", "SMS_TO_DCC", DEFAULTS)
 
 
 def test_params_validation_and_with():

@@ -264,3 +264,14 @@ def test_extend_rejects_too_many_fixed_points(rng):
     shares = share(5, params, rng)
     with pytest.raises(InvalidParams):
         extend_to_secret(shares[:2], 6, params)
+
+
+@pytest.mark.parametrize("known,error", [
+    (Share(9, 5, 1), PartyMismatch),   # not one of the returned parties
+    (Share(4, 5, 1), PartyMismatch),
+    (Share(1, 5, 2), DegreeMismatch),  # not a share of a degree-1 sharing
+    (Share(1, 5, 0), DegreeMismatch),
+], ids=["party-9", "party-4", "degree-2", "degree-0"])
+def test_extend_rejects_shares_it_cannot_keep(known, error):
+    with pytest.raises(error):
+        extend_to_secret([known], 7, SharingParams(3, 1))
