@@ -13,9 +13,9 @@ removes it from every later quorum; failures are permanent for the
 engine's lifetime (there is deliberately no un-fail operation).
 
 Batch variants of the interactive operations share one round, which is
-what a real implementation would do; per-call variants (``product``,
-``open`` and the local ``lincomb``) are conveniences that wrap a batch of
-one.  Determinism: all randomness flows from the seed given at
+what a real implementation would do; per-call variants (``open`` and
+the local ``lincomb``) are conveniences that wrap a batch of one.
+Determinism: all randomness flows from the seed given at
 construction, including the control bits of ``gates.oblivious_permute``,
 and parties are driven in lockstep by the calling thread.
 A party-per-thread driver would have to reproduce the same message
@@ -513,9 +513,6 @@ class Engine:
                                        map(links.__getitem__, masks),
                                        numbers, repeat(SHARE_BYTES)))
         return pc
-
-    def product(self, a: Handle, b: Handle) -> Handle:
-        return self.product_batch([(a, b)])[0]
 
     def product_batch(self, pairs: list[tuple[Handle, Handle]], *,
                       as_or: bool = False) -> list[Handle]:

@@ -132,19 +132,15 @@ def naa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
             queries = [(rec.fields[s], u) for rec in tuples for u in suppliers]
             matches = equals_public_batch(engine, queries,
                                           len(tuples[0].fields[s]))
-            gated = engine.product_batch([
-                (matches[i * len(suppliers) + k], rec.readings[s])
-                for i, rec in enumerate(tuples)
-                for k in range(len(suppliers))
-            ])
+            gated = engine.product_batch(list(zip(
+                matches,
+                (rec.readings[s] for rec in tuples for _ in suppliers),
+            )))
             engine.release(matches)
-            stream_cells = []
-            for k in range(len(suppliers)):
-                terms = [
-                    (1, gated[i * len(suppliers) + k])
-                    for i in range(len(tuples))
-                ]
-                stream_cells.append([engine.lincomb(terms)])
+            stream_cells = [
+                [engine.lincomb([(1, g) for g in gated[k::len(suppliers)]])]
+                for k in range(len(suppliers))
+            ]
             engine.release(gated)
             cells.append(stream_cells)
     return RegionRows(region=region, cells=cells)

@@ -6,7 +6,8 @@ a real run would produce.
 """
 
 from functools import lru_cache
-from itertools import compress, cycle
+from itertools import chain, compress
+from operator import not_
 
 from .abb import Engine, Handle
 from .errors import LengthMismatch
@@ -25,20 +26,22 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
     ceil(log2(width+1)) rounds.  The fold yields 1 on any difference; the
     final negation back to "equal" is affine.
 
-    The nodes lie in one flat list, width+1 per query in query order, and
-    each level takes its pairs by slicing that list.  A flipped bit is its
-    complement 1 - x, registered once per distinct bit handle however many
-    queries flip it (naa's queries for one meter all reuse its bit
-    handles).  One number per flip is still issued: the complements take
-    the first ones and ``Engine.skip_handles`` issues the rest unstored,
-    so every later number is the one a row per flip would give.
+    Each query's nodes are its zero and its width bits, and the fold works
+    on node columns, width+1 of them, column k holding every query's node
+    k.  A flipped bit is its complement 1 - x, registered once per
+    distinct bit handle however many queries flip it (naa's queries for
+    one meter all reuse its bit handles).  One number per flip is still
+    issued: the complements take the first ones, in query order, and
+    ``Engine.skip_handles`` issues the rest unstored, so every later
+    number is the one a row per flip would give.
 
-    Each level is one fused ``product_batch(..., as_or=True)`` round,
-    whose products are never stored.  After it the gate releases what no
-    later level reads: the nodes it merged and the complements that were
-    merged for the last time.  So at most one level's intermediates, and
-    the complements of a last bit still carried unpaired, are live at a
-    time.
+    Each level pairs columns 2j and 2j+1 query by query in one fused
+    ``product_batch(..., as_or=True)`` round, whose products are never
+    stored, and carries an odd level's last column.  After it the gate
+    releases by one rule: the spent columns that the fold made, and every
+    gate-owned leaf (the zero and the complements) that no column left
+    holds.  So at most one level's intermediates, and the complements of
+    a leaf column still carried, are live at a time.
     """
     for bits, public_id in queries:
         if len(bits) != width:
@@ -70,45 +73,28 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
     engine.lincomb_batch([([(-1, bh)], 1) for bh in complement])
     engine.skip_handles(flips - len(complement))
 
-    # levelled OR fold: a OR b = a + b - ab, merged inside the product round.
-    # An odd level carries its last node unpaired, so while the last column
-    # still holds leaves, the complements in it outlive level 0.
-    size = width + 1
-    tail = {h for h in nodes[width::size] if h > zero} if size & 1 else None
-    while size > 1:
-        half = size // 2
-        if size & 1:
-            paired = list(compress(nodes, cycle((1,) * 2 * half + (0,))))
-        else:
-            paired = nodes
-        merged = engine.product_batch(list(zip(paired[0::2], paired[1::2])),
+    # levelled OR fold: a OR b = a + b - ab, merged inside the product round
+    cols = [nodes[k::width + 1] for k in range(width + 1)]
+    made = [False] * (width + 1)          # per column: holds fold products
+    leaves = {zero, *complement.values()}  # gate-owned leaves still live
+    while len(cols) > 1:
+        half = len(cols) // 2
+        # pair columns 2j and 2j+1, then take the pairs query by query
+        by_query = zip(*map(zip, cols[0:2 * half:2], cols[1:2 * half:2]))
+        merged = engine.product_batch(list(chain.from_iterable(by_query)),
                                       as_or=True)
-        if size == width + 1:
-            # level 0 pairs leaves only: the zero, the caller's bits and
-            # the complements
-            engine.release([zero, *(c for c in complement.values()
-                                    if c not in (tail or ()))])
-        elif tail is not None and not size & 1:
-            # the last column's leaves pair now; the rest are merged nodes
-            engine.release(list(compress(paired,
-                                         cycle((1,) * (size - 1) + (0,)))))
-            engine.release(tail)
-            tail = None
-        else:
-            engine.release(paired)
-        if size & 1:
-            rest = nodes[size - 1::size]
-            nodes = [None] * (len(rest) * (half + 1))
-            nodes[half::half + 1] = rest
-            for j in range(half):
-                nodes[j::half + 1] = merged[j::half]
-        else:
-            nodes = merged
-        size -= half
+        engine.release(chain.from_iterable(compress(cols[:2 * half], made)))
+        cols = [merged[j::half] for j in range(half)] + cols[2 * half:]
+        made = [True] * half + made[2 * half:]
+        held = leaves.intersection(
+            chain.from_iterable(compress(cols, map(not_, made))))
+        engine.release(leaves - held)
+        leaves = held
 
-    out = engine.lincomb_batch([([(-1, root)], 1) for root in nodes])
+    (roots,) = cols
+    out = engine.lincomb_batch([([(-1, root)], 1) for root in roots])
     # the fold roots; at width 0 every root is the shared zero
-    engine.release(nodes if width else [zero])
+    engine.release(roots if width else [zero])
     return out
 
 

@@ -57,7 +57,7 @@ def test_product_oracle(engine, rng):
     p = field.PRIME
     for _ in range(30):
         x, y = rng.randrange(p), rng.randrange(p)
-        h = engine.product(engine.input(x), engine.input(y))
+        h = engine.product_batch([(engine.input(x), engine.input(y))])[0]
         assert open_via_shamir(engine, h) == x * y % p
 
 
@@ -74,7 +74,7 @@ def test_product_batch_oracle_n5(engine5, rng):
 
 def test_product_output_is_degree_t(engine5):
     """Degree reduction: any t+1 of the product shares must agree."""
-    h = engine5.product(engine5.input(3), engine5.input(7))
+    h = engine5.product_batch([(engine5.input(3), engine5.input(7))])[0]
     shares = [Share(p, v, 2) for p, v in engine5.export_shares(h).items()]
     values = set()
     for i in range(len(shares) - 2):
@@ -127,7 +127,7 @@ def test_round_links_follow_the_live_set(n, t):
         if live < n:
             engine.fail_party(n)
         with engine.phase(f"probe{live}"):
-            engine.product(a, b)
+            engine.product_batch([(a, b)])
             assert engine.open(a) == 3
         product_links, open_links = (r[1] for r in engine.transcript[-2:])
         assert len(product_links) == (2 * t + 1) * (live - 1)
@@ -209,7 +209,7 @@ def test_input_shares_fits_only_held_shares():
     # ... so it does not count toward a product's 2t+1 quorum
     before = engine_state(engine)
     with pytest.raises(InsufficientShares):
-        engine.product(h, h)
+        engine.product_batch([(h, h)])
     assert engine_state(engine) == before
     # a share outside holders, or at a failed party, is not fitted or checked
     g = engine.input_shares([5, 6, 99], "sm1", holders=0b011)
@@ -329,7 +329,7 @@ def test_fail_party_then_product_still_correct():
     x = engine.input(6)
     y = engine.input(7)
     engine.fail_party(2)
-    h = engine.product(x, y)
+    h = engine.product_batch([(x, y)])[0]
     assert engine.open(h) == 42
     values, mask = share_row(engine, h)
     assert values[1] is None and not mask & 0b10
@@ -349,7 +349,7 @@ def test_product_without_mult_quorum_raises():
     engine.fail_party(1)
     # 2 live parties cannot interpolate a degree-2 product polynomial
     with pytest.raises(InsufficientShares):
-        engine.product(x, y)
+        engine.product_batch([(x, y)])
 
 
 def test_open_after_failures(engine):
@@ -409,7 +409,8 @@ def test_open_and_reconstruct_share_one_rule(n, t, failed):
 
 def test_transcript_recording():
     engine = Engine(SharingParams(3, 1), seed=3, record_transcript=True)
-    engine.product(engine.input(2, sender="sm1"), engine.input(3, sender="sm1"))
+    engine.product_batch([(engine.input(2, sender="sm1"),
+                           engine.input(3, sender="sm1"))])
     links = [link.split(",") for _, group, _, _ in engine.transcript
              for link in group]
     senders = {s for s, _ in links}
@@ -426,9 +427,9 @@ def test_meter_merge_and_matching():
     a = Engine(SharingParams(3, 1), seed=1)
     b = Engine(SharingParams(3, 1), seed=2)
     with a.phase("region_aggregation/1/imp"):
-        a.product(a.input(1), a.input(1))
+        a.product_batch([(a.input(1), a.input(1))])
     with b.phase("region_aggregation/2/imp"):
-        b.product(b.input(1), b.input(1))
+        b.product_batch([(b.input(1), b.input(1))])
     a.meter.merge(b.meter)
     assert a.meter.matching("region_aggregation").multiplications == 2
     assert a.meter.matching("region_aggregation/1").multiplications == 1
@@ -677,7 +678,7 @@ def test_refused_round_changes_nothing(op):
     # c is held by parties 1-3 only: enough to open, too few to multiply
     c = engine.input_shares(values, holders=0b00111)
     tampered = values[:4] + ((values[4] + 1) % field.PRIME,)
-    engine.open(engine.product(a, b))
+    engine.open(engine.product_batch([(a, b)])[0])
     if op == "open short":
         engine.fail_party(3)
     before = engine_state(engine)

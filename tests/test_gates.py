@@ -168,25 +168,31 @@ def test_equals_public_batch_leaves_only_outputs(rng):
 
 
 def test_equals_public_batch_in_flight_bound(rng):
-    width, n_queries = 8, 12
-    engine = Engine(SharingParams(3, 1), seed=32)
-    queries = [(input_bits(engine, rng.randrange(1 << width), width),
-                (1 << width) - 1 if q % 2 else rng.randrange(1 << width))
-               for q in range(n_queries)]
-    caller = len(engine.live_handles())
-    inner = engine.product_batch
-    in_flight = []
+    # live gate-made handles at each level's product round: width 8 carries
+    # a leaf column through three levels, width 5 a made column, and width
+    # 6 a leaf column that pairs at level 1
+    n_queries = 12
+    for width, want in ((8, [67, 55, 31, 19]), (5, [47, 36, 24]),
+                        (6, [55, 47, 24])):
+        engine = Engine(SharingParams(3, 1), seed=32)
+        queries = [(input_bits(engine, rng.randrange(1 << width), width),
+                    (1 << width) - 1 if q % 2 else rng.randrange(1 << width))
+                   for q in range(n_queries)]
+        caller = len(engine.live_handles())
+        inner = engine.product_batch
+        in_flight = []
 
-    def counting(pairs, **kwargs):
-        in_flight.append(len(engine.live_handles()) - caller)
-        return inner(pairs, **kwargs)
+        def counting(pairs, **kwargs):
+            in_flight.append(len(engine.live_handles()) - caller)
+            return inner(pairs, **kwargs)
 
-    engine.product_batch = counting
-    equals_public_batch(engine, queries, width)
-    assert len(in_flight) == 4                 # one call per fold level
-    # one level's nodes plus the shared zero; keeping every level alive
-    # would reach 14 per query by the last level
-    assert max(in_flight) <= n_queries * (width + 1) + 1
+        engine.product_batch = counting
+        equals_public_batch(engine, queries, width)
+        assert len(in_flight) == width.bit_length()  # one call per level
+        # one level's nodes plus the shared zero; keeping every level alive
+        # would reach 14 per query by the last level at width 8
+        assert max(in_flight) <= n_queries * (width + 1) + 1
+        assert in_flight == want
 
 
 def test_oblivious_permute_leaves_only_output_rows():
@@ -330,7 +336,7 @@ def equality_case(n, t, width, case):
 
 
 @pytest.mark.parametrize("case", ["shared", "partial", "rejects"])
-@pytest.mark.parametrize("width", [0, 1, 2, 8])
+@pytest.mark.parametrize("width", [0, 1, 2, 5, 6, 8, 10])
 @pytest.mark.parametrize("n,t", [(3, 1), (5, 2), (7, 3)])
 def test_equals_public_batch_is_share_exact(n, t, width, case,
                                             force_rejects):
