@@ -73,10 +73,10 @@ coefficient (a region's cell and bucket sums, hundreds of terms in one
 combination).
 
 Transcript: with ``record_transcript=True`` the engine appends one record
-per message group, ``(round, links, handle, bytes)``: a sharing's delivery
-to the servers, one product's reshare round or one handle's opening
+per message group, ``(round, links, handle)``: a sharing's delivery to
+the servers, one product's reshare round or one handle's opening
 broadcast.  ``links`` is a non-empty tuple of ``"sender,receiver"``
-strings, one per share message of ``bytes`` bytes, sender-major.  A
+strings, sender-major, each carrying one ``SHARE_BYTES`` share.  A
 round's links come from one cached plan per (live holders, live parties),
 and the meter counts those same tuples.  Records share their links tuple
 wherever they can: a product round's or an opening's records hold its
@@ -84,7 +84,7 @@ group's plan tuple, and consecutive deliveries from one sender to the same
 live holders (a meter's bundle, a run of dealer inputs) hold one tuple,
 built at the first of them.  A writer expands each record into one line
 per link, and may cut those lines once per run of records with the same
-round, links tuple and size (see ``cli.write_transcript``).
+round and links tuple (see ``cli.write_transcript``).
 """
 
 from contextlib import contextmanager
@@ -166,10 +166,7 @@ class CostMeter:
         return pc
 
     def total(self) -> PhaseCount:
-        out = PhaseCount()
-        for pc in self.phases.values():
-            out.add(pc)
-        return out
+        return self.matching("")
 
     def matching(self, prefix: str) -> PhaseCount:
         """Aggregate of all phases whose label starts with ``prefix``."""
@@ -317,7 +314,7 @@ class Engine:
                 links = tuple(f"{sender},p{i + 1}"
                               for i in _plan(live, live, self.t).holders)
                 self._delivered = (sender, live, links)
-            self.transcript.append((self._round, links, h, SHARE_BYTES))
+            self.transcript.append((self._round, links, h))
         return h
 
     def skip_handles(self, k: int) -> None:
@@ -510,8 +507,7 @@ class Engine:
                                    for m, group in links.items())
         if self.transcript is not None:
             self.transcript.extend(zip(repeat(self._round),
-                                       map(links.__getitem__, masks),
-                                       numbers, repeat(SHARE_BYTES)))
+                                       map(links.__getitem__, masks), numbers))
         return pc
 
     def product_batch(self, pairs: list[tuple[Handle, Handle]], *,

@@ -39,7 +39,7 @@ from . import field
 from .abb import Engine
 from .errors import InsufficientShares, OpenedIdInvalid, VectorLengthMismatch
 from .gates import compose_bits_batch, equals_public_batch, oblivious_permute
-from .shamir import SHARE_BYTES, Share, SharingParams, reconstruct
+from .shamir import Share, SharingParams, reconstruct
 
 STREAMS = ("imp", "exp")
 
@@ -281,14 +281,14 @@ class Distribution:
     """Recipient-side view after output delivery."""
 
     bundles: dict
-    # one (links, label, bytes) transcript record per (cell, receiver):
-    # links holds a "sender,receiver" string per share sent
+    # one (links, label) transcript record per (cell, receiver): links
+    # holds a "sender,receiver" string per share sent
     records: list
 
     @property
     def messages(self) -> int:
         """One share per link."""
-        return sum(len(links) for links, _, _ in self.records)
+        return sum(len(links) for links, _ in self.records)
 
 
 def distribute_outputs(cells: list, params: SharingParams,
@@ -310,8 +310,7 @@ def distribute_outputs(cells: list, params: SharingParams,
         links = tuple(f"p{party},{receiver}"
                       for _, shares in sorted(cell.items())
                       for party in sorted(shares) if party not in failed)
-        records.append((links, f"cell/{STREAMS[s]}/{j + 1}/{k + 1}",
-                        SHARE_BYTES))
+        records.append((links, f"cell/{STREAMS[s]}/{j + 1}/{k + 1}"))
         return reconstruct_cell(cell, t, failed)
 
     bundles: dict = {"tso": grid_view([

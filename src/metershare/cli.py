@@ -46,7 +46,7 @@ from .metering import (
     plaintext_totals,
     submit,
 )
-from .shamir import Share, SharingParams, reconstruct, share
+from .shamir import SHARE_BYTES, Share, SharingParams, reconstruct, share
 
 SEED_ENV = "METERSHARE_SEED"
 HANDLE_SAMPLES_PER_RUN = 100
@@ -75,7 +75,7 @@ class RunResult:
     leaked: dict
     excluded: list
     admitted: list       # per region: meters whose tuples were aggregated
-    # (round, links, label, bytes) per message group, as the engine records
+    # (round, links, label) per message group, as the engine records
     # them (see ``abb``), with rounds numbered across the run and handles
     # labelled r<region>.h<handle>; None unless recorded
     transcript: list | None
@@ -145,7 +145,7 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
     regions, included, excluded, admitted = [], [], [], []
     leaked, samples, opened, delivered = {}, [], [], 0
     transcript = [] if record_transcript else None
-    offset = 0  # transcript rounds of the regions so far
+    offset = 0  # rounds of the regions so far
     for j in range(1, scenario.n_dno + 1):
         o = _run_region(scenario, j, [m for m in meters if m.region == j],
                         readings, record_transcript)
@@ -161,9 +161,9 @@ def run_scenario(scenario: Scenario, record_transcript: bool = False,
         samples.extend(o.handle_samples)
         opened.extend(o.opened_log)
         if transcript is not None:
-            transcript.extend((rnd + offset, links, f"r{j}.h{h}", nb)
-                              for rnd, links, h, nb in o.transcript)
-            offset += max((r[0] for r in o.transcript), default=0)
+            transcript.extend((rnd + offset, links, f"r{j}.h{h}")
+                              for rnd, links, h in o.transcript)
+            offset += o.meter.total().rounds
         del o  # the region's own transcript is merged; free it
 
     dist = distribute_outputs(grid_aggregate(regions), scenario.params)
@@ -258,21 +258,22 @@ def write_report(report: dict, out_dir: str, fmt: str) -> None:
 def write_transcript(run: RunResult, path: str) -> None:
     """One line ``round,sender,receiver,handle,bytes`` per link of each record.
 
-    A record's lines are ``label.join(pieces)``, the pieces being the text
-    between its labels.  They depend only on the round, the links and the
-    size, so they are cut once for each run of records that share all three
-    (a product round's records share one links tuple, and so do a bundle's
-    deliveries), and each record is written on its own: the file's text is
-    never held whole.
+    Every link carries one share of ``SHARE_BYTES`` bytes.  A record's lines
+    are ``label.join(pieces)``, the pieces being the text between its
+    labels.  They depend only on the round and the links, so they are cut
+    once for each run of records that share both (a product round's records
+    share one links tuple, and so do a bundle's deliveries), and each record
+    is written on its own: the file's text is never held whole.
     """
+    tail = f",{SHARE_BYTES}\n"
     with open(path, "w") as fh:
         fh.write("round,sender,receiver,handle,bytes\n")
         write = fh.write
-        cut = at = size = None  # links, round and bytes of the pieces
-        for rnd, links, label, nb in run.transcript:
-            if links is not cut or rnd != at or nb != size:
-                cut, at, size = links, rnd, nb
-                head, tail = f"{rnd},", f",{nb}\n"
+        cut = at = None  # links and round of the pieces
+        for rnd, links, label in run.transcript:
+            if links is not cut or rnd != at:
+                cut, at = links, rnd
+                head = f"{rnd},"
                 sep = tail + head
                 pieces = [head + links[0] + ","]
                 pieces += [sep + link + "," for link in links[1:]]

@@ -9,6 +9,7 @@ so reports carry both numbers side by side.  ``build_report`` writes a
 finished run's report and ``compare`` reads it.
 """
 
+from collections import Counter
 from dataclasses import dataclass, fields as dfields, replace
 import math
 
@@ -187,30 +188,26 @@ def sweep_series(params: CostParams, m_values: list[int]) -> dict:
 def bytes_from_transcript(records: list[tuple]) -> dict:
     """Classify transcript links into the three traffic segments.
 
-    ``records`` are ``(round, links, handle, bytes)`` message groups (see
-    ``abb``); each ``"sender,receiver"`` link carries ``bytes``.  Senders
-    named sm* are meters, p* are servers; any other receiver is an output
-    party.  Returns byte totals per segment for cross-checking the meter.
+    ``records`` are ``(round, links, handle)`` message groups (see ``abb``);
+    each ``"sender,receiver"`` link is one share of ``SHARE_BYTES``.
+    Senders named sm* are meters, p* are servers; any other receiver is an
+    output party.  Returns byte totals per segment for cross-checking the
+    meter.
 
-    Records share their links tuples (see ``abb``), so bytes are summed
-    per tuple object first and each tuple's links are classified once.
+    Records share their links tuples (see ``abb``), so records are counted
+    per links tuple first and each distinct tuple is classified once.
     """
-    # id(links) -> [links, bytes per link over its records]; the entry
-    # holds the tuple, so its id is not reused while the call runs
-    carried: dict = {}
-    for _round, links, _handle, nbytes in records:
-        carried.setdefault(id(links), [links, 0])[1] += nbytes
     out = {seg: 0 for seg in SEGMENTS}
-    for links, nbytes in carried.values():
+    for links, count in Counter(links for _, links, _ in records).items():
         for link in links:
             sender, receiver = link.split(",")
             if sender.startswith("sm") or sender == "dealer":
-                out["sms_to_dcc"] += nbytes
+                out["sms_to_dcc"] += count
             elif receiver.startswith("p"):
-                out["between_dcc"] += nbytes
+                out["between_dcc"] += count
             else:
-                out["dcc_to_recipients"] += nbytes
-    return out
+                out["dcc_to_recipients"] += count
+    return {seg: shares * SHARE_BYTES for seg, shares in out.items()}
 
 
 # -- the run cost report ------------------------------------------------------

@@ -98,7 +98,12 @@ class Scenario:
             raise ScenarioError("meter counts must be non-negative")
         if self.sigma < 1:
             raise ScenarioError("supplier IDs need at least one bit")
-        if self.n_suppliers >= (1 << self.sigma):
+        # ncaa packs an ID's bits into one field element (compose_bits_batch):
+        # only below the prime's width is that packing injective
+        if self.sigma >= field.PRIME.bit_length():
+            raise ScenarioError(f"sigma must be below "
+                                f"{field.PRIME.bit_length()}, got {self.sigma}")
+        if self.n_suppliers.bit_length() > self.sigma:
             raise ScenarioError(
                 f"{self.n_suppliers} suppliers do not fit {self.sigma} bits"
             )

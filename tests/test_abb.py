@@ -111,7 +111,7 @@ def test_product_messages_per_mult(n, t, failed):
     assert pc.multiplications == 5
     assert pc.msgs_between_dcc == 5 * (2 * t + 1) * (live - 1)
     products = engine.transcript[-5:]
-    assert sum(len(links) for _, links, _, _ in products) == pc.msgs_between_dcc
+    assert sum(len(links) for _, links, _ in products) == pc.msgs_between_dcc
 
 
 @pytest.mark.parametrize("n,t", [(5, 1), (7, 2)])
@@ -236,7 +236,7 @@ def test_delivery_links_follow_sender_and_holders():
 
     records = engine.transcript
     assert len(records) == len(sent)
-    for (sender, holders), (_, links, _, _) in zip(sent, records):
+    for (sender, holders), (_, links, _) in zip(sent, records):
         assert links == tuple(f"{sender},p{i}" for i in (1, 2, 3)
                               if holders >> (i - 1) & 1)
     # one bundle's sharings share one links tuple
@@ -386,8 +386,8 @@ def test_open_and_reconstruct_share_one_rule(n, t, failed):
     assert engine.opened_log[-8:] == [("mixed", "value", v) for v in doubled]
     live = [j for j in range(1, n + 1) if j != failed]
     records = engine.transcript[-8:]
-    assert [h for _, _, h, _ in records] == mixed
-    for (_, links, h, _) in records:
+    assert [h for _, _, h in records] == mixed
+    for (_, links, h) in records:
         assert list(links) == [f"p{i},p{j}" for i in engine.export_shares(h)
                                for j in live if j != i]
 
@@ -411,16 +411,16 @@ def test_transcript_recording():
     engine = Engine(SharingParams(3, 1), seed=3, record_transcript=True)
     engine.product_batch([(engine.input(2, sender="sm1"),
                            engine.input(3, sender="sm1"))])
-    links = [link.split(",") for _, group, _, _ in engine.transcript
+    links = [link.split(",") for _, group, _ in engine.transcript
              for link in group]
     senders = {s for s, _ in links}
     receivers = {r for _, r in links}
     assert "sm1" in senders and {"p1", "p2", "p3"} <= receivers
-    assert all(nb == SHARE_BYTES for *_, nb in engine.transcript)
-    # meters count exactly what the transcript shows
+    # meters count exactly what the transcript shows, one share per link
     total = engine.meter.total()
-    by_bytes = sum(nb * len(group) for _, group, _, nb in engine.transcript)
-    assert total.bytes_sm_to_dcc + total.bytes_between_dcc == by_bytes
+    shares = sum(len(group) for _, group, _ in engine.transcript)
+    assert total.bytes_sm_to_dcc + total.bytes_between_dcc == \
+        shares * SHARE_BYTES
 
 
 def test_meter_merge_and_matching():

@@ -325,8 +325,8 @@ def test_distribution_message_count():
     assert dist.messages == cells * 3 * n
     # one record per cell crossing, one link per share
     assert len(dist.records) == cells * 3
-    assert sum(len(links) for links, _, _ in dist.records) == dist.messages
-    assert all(len(links) == n for links, _, _ in dist.records)
+    assert sum(len(links) for links, _ in dist.records) == dist.messages
+    assert all(len(links) == n for links, _ in dist.records)
 
 
 def test_distribution_with_failed_server_unchanged():

@@ -101,6 +101,14 @@ def test_run_mistyped_scenario_field_exits_1(tmp_path, capsys, field, value):
     assert capsys.readouterr().err.startswith(f"error: {field} must be")
 
 
+def test_run_huge_sigma_exits_1(tmp_path, capsys):
+    # refused before any 2**sigma is built
+    path = write_scenario(tmp_path, sigma=2**40)
+    assert cli.main(["run", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: sigma must be below 63, got {2**40}\n"
+
+
 def test_run_infeasible_failures_exit_1(tmp_path, capsys):
     path = write_scenario(tmp_path, n_servers=3, fail_servers=[3])
     assert cli.main(["run", "--scenario", str(path)]) == 1
@@ -501,7 +509,7 @@ def test_transcript_matches_meter(tmp_path, alg, n, t, rate, failed):
                   sigma=4, n_servers=n, threshold=t, algorithm=alg,
                   fault_rate=rate, fail_servers=failed)
     run = cli.run_scenario(sc, record_transcript=True)
-    assert all(links for _, links, _, _ in run.transcript)
+    assert all(links for _, links, _ in run.transcript)
     total = run.meter.total()
     logged = costs.bytes_from_transcript(run.transcript)
     assert logged["between_dcc"] == total.bytes_between_dcc
@@ -512,15 +520,42 @@ def test_transcript_matches_meter(tmp_path, alg, n, t, rate, failed):
     path = tmp_path / "transcript.log"
     cli.write_transcript(run, path)
     lines = path.read_text().splitlines()
-    shares = sum(len(links) for _, links, _, _ in run.transcript)
+    shares = sum(len(links) for _, links, _ in run.transcript)
     assert len(lines) == 1 + shares
+
+
+@pytest.mark.parametrize("alg", ["naa", "ncaa", "niaa"])
+def test_transcript_rounds_run_on_across_regions(alg):
+    # region j's records carry the meter rounds of the regions before it
+    # as their offset: its intake at the offset, its own rounds after it
+    sc = Scenario(n_dno=3, n_suppliers=3, sm_per_region=[6, 0, 5], seed=21,
+                  sigma=4, n_servers=5, threshold=1, algorithm=alg,
+                  fault_rate=0.2, fail_servers=[2])
+    run = cli.run_scenario(sc, record_transcript=True)
+    assert run.excluded
+    meters = build_meters(sc)
+    readings = cli.generate_readings(sc, meters)
+    rounds: dict = {}
+    for rnd, _, label in run.transcript:
+        source = label.split(".")[0] if "." in label else "output"
+        rounds.setdefault(source, set()).add(rnd)
+    offset = 0
+    for j, count in enumerate(sc.sm_per_region, 1):
+        region = cli._run_region(sc, j, [m for m in meters if m.region == j],
+                                 readings, record_transcript=False)
+        own = region.meter.total().rounds
+        want = set(range(offset, offset + own + 1)) if count else set()
+        assert rounds.pop(f"r{j}", set()) == want
+        offset += own
+    assert offset == run.meter.total().rounds
+    assert rounds == {"output": {offset + 1}}
 
 
 def reference_transcript(records) -> str:
     """The transcript file rendered one line per link, nothing reused."""
     return "round,sender,receiver,handle,bytes\n" + "".join(
-        f"{rnd},{link},{label},{nb}\n"
-        for rnd, links, label, nb in records for link in links)
+        f"{rnd},{link},{label},{SHARE_BYTES}\n"
+        for rnd, links, label in records for link in links)
 
 
 def test_write_transcript_matches_line_per_link(tmp_path):
@@ -530,18 +565,15 @@ def test_write_transcript_matches_line_per_link(tmp_path):
     assert equal == shared and equal is not shared
     records = [
         # one links object over many records
-        (1, shared, "r1.h5", 16), (1, shared, "r1.h6", 16),
-        (1, shared, "r1.h7", 16),
+        (1, shared, "r1.h5"), (1, shared, "r1.h6"), (1, shared, "r1.h7"),
         # the same object in the next round
-        (2, shared, "r1.h8", 16), (2, shared, "r1.h9", 16),
-        # an equal tuple that is another object, then a change of size
-        (2, equal, "r1.h10", 16), (2, equal, "r1.h11", 32),
-        (2, equal, "r1.h12", 16), (2, shared, "r2.h3", 16),
+        (2, shared, "r1.h8"), (2, shared, "r1.h9"),
+        # an equal tuple that is another object, then the first again
+        (2, equal, "r1.h10"), (2, equal, "r1.h12"), (2, shared, "r2.h3"),
         # single-link records, with a links object each, then sharing one
-        (3, ("p1,tso",), "cell/imp/1/1", 16),
-        (3, shared[:1], "cell/imp/1/1", 16),
-        (3, shared[:1], "cell/exp/1/1", 16),
-        (4, single, "r2.h4", 16), (4, single, "r2.h5", 16),
+        (3, ("p1,tso",), "cell/imp/1/1"), (3, shared[:1], "cell/imp/1/1"),
+        (3, shared[:1], "cell/exp/1/1"),
+        (4, single, "r2.h4"), (4, single, "r2.h5"),
     ]
     path = tmp_path / "transcript.log"
     cli.write_transcript(types.SimpleNamespace(transcript=records), path)

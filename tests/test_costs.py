@@ -19,6 +19,7 @@ from metershare.costs import (
 )
 from metershare.errors import UnknownRow
 from metershare.metering import Scenario
+from metershare.shamir import SHARE_BYTES
 
 # reference figures computed by hand at the default parameter set:
 # 14 regions, 10 suppliers, 8 ID bits, 2.2e6 meters per region,
@@ -166,16 +167,16 @@ def test_sweep_series_shapes_and_monotonicity():
 
 def test_bytes_from_transcript_classification():
     records = [
-        (0, ("sm4,p1",), "h1", 10),
-        (1, ("p1,p2", "p2,p1"), "h2", 10),
-        (2, ("p1,tso",), "cell/imp/1/1", 10),
-        (2, ("p1,sup3",), "cell/imp/1/3", 10),
+        (0, ("sm4,p1",), "h1"),
+        (1, ("p1,p2", "p2,p1"), "h2"),
+        (2, ("p1,tso",), "cell/imp/1/1"),
+        (2, ("p1,sup3",), "cell/imp/1/3"),
     ]
     out = bytes_from_transcript(records)
     assert out == {
-        "sms_to_dcc": 10,
-        "between_dcc": 20,
-        "dcc_to_recipients": 20,
+        "sms_to_dcc": SHARE_BYTES,
+        "between_dcc": 2 * SHARE_BYTES,
+        "dcc_to_recipients": 2 * SHARE_BYTES,
     }
 
 
@@ -183,15 +184,15 @@ def per_link_bytes(records) -> dict:
     """``bytes_from_transcript``'s classification applied link by link,
     record by record, with nothing shared between records."""
     out = dict.fromkeys(SEGMENTS, 0)
-    for _, links, _, nbytes in records:
+    for _, links, _ in records:
         for link in links:
             sender, receiver = link.split(",")
             if sender.startswith("sm") or sender == "dealer":
-                out["sms_to_dcc"] += nbytes
+                out["sms_to_dcc"] += SHARE_BYTES
             elif receiver.startswith("p"):
-                out["between_dcc"] += nbytes
+                out["between_dcc"] += SHARE_BYTES
             else:
-                out["dcc_to_recipients"] += nbytes
+                out["dcc_to_recipients"] += SHARE_BYTES
     return out
 
 
@@ -201,17 +202,16 @@ def test_bytes_from_transcript_matches_per_link_reference():
     assert twin == bundle and twin is not bundle
     mixed = ("p1,p2", "p2,p1", "p1,tso", "dealer,p3")
     records = [
-        (0, bundle, 1, 10), (0, bundle, 2, 10), (0, twin, 3, 7),
-        (1, mixed, 4, 10), (2, mixed, 5, 3), (3, bundle, 6, 4),
-        (4, ("p3,sup1",), "cell/imp/1/1", 10),
+        (0, bundle, 1), (0, bundle, 2), (0, twin, 3),
+        (1, mixed, 4), (2, mixed, 5), (3, bundle, 6),
+        (4, ("p3,sup1",), "cell/imp/1/1"),
     ]
     assert bytes_from_transcript(records) == per_link_bytes(records)
 
-    # records made on the fly: each links tuple is freed after its record
-    # is read, so its id may come back for a tuple of another segment
+    # records made on the fly and read once, a links tuple of each
     def fresh():
         for r in range(200):
-            yield (r, tuple(["sm2,p1"] if r % 2 else ["p1,tso"]), r, 10)
+            yield (r, tuple(["sm2,p1"] if r % 2 else ["p1,tso"]), r)
 
     assert bytes_from_transcript(fresh()) == per_link_bytes(list(fresh()))
 

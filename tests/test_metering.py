@@ -69,6 +69,8 @@ def test_meters_and_readings_draw_as_randint(n_suppliers):
     dict(sm_per_region=[4, -1]),
     dict(sigma=0),
     dict(sigma=1, n_suppliers=3),          # ids do not fit
+    dict(sigma=63),                        # packed ids would wrap the field
+    dict(sigma=2**40),
     dict(fault_rate=1.5),
     dict(algorithm="magic"),
     dict(byte_accounting="guess"),
@@ -92,6 +94,10 @@ def test_meters_and_readings_draw_as_randint(n_suppliers):
 def test_scenario_validation_rejects(bad):
     with pytest.raises(ScenarioError):
         scenario(**bad)
+
+
+def test_scenario_accepts_ids_up_to_62_bits():
+    assert scenario(sigma=62).sigma == 62
 
 
 def test_scenario_accepts_tuples_for_lists():
