@@ -14,7 +14,7 @@ class EncodingOverflow(MeterShareError):
 
 
 class InvalidParams(MeterShareError):
-    """Sharing parameters violate n >= 2t+1 or t >= 1."""
+    """Sharing parameters violate t >= 1, n >= 2t+1 or n <= 255."""
 
 
 class InsufficientShares(MeterShareError):

@@ -19,6 +19,7 @@ from .aggregation import STREAMS, MeterTuple, grid_view
 from .errors import (
     IdOverflow,
     InsufficientShares,
+    InvalidParams,
     ScenarioError,
     UnknownSupplier,
 )
@@ -82,11 +83,10 @@ class Scenario:
             raise ScenarioError(
                 f"fault_rate must be a number, got {self.fault_rate!r}"
             )
-        if self.threshold < 1 or self.n_servers < 2 * self.threshold + 1:
-            raise ScenarioError(
-                f"need n_servers >= 2*threshold+1, got "
-                f"{self.n_servers}/{self.threshold}"
-            )
+        try:
+            SharingParams(self.n_servers, self.threshold)
+        except InvalidParams as err:
+            raise ScenarioError(str(err)) from None
         if self.n_dno < 1 or self.n_suppliers < 1:
             raise ScenarioError("need at least one region and one supplier")
         if len(self.sm_per_region) != self.n_dno:

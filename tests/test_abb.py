@@ -4,6 +4,7 @@ import ast
 import copy
 from pathlib import Path
 import random
+import tracemalloc
 
 from conftest import share_row
 from hypothesis import given, settings, strategies as st
@@ -467,7 +468,6 @@ def test_plan_weights_match_the_textbook_formula(n, t):
             continue
         plan = abb._plan(q, (1 << n) - 1, t)
         want = textbook_weights(plan.points[: 2 * t + 1])
-        assert plan.weights == want
         expanded = [0] * len(want)
         for w, plus, minus in plan.factored:
             for s in plus:
@@ -562,19 +562,31 @@ RESHARE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
-def test_product_batch_is_share_exact(n, t, degrade):
-    engine, handles = loaded_engine(n, t, degrade)
-    ref, _ = loaded_engine(n, t, degrade)
-    pairs = [(handles[k], handles[(5 * k + 3) % 12]) for k in range(12)]
-    pairs.append((handles[0], handles[0]))
+# the engine's chunk and one that cuts a round's 13 pairs into 4-pair runs,
+# so runs of the "gapped" cases' groups straddle chunk boundaries
+CHUNKS = (abb._CHUNK, 4)
 
-    out = engine.product_batch(pairs)
-    assert [share_row(engine, h) for h in out] == reference_reshare(ref, pairs)
-    assert engine.rng.getstate() == ref.rng.getstate()
-    for h, (ha, hb) in zip(out, pairs):
-        want = engine.open(ha) * engine.open(hb) % field.PRIME
-        assert engine.open(h) == want
+
+def reshare_pairs(handles):
+    pairs = [(handles[k], handles[(5 * k + 3) % 12]) for k in range(12)]
+    return pairs + [(handles[0], handles[0])]
+
+
+@pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
+def test_product_batch_is_share_exact(n, t, degrade, monkeypatch):
+    for chunk in CHUNKS:
+        monkeypatch.setattr(abb, "_CHUNK", chunk)
+        engine, handles = loaded_engine(n, t, degrade)
+        ref, _ = loaded_engine(n, t, degrade)
+        pairs = reshare_pairs(handles)
+
+        out = engine.product_batch(pairs)
+        assert [share_row(engine, h) for h in out] == \
+            reference_reshare(ref, pairs)
+        assert engine.rng.getstate() == ref.rng.getstate()
+        for h, (ha, hb) in zip(out, pairs):
+            want = engine.open(ha) * engine.open(hb) % field.PRIME
+            assert engine.open(h) == want
 
 
 class StoreLog(dict):
@@ -594,73 +606,103 @@ class StoreLog(dict):
 
 
 @pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
-def test_product_batch_as_or_is_share_exact(n, t, degrade):
+def test_product_batch_as_or_is_share_exact(n, t, degrade, monkeypatch):
     # the fused OR round against a plain round, the per-sender reshare and
     # the term-by-term merge a + b - ab it replaces
-    engine, handles = loaded_engine(n, t, degrade, record_transcript=True)
-    plain, _ = loaded_engine(n, t, degrade, record_transcript=True)
-    ref, _ = loaded_engine(n, t, degrade)
-    pairs = [(handles[k], handles[(5 * k + 3) % 12]) for k in range(12)]
-    pairs.append((handles[0], handles[0]))
-    k = len(pairs)
-    first = engine._next_handle
-    engine._h = StoreLog(engine._h)
+    for chunk in CHUNKS:
+        monkeypatch.setattr(abb, "_CHUNK", chunk)
+        engine, handles = loaded_engine(n, t, degrade, record_transcript=True)
+        plain, _ = loaded_engine(n, t, degrade, record_transcript=True)
+        ref, _ = loaded_engine(n, t, degrade)
+        pairs = reshare_pairs(handles)
+        k = len(pairs)
+        first = engine._next_handle
+        engine._h = StoreLog(engine._h)
 
-    with engine.phase("probe"):
-        out = engine.product_batch(pairs, as_or=True)
-    with plain.phase("probe"):
-        products = plain.product_batch(pairs)
-    assert products == list(range(first, first + k))
-    rows = dict(zip(products, reference_reshare(ref, pairs)))
-    want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)], extra=rows)
-            for (a, b), ab in zip(pairs, products)]
+        with engine.phase("probe"):
+            out = engine.product_batch(pairs, as_or=True)
+        with plain.phase("probe"):
+            products = plain.product_batch(pairs)
+        assert products == list(range(first, first + k))
+        rows = dict(zip(products, reference_reshare(ref, pairs)))
+        want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)], extra=rows)
+                for (a, b), ab in zip(pairs, products)]
 
-    assert out == list(range(first + k, first + 2 * k))
-    assert [share_row(engine, h) for h in out] == want
-    assert engine._next_handle == first + 2 * k
-    assert engine.rng.getstate() == ref.rng.getstate() == plain.rng.getstate()
-    # records name the products; counters match the plain round
-    assert engine.transcript == plain.transcript
-    assert engine.meter == plain.meter
-    # no product number was ever live
-    assert engine._h.stored == out
-    opened = engine.open_batch(out)
-    for value, (a, b) in zip(opened, pairs):
-        x, y = engine.open(a), engine.open(b)
-        assert value == (x + y - x * y) % field.PRIME
+        assert out == list(range(first + k, first + 2 * k))
+        assert [share_row(engine, h) for h in out] == want
+        assert engine._next_handle == first + 2 * k
+        assert engine.rng.getstate() == ref.rng.getstate() \
+            == plain.rng.getstate()
+        # records name the products; counters match the plain round
+        assert engine.transcript == plain.transcript
+        assert engine.meter == plain.meter
+        # no product number was ever live
+        assert engine._h.stored == out
+        opened = engine.open_batch(out)
+        for value, (a, b) in zip(opened, pairs):
+            x, y = engine.open(a), engine.open(b)
+            assert value == (x + y - x * y) % field.PRIME
 
 
-@pytest.mark.parametrize("where", ["first", "middle", "last", "all"])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "all",
+                                   "chunk edge"])
 @pytest.mark.parametrize("as_or", [False, True])
 @pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
 def test_product_batch_redraws_words_above_prime(n, t, degrade, as_or, where,
-                                                 force_rejects):
-    engine, handles = loaded_engine(n, t, degrade)
-    ref, _ = loaded_engine(n, t, degrade)
-    pairs = [(handles[k], handles[(5 * k + 3) % 12]) for k in range(12)]
-    pairs.append((handles[0], handles[0]))
-    k = len(pairs)
-    draws = k * (2 * t + 1) * t
-    # raw word numbers at which the first, a middle and the last draw of
-    # the round meet a word >= p; "all" counts the two redraws before it
-    at = {"first": {0}, "middle": {draws // 2}, "last": {draws - 1},
-          "all": {0, draws // 2 + 1, draws + 1}}[where]
-    force_rejects(engine.rng, at)
-    force_rejects(ref.rng, at)
-    first = engine._next_handle
+                                                 force_rejects, monkeypatch):
+    for chunk in CHUNKS:
+        monkeypatch.setattr(abb, "_CHUNK", chunk)
+        engine, handles = loaded_engine(n, t, degrade)
+        ref, _ = loaded_engine(n, t, degrade)
+        pairs = reshare_pairs(handles)
+        k = len(pairs)
+        step = (2 * t + 1) * t
+        draws = k * step
+        # the first run: the leading pairs of one holder mask, one chunk at
+        # most; "chunk edge" rejects its last word and the next run's first
+        masks = [engine.handle_mask(a) & engine.handle_mask(b)
+                 for a, b in pairs]
+        run = next((u for u, m in enumerate(masks) if m != masks[0]), k)
+        edge = min(run, chunk) * step
+        # raw word numbers at which the first, a middle and the last draw of
+        # the round meet a word >= p; "all" and the edge count the redraws
+        # before them
+        at = {"first": {0}, "middle": {draws // 2}, "last": {draws - 1},
+              "all": {0, draws // 2 + 1, draws + 1},
+              "chunk edge": {edge - 1, edge + 1}}[where]
+        force_rejects(engine.rng, at)
+        force_rejects(ref.rng, at)
+        first = engine._next_handle
 
-    out = engine.product_batch(pairs, as_or=as_or)
-    want = reference_reshare(ref, pairs)
-    if as_or:
-        products = range(first, first + k)
-        rows = dict(zip(products, want))
-        want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)], extra=rows)
-                for (a, b), ab in zip(pairs, products)]
-    shift = k if as_or else 0
-    assert out == list(range(first + shift, first + shift + k))
-    assert engine._next_handle == first + shift + k
-    assert [share_row(engine, h) for h in out] == want
-    assert engine.rng.getstate() == ref.rng.getstate()
+        out = engine.product_batch(pairs, as_or=as_or)
+        want = reference_reshare(ref, pairs)
+        if as_or:
+            products = range(first, first + k)
+            rows = dict(zip(products, want))
+            want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)],
+                                      extra=rows)
+                    for (a, b), ab in zip(pairs, products)]
+        shift = k if as_or else 0
+        assert out == list(range(first + shift, first + shift + k))
+        assert engine._next_handle == first + shift + k
+        assert [share_row(engine, h) for h in out] == want
+        assert engine.rng.getstate() == ref.rng.getstate()
+
+
+def test_product_round_transients_are_bounded():
+    # one 16,000-pair round at (5,2) computed whole held all its draw words
+    # and columns at once, 9.0 MB above the rows it stored
+    engine = Engine(SharingParams(5, 2), seed=24)
+    handles = [engine.input(v) for v in range(200)]
+    pairs = [(handles[u % 200], handles[7 * u % 199]) for u in range(16_000)]
+    tracemalloc.start()
+    try:
+        out = engine.product_batch(pairs)
+        stored, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 16_000
+    assert peak - stored <= 2_000_000
 
 
 def engine_state(engine):
@@ -669,7 +711,8 @@ def engine_state(engine):
             list(engine.transcript), dict(engine._h))
 
 
-@pytest.mark.parametrize("op", ["product", "product as_or", "open short",
+@pytest.mark.parametrize("op", ["product", "product as_or", "product late",
+                                "product late as_or", "open short",
                                 "intake tampered"])
 def test_refused_round_changes_nothing(op):
     engine = Engine(SharingParams(5, 2), seed=21, record_transcript=True)
@@ -685,7 +728,9 @@ def test_refused_round_changes_nothing(op):
     with engine.phase("probe"), pytest.raises((InsufficientShares,
                                                InconsistentShares)) as refused:
         if op.startswith("product"):
-            engine.product_batch([(a, b), (a, c)], as_or=op.endswith("as_or"))
+            # "late": the refused pair sits in the round's second chunk
+            pairs = [(a, b)] * (abb._CHUNK if "late" in op else 1)
+            engine.product_batch(pairs + [(a, c)], as_or=op.endswith("as_or"))
         elif op == "open short":
             engine.open_batch([a, c])
         else:
@@ -735,6 +780,16 @@ def test_refused_lincomb_batch_changes_nothing():
             engine.lincomb_batch(combos)
         assert engine_state(engine) == before
     assert "probe" not in engine.meter.phases
+
+
+@pytest.mark.parametrize("slots", [4, 6])
+def test_input_shares_refuses_wrong_slot_count(slots):
+    engine = Engine(SharingParams(5, 2), seed=25, record_transcript=True)
+    values = share_values(9, 5, 2, random.Random(25))
+    before = engine_state(engine)
+    with pytest.raises(InsufficientShares, match="expected 5 share slots"):
+        engine.input_shares((values + [0])[:slots])
+    assert engine_state(engine) == before
 
 
 def test_random_bits_below_quorum_changes_nothing():

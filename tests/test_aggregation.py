@@ -10,6 +10,7 @@ from metershare.abb import Engine
 from metershare.aggregation import (
     STREAMS,
     MeterTuple,
+    RegionRows,
     distribute_outputs,
     export_rows,
     grid_aggregate,
@@ -274,6 +275,26 @@ def test_composite_cell_merges_heterogeneous_masks():
     with pytest.raises(InsufficientShares):
         reconstruct_cell(acc, 1, frozenset({2, 3}))
     del rng, p
+
+
+def test_export_sums_handles_of_one_holder_set():
+    # two handles of one cell held by the same servers merge share-wise into
+    # one group, which reconstructs to their sum
+    p = field.PRIME
+    rng = random.Random(9)
+    engine = Engine(SharingParams(5, 2), seed=9)
+    a = engine.input_shares(share_values(40, 5, 2, rng), holders=0b01111)
+    b = engine.input_shares(share_values(2, 5, 2, rng), holders=0b01111)
+    c = engine.input(7)
+    rows = RegionRows(region=1, cells=[[[a, c, b]], [[]]])
+    cells = export_rows(engine, rows).cells
+    cell = cells[0][0]
+    assert list(cell) == [(1, 2, 3, 4), (1, 2, 3, 4, 5)]
+    sa, sb = engine.export_shares(a), engine.export_shares(b)
+    assert cell[1, 2, 3, 4] == {i: (sa[i] + sb[i]) % p for i in sa}
+    assert reconstruct_cell({(1, 2, 3, 4): cell[1, 2, 3, 4]}, 2) == 42
+    assert reconstruct_cell(cell, 2) == 49
+    assert cells[1][0] == {}
 
 
 def test_grid_and_distribution_match_oracle():

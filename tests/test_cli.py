@@ -261,6 +261,13 @@ def test_costs_refuses_nonfinite_and_huge_params(capsys, option, value,
 def test_costs_rejects_bad_sweep(capsys):
     assert cli.main(["costs", "--sweep", "suppliers=1:2:1"]) == 1
     assert cli.main(["costs", "--sweep", "sm=5:1:1"]) == 1
+    capsys.readouterr()
+    assert cli.main(["costs", "--sweep", "sm=abc:1:1"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: sweep count 'abc' is not a number")
+    assert cli.main(["costs", "--sweep", "sm=1:2"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: sweep spec must be sm=START:STOP:STEP")
 
 
 def test_sweep_refuses_too_many_points(capsys):
@@ -403,6 +410,23 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "check ok" in proc.stdout
+
+
+@pytest.mark.parametrize("recipient,key", [
+    ("dno:2", "imp_total"), ("dno:1", "exp_by_supplier"),
+    ("supplier:2", "exp_total"), ("supplier:1", "imp_by_region"),
+])
+def test_check_result_names_a_tampered_bundle(recipient, key):
+    sc = Scenario(n_dno=2, n_suppliers=2, sm_per_region=[3, 4], seed=9,
+                  sigma=2)
+    run = cli.run_scenario(sc)
+    assert cli.check_result(run) == []
+    bundle = run.bundles[recipient]
+    value = bundle[key]
+    bundle = run.bundles[recipient] = dict(bundle)
+    bundle[key] = value + 1 if isinstance(value, int) \
+        else [value[0] + 1, *value[1:]]
+    assert cli.check_result(run) == [f"{recipient} bundle mismatch"]
 
 
 @pytest.mark.parametrize("alg", ["naa", "ncaa", "niaa"])

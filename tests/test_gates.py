@@ -167,6 +167,23 @@ def test_equals_public_batch_leaves_only_outputs(rng):
     assert set(engine.open_batch(caller)) <= {0, 1}
 
 
+@pytest.mark.parametrize("n_bits,public_id", [(3, 5), (5, 5), (4, 16),
+                                              (4, 1 << 40)])
+def test_equals_public_batch_refuses_before_registering(n_bits, public_id):
+    # a wrong bit count, or a public ID of width bits or more, refuses the
+    # whole batch before its zero or any complement is registered
+    width = 4
+    engine = Engine(SharingParams(3, 1), seed=32, record_transcript=True)
+    queries = [(input_bits(engine, 9, width), 9),
+               (input_bits(engine, 5, n_bits), public_id)]
+    before = (engine._next_handle, engine.live_handles(),
+              list(engine.transcript), engine.rng.getstate())
+    with pytest.raises(LengthMismatch):
+        equals_public_batch(engine, queries, width)
+    assert (engine._next_handle, engine.live_handles(),
+            list(engine.transcript), engine.rng.getstate()) == before
+
+
 def test_equals_public_batch_in_flight_bound(rng):
     # live gate-made handles at each level's product round: width 8 carries
     # a leaf column through three levels, width 5 a made column, and width

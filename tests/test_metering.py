@@ -90,6 +90,7 @@ def test_meters_and_readings_draw_as_randint(n_suppliers):
     dict(sm_per_region=[True, 5]),
     dict(fault_rate=True),
     dict(fault_rate="0.1"),
+    dict(n_servers=256),                   # party indices fit one byte
 ])
 def test_scenario_validation_rejects(bad):
     with pytest.raises(ScenarioError):
