@@ -6,7 +6,8 @@ readings.  Each is called as ``(engine, tuples, suppliers, region=1)``
 and reads everything else (ID width, vector length) from the tuples:
 
 * ``naa_region``    routes every reading by a secret equality test
-                    against each registered supplier ID.
+                    against each registered supplier ID; the two flows
+                    share every protocol round.
 * ``ncaa_region``   obliviously permutes the tuples, opens the supplier
                     IDs, and routes publicly; it trades multiplications
                     for a controlled leak of per-supplier counts.
@@ -42,6 +43,8 @@ from .gates import compose_bits_batch, equals_public_batch, oblivious_permute
 from .shamir import Share, SharingParams, reconstruct
 
 STREAMS = ("imp", "exp")
+# the phase label suffix of naa, whose streams share every round
+BOTH_STREAMS = "+".join(STREAMS)
 
 # One matrix cell: {sorted server tuple -> {server index -> share value}}.
 # Healthy runs have a single group holding all live servers.
@@ -114,35 +117,68 @@ def _zero_rows(engine: Engine, n_suppliers: int, region: int,
     return RegionRows(region=region, cells=cells, leaked_counts=leaked)
 
 
+def _holder_groups(engine: Engine, tuples: list[MeterTuple]) -> list:
+    """The meters grouped by the servers holding their sharings.
+
+    Groups come in the order of their sorted holder lists ({1,2,3} before
+    {1,3}), meters within a group in arrival order.  Every handle of a
+    meter has the holder mask of its bundle (``submit``), so meters are
+    grouped once, by their first handle's mask.
+    """
+    by_mask: dict = {}
+    mask_of = engine.handle_mask
+    for rec in tuples:
+        by_mask.setdefault(mask_of(rec.fields[0][0]), []).append(rec)
+
+    def holders(group) -> list:
+        mask, _ = group
+        return [i for i in range(engine.n) if mask >> i & 1]
+
+    return [recs for _, recs in sorted(by_mask.items(), key=holders)]
+
+
 def naa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
                region: int = 1) -> RegionRows:
     """Equality-test routing: m * N_s * (w + 1) products per stream.
 
     Every (meter, supplier) pair runs one secret-vs-public equality test
     (w products, w being the ID width the tuples carry) and one product
-    gating the reading by the match bit.  An ID matching no registered
-    supplier contributes to no bucket; the submission validator is
-    expected to have rejected it already.
+    gating the reading by the match bit.  The two streams share every
+    round: their queries go to one ``equals_public_batch`` call and their
+    gating products to one ``product_batch``, stream-major, all in the one
+    phase ``region_aggregation/{region}/imp+exp``, so a region costs
+    ceil(log2(w+1)) + 1 rounds.  Meters are taken in holder-group order
+    (``_holder_groups``), so a round computes one run per group and stream.
+    An ID matching no registered supplier contributes to no bucket; the
+    submission validator is expected to have rejected it already.
     """
     if not tuples:
         return _zero_rows(engine, len(suppliers), region)
-    cells = []
-    for s, stream in enumerate(STREAMS):
-        with engine.phase(f"region_aggregation/{region}/{stream}"):
-            queries = [(rec.fields[s], u) for rec in tuples for u in suppliers]
-            matches = equals_public_batch(engine, queries,
-                                          len(tuples[0].fields[s]))
-            gated = engine.product_batch(list(zip(
-                matches,
-                (rec.readings[s] for rec in tuples for _ in suppliers),
-            )))
-            engine.release(matches)
-            stream_cells = [
-                [engine.lincomb([(1, g) for g in gated[k::len(suppliers)]])]
-                for k in range(len(suppliers))
-            ]
-            engine.release(gated)
-            cells.append(stream_cells)
+    ordered = [rec for group in _holder_groups(engine, tuples)
+               for rec in group]
+    streams = range(len(STREAMS))
+    ns = len(suppliers)
+    half = len(ordered) * ns     # one stream's queries
+    with engine.phase(f"region_aggregation/{region}/{BOTH_STREAMS}"):
+        matches = equals_public_batch(
+            engine,
+            [(rec.fields[s], u) for s in streams for rec in ordered
+             for u in suppliers],
+            len(ordered[0].fields[0]),
+        )
+        gated = engine.product_batch(list(zip(
+            matches,
+            (rec.readings[s] for s in streams for rec in ordered
+             for _ in suppliers),
+        )))
+        engine.release(matches)
+        cells = [
+            [[engine.lincomb([(1, g) for g in
+                              gated[s * half + k:(s + 1) * half:ns]])]
+             for k in range(ns)]
+            for s in streams
+        ]
+        engine.release(gated)
     return RegionRows(region=region, cells=cells)
 
 
@@ -212,19 +248,9 @@ def niaa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
                     f"meter {rec.sm} sent a vector of the wrong length"
                 )
 
-    def holders(group) -> list:
-        mask, _ = group
-        return [i for i in range(engine.n) if mask >> i & 1]
-
-    # every handle of a meter has the holder mask of its bundle (``submit``),
-    # so meters are grouped once, by their first handle's mask
-    by_mask: dict = {}
-    mask_of = engine.handle_mask
-    for rec in tuples:
-        by_mask.setdefault(mask_of(rec.fields[0][0]), []).append(rec)
-    # groups are summed in the order of their sorted holder lists
-    # ({1,2,3} before {1,3}), which fixes the sums' handle numbers
-    groups = [recs for _, recs in sorted(by_mask.items(), key=holders)]
+    # the group sums are issued in _holder_groups' order, which fixes their
+    # handle numbers
+    groups = _holder_groups(engine, tuples)
     cells = []
     for s, stream in enumerate(STREAMS):
         with engine.phase(f"region_aggregation/{region}/{stream}"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields as dfields, replace
 import math
 
 from . import field
-from .aggregation import STREAMS
+from .aggregation import BOTH_STREAMS, STREAMS
 from .errors import UnknownRow
 from .metering import ALGORITHMS
 from .shamir import SHARE_BYTES
@@ -234,14 +234,17 @@ def region_mult_rows(scenario, meter, region: int, included: int) -> list:
 
     rows = []
     if alg in ("naa", "niaa"):
-        for stream in STREAMS:
+        # naa's streams share one phase, whose formula counts both
+        phases = ([(BOTH_STREAMS, len(STREAMS))] if alg == "naa"
+                  else [(stream, 1) for stream in STREAMS])
+        for stream, streams in phases:
             pc = meter.matching(f"region_aggregation/{region}/{stream}")
             rows.append({
                 "region": region,
                 "stream": stream,
                 "included_sms": included,
                 "measured_mults": pc.multiplications,
-                "formula_mults": formula(),
+                "formula_mults": streams * formula(),
                 "opens": pc.opens,
                 "rounds": pc.rounds,
             })
@@ -366,8 +369,9 @@ def build_report(run, threads: int = 1) -> dict:
 def report_rows(report: dict) -> list[dict]:
     """Flatten a run report into cost-table rows, one per segment plus compute.
 
-    The compute row's formula sums the regions' table formula: naa's and
-    niaa's per-stream ``formula_mults``, ncaa's ``formula_table``.
+    The compute row's formula sums the regions' table formula: naa's
+    both-stream and niaa's per-stream ``formula_mults``, ncaa's
+    ``formula_table``.
     """
     md = report["metadata"]
     alg = md["algorithm"]

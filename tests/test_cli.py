@@ -3,7 +3,9 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import pathlib
 import random
@@ -448,6 +450,84 @@ def test_empty_regions_list_unassigned_and_fully_excluded(alg, fault_rate,
     for j in empty:
         region = run.meter.matching(f"region_aggregation/{j}/")
         assert region.mult_equivalents == 0
+
+
+def test_region_rows_read_their_own_region_only():
+    # the run's meter merges every region's phases: region 1's row must not
+    # fold in region 10's, whose label starts with the same characters
+    sc = Scenario(n_dno=11, n_suppliers=2,
+                  sm_per_region=[4, 2, 0, 1, 1, 2, 1, 1, 2, 5, 3],
+                  seed=4, sigma=2, algorithm="naa")
+    run = cli.run_scenario(sc)
+    rows = run.mult_rows
+    assert [row["region"] for row in rows] == list(range(1, 12))
+    assert {row["stream"] for row in rows} == {"imp+exp"}
+    for row in rows:
+        assert row["measured_mults"] == row["formula_mults"]
+
+
+# naa's rounds per region: one per fold level of the width-sigma equality
+# test and one gating product, both streams in each
+def naa_region_rounds(sigma: int) -> int:
+    return math.ceil(math.log2(sigma + 1)) + 1
+
+
+@pytest.mark.parametrize("n,t,rate,failed", [
+    (3, 1, 0.0, []), (5, 2, 0.0, []), (7, 3, 0.0, []), (5, 1, 0.3, [2]),
+    (5, 1, 1.0, [2]),
+])
+@pytest.mark.parametrize("sigma", [1, 2, 3, 7, 8, 9, 15])
+def test_naa_region_rounds_follow_the_formula(sigma, n, t, rate, failed):
+    sc = Scenario(n_dno=3, n_suppliers=1 if sigma == 1 else 3,
+                  sm_per_region=[4, 0, 3], seed=sigma, sigma=sigma,
+                  n_servers=n, threshold=t, algorithm="naa",
+                  fault_rate=rate, fail_servers=failed)
+    run = cli.run_scenario(sc)
+    assert cli.check_result(run) == []
+    rounds = [run.meter.matching(f"region_aggregation/{j}/").rounds
+              for j in range(1, sc.n_dno + 1)]
+    # an empty or fully excluded region runs no round
+    assert rounds == [naa_region_rounds(sigma) if admitted else 0
+                      for admitted in run.admitted]
+    assert run.meter.total().rounds == sum(rounds)
+    if rate == 1.0:
+        assert not any(run.admitted)
+
+
+def test_naa_bench_workloads_take_twelve_rounds():
+    # the benchmark's protocol_rounds is a pass's rounds plus the input and
+    # output distribution
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", pathlib.Path(__file__).resolve().parent.parent
+        / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for name in ("naa", "naa-t2-transcript"):
+        sc = Scenario(**bench.WORKLOADS[name]["scenario"], seed=1)
+        run = cli.run_scenario(sc)
+        assert all(run.admitted)
+        assert run.meter.total().rounds == \
+            sc.n_dno * naa_region_rounds(sc.sigma)
+        assert run.meter.total().rounds + 2 == 12
+
+
+def test_naa_region_heap_ceiling():
+    # the traced heap peak of one (3,1) naa region of 400 meters, above the
+    # heap at its start; both streams' first fold level is live at once.
+    # Measured 38.3 KB per meter (27.5 with one stream per round)
+    m = 400
+    sc = Scenario(n_dno=1, n_suppliers=10, sm_per_region=[m], seed=7,
+                  sigma=8, algorithm="naa")
+    meters = build_meters(sc)
+    readings = cli.generate_readings(sc, meters, slot=0)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        cli._run_region(sc, 1, meters, readings, record_transcript=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / m <= 40_000
 
 
 def test_encode_streams_into_submit(monkeypatch):

@@ -9,7 +9,10 @@ cost reports were re-recorded when the report's CPU projection stopped
 counting ncaa's both-stream formula twice; their only changed value is
 ``cpu.projected_seconds_formula``, which halved.  ``SWEEP`` pins 48
 smaller scenarios the same way, refusals included; ``print_sweep_table``
-prints it afresh, under the same rule.
+prints it afresh, under the same rule.  Every naa cost report and
+transcript here, and the naa ``PHASE_GOLDEN`` entries, were re-recorded
+when naa's two streams came to share each round; every naa
+``aggregates.csv`` and ``bundles.json`` kept its bytes.
 """
 
 import contextlib
@@ -59,9 +62,9 @@ GOLDEN = {
         "bundles.json":
             "a3491c8d117fd87ce6435c6daf699b80e978cb783fe0e6ad2fa16110c958ca6a",
         "cost_report.json":
-            "26b9a9ca5bd1e144973d523db73f014f2eed41105b6b628863453bea73c4ff54",
+            "ddecb3a6188a87e0e37d3354548f50c8a91404fb460b0c64bc385696269056e9",
         "transcript.log":
-            "2515b1ae99036e25cd6de1375d6d948159856f5973bc79a8f95f667d67635a88",
+            "5207e096447b74e711956be4a7eb0fd032471915ce238b5e7ae46b4941204fba",
     },
     "naa-72-failed": {
         "aggregates.csv":
@@ -69,9 +72,9 @@ GOLDEN = {
         "bundles.json":
             "439743edb0f71bd6380a7097c48bc169fb5d0fffeb4a97dcc4da0c08e7ca2d34",
         "cost_report.json":
-            "b7866bfce70347932814dd8db49bf1cf78b50284072faae66da70270a9085c15",
+            "f9af44476af4d88fe862c1f357b745875a33ea9abc03d1a716c51d6d5d73b3f0",
         "transcript.log":
-            "3d442ff5ed542a51bbc5635342146a931ef4c83bdf596948f3492491404eb995",
+            "ddff5f924932ff5e1efa00aed67d01ecc2a4af95b665811d94e2b48ed37b0fde",
     },
     "naa-t2-faults": {
         "aggregates.csv":
@@ -79,9 +82,9 @@ GOLDEN = {
         "bundles.json":
             "c8d51ac753adf0d17e0b2784af9b5b0d68a0330fbe39b0ec18065aa686b02559",
         "cost_report.json":
-            "ca89740a38d5d6e958dc02261025b3368cbf940462779598532f70063325a2c8",
+            "3ea11103871b9de920d3c8ad5af15fd46ad8c7af4c9c16b5833a4af822cb5764",
         "transcript.log":
-            "cfd73708853250069b6560d491c9c2a99cbe0525e252b14b22991ae323cfe38e",
+            "bb95ebfea86d64771b7f8b012eb51cb162edb6d729f1c7372d8facd94c0dc5ea",
     },
     "ncaa-73": {
         "aggregates.csv":
@@ -120,11 +123,11 @@ GOLDEN = {
 # samples of the same six runs
 PHASE_GOLDEN = {
     "naa-51-empty-region-failed":
-        "01bc1b9116815c9a40ab8d530bf5f6bd20603cf3100c0cdf24db21d112903e53",
+        "78ebfaf2380dd9176e81b759c66c7a44391bed91500434de24fc98ca0ce208e8",
     "naa-72-failed":
-        "f793a8de07ffa2d42d008fb49604ab2ec42920237fe0898f8b303e10483a2545",
+        "e2488a05a40448eb4d86cbc8f75cc0cf94427bf988a63e44f78a204cbf3614dc",
     "naa-t2-faults":
-        "9554d04829840f1d76f163bd06f7180f24acf2d31fa185adf35049e695502261",
+        "c87ed40757d5f24860c1371fdb9b813623ac6cd722b2fe64ab3ce65b6da07601",
     "ncaa-73":
         "f897d3b0c1b88e8598470d29d323f0e9dda0efc3bf166687d5c23153e23aecfc",
     "ncaa-criterion9":
@@ -138,8 +141,8 @@ SWEEP = {
     'naa-31-rate0-all': (0, '', (
         '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
         '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
-        'fbcf89255cdcc8c428eee2ed8b21c99002159b4cc69d8d601c3de64200665502',
-        '4fb972600cca750aa9d17020d129b15d6ac8a3d20cb0dcff8910df6595c4332e',
+        '927558975fe4f77f69bbc5ca47ee2a077354029b4b0fb5912fabc98735b30715',
+        'bd210edaacadca05c68a5327ebbea6dd2a560e45f44c8315ac99d9243973656b',
     )),
     'naa-31-rate0-failed2': (
         1, 'error: naa multiplies and needs 2t+1 live servers, 2 remain\n',
@@ -147,8 +150,8 @@ SWEEP = {
     'naa-31-rate0.2-all': (0, '', (
         '191b7c4b6bb224fcdd26c045c18d39611da082e5a15bae5798aff42f23c1bc36',
         '7b46fed6753943d01fc22d43c2586abcb9332b990b4481ea744ea7895fa3a5af',
-        '5ae65808fbdec5d92059ca385d30c797d356180873f9f2920acfc08f1afa865e',
-        '103345f92c4e0c258779fa499210fe88bc35c3c885e38b178ace4d0626e92bbc',
+        '1f3f60aca5405ded198d8143c4e89213735d9a47164fa5814886173fd4cb5bff',
+        '9d5b79a17418ee807fc3ba64a0b8a0b905c9ff1ef08ec0b9f25072d649735993',
     )),
     'naa-31-rate0.2-failed2': (
         1, 'error: naa multiplies and needs 2t+1 live servers, 2 remain\n',
@@ -156,32 +159,32 @@ SWEEP = {
     'naa-51-rate0-all': (0, '', (
         '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
         '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
-        '5742fa7fbe3500ab2b116caa9e44eb01f2f3ee974df740b0632285734caa45f1',
-        'ffb8c47b5f2465d14f35f94b04842e339f6cbc8dfda7c3e40d8a3fec3b697acf',
+        '39350c5f144d1f3e41d6762453854e046045a4710fb2cacb0e34b64023b95a34',
+        'a7495ee4b18c1ffc302311f3388f253af27b1598f288c94a0d8899e58a5564ec',
     )),
     'naa-51-rate0-failed2': (0, '', (
         '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
         '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
-        '5cefe6f3fbead5b28e88d70d6a02091605c53ce06e2c458a4836653774c47663',
-        'f7263aea2e3fe40499799a3382047f69775900247fb6081a5d476648d81e2f36',
+        '3f278305964c51d4714c3e1a057c5973b5e5fb47cd0093deac2df0784f1eee7a',
+        'f312b1b3287db161ed1ce9fc8be2e07e9668c279b3bbefa57a31ba353000a0cf',
     )),
     'naa-51-rate0.2-all': (0, '', (
         '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
         '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
-        'ec1bd52d9f55696a9fe6e94875f3fff87a5162dd08de710d06b3b04752042090',
-        '4abd9e44c77887a9441eda81ae368587ef0b7cfb27f48dc3a320a6854185f91a',
+        'd7173d1dfd239f5ad768e77202e2645cc42b89b8fbcfdf566be83eb34f7b6b4f',
+        '7a1830ac3413f155df0087329e28f8e232cdc920b064c4c34ee7367d42d4b18d',
     )),
     'naa-51-rate0.2-failed2': (0, '', (
         '186744a04818b7a3949d54b634dbaa43460372a82b7c75d20700589b26433a10',
         'a1d39a31b4e8bf5aa1204deb8ce361dfb849d92404569b552cce698da1563751',
-        '7d8edfa08d42328d7ab38c0e764ec6eb3f2544860eb12e3812261d49f3e937c9',
-        '10264a32acc6c7640a1dffb5880174380e8cf1ea58509788339fc950cf9d0182',
+        '53c77fa62db7749f9359528ec09a6fde691018ced186a888eb3505223b20f997',
+        '92ba19674eaa07a12980f2d70f02cb104e62abcb16f651c05b77dfffa296dde3',
     )),
     'naa-52-rate0-all': (0, '', (
         '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
         '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
-        'ab0ac9117390e5258914e7e4ed915ff003102759995d7162a99eed982e20e2ac',
-        'f7278c4636723fe1d9b984577aaf4b9569bb05f9df09ab0aecdeebc727ec6028',
+        'c8277dfa9b308e45c48bae0ac5ebc30867e919438fafd39363ddb6d8f05d50b7',
+        '5830d90cc83d0a75e3628973db2d6fb6e3971065acb00527f21a81098fbe1142',
     )),
     'naa-52-rate0-failed2': (
         1, 'error: naa multiplies and needs 2t+1 live servers, 4 remain\n',
@@ -189,8 +192,8 @@ SWEEP = {
     'naa-52-rate0.2-all': (0, '', (
         '7ecffcfcd5ab1003b4623de3bf2a9906d6bfbc36e0fce9b29658f9bd8a1a2dd0',
         'b25d53f94dc6daffa99510e59e14d760c60a8e5e858c50f536845496c19774f2',
-        'd95334cb0fcc2ac6504758b081dac7c2621faa83bf29e359a5b0402fc2d02e8d',
-        'f1ba4e09b2d3fc2a7f29257250aef51a6ec68cae86fdf3de132cbcae4255f8f4',
+        '74a324d7385256612123fba2b579de61ea3d775de9d231ecc29c71b60e730779',
+        'bff011b48d01f6ff861a35a247fd5e3f3a65f68c4a4a6e071a17450195c5b7b4',
     )),
     'naa-52-rate0.2-failed2': (
         1, 'error: naa multiplies and needs 2t+1 live servers, 4 remain\n',
@@ -198,8 +201,8 @@ SWEEP = {
     'naa-73-rate0-all': (0, '', (
         '1ee0ac3d0f19b7774f55f759589802cda8216d9fa67934d6191af640eba0ed11',
         '4a52b0da108a35bf7ea9fe4fe17ac7852620871fcb3c5a3b5dd4efa3bc9ea38b',
-        'a2023065c569f6977474310d4bb11cddf487f5a231cebcb4b0b2935e5d463d87',
-        'b7c94f890264e2217b40888f89c4ae1a5f2662473d7de57e5c5e599b5035f256',
+        '02e436d8a0a93bda9c237e42e83d3202626845db52687f0dc0d827946155edab',
+        'ab7ed049feb0ae31551bd74702f7ecc9ff85651fd4161a291fd3453bf35ec2de',
     )),
     'naa-73-rate0-failed2': (
         1, 'error: naa multiplies and needs 2t+1 live servers, 6 remain\n',
@@ -207,8 +210,8 @@ SWEEP = {
     'naa-73-rate0.2-all': (0, '', (
         '2ab7acab013d68058baba61041589c4f785c236c90ecb70c5ce6227cec87e3e7',
         '491bbc7289f37ad0390b450b56f59fe4dd438e085cf3e5c9673ec2d8150c8d46',
-        '91855a2e7d4d35be5e5160503a3683d3bf887f97c7b0461facad4eccd5b947cd',
-        'f12d9c98927aba8d56f53a6f60091f3d5338e73308b03043956dd9e8670069c9',
+        'a9bd359c74cd2d0b7599f0bf03f8a22d54b4aa64c64606a82207957d67b84e01',
+        'aca0e5ce141bae088120d3a49271cb04b3bf41c4853e77da505de81fa36dfe2a',
     )),
     'naa-73-rate0.2-failed2': (
         1, 'error: naa multiplies and needs 2t+1 live servers, 6 remain\n',
