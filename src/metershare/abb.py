@@ -13,8 +13,8 @@ removes it from every later quorum; failures are permanent for the
 engine's lifetime (there is deliberately no un-fail operation).
 
 Batch variants of the interactive operations share one round, which is
-what a real implementation would do; per-call variants (``open`` and
-the local ``lincomb``) are conveniences that wrap a batch of one.
+what a real implementation would do, and take handle columns; ``open``
+is a convenience that wraps a batch of one.
 Determinism: all randomness flows from the seed given at
 construction, including the control bits of ``gates.oblivious_permute``,
 and parties are driven in lockstep by the calling thread.
@@ -62,15 +62,14 @@ PODC 1998).  That is the combined reshare polynomial's constant term.
 
 Affine combinations are local: each party applies one to its own shares,
 so they send no message (Ben-Or, Goldwasser, Wigderson, STOC 1988), and
-the engine applies it to the coefficients.  Every combination of one
-``lincomb_batch`` has the same number of terms, k, and the batch takes
-one of two cases, with no path unrolled for a number of terms.  A batch
-of at least k combinations is computed as whole columns, one ``map`` pass
-per term position over the batch (the gates' one- and two-term glue,
-hundreds of combinations per call).  A combination with more terms than
-its batch has combinations is summed on its own, one column sum per
-coefficient (a region's cell and bucket sums, hundreds of terms in one
-combination).
+the engine applies it to the coefficients.  They come in two forms, with
+no path unrolled for a number of terms.  ``lincomb_batch`` takes term
+positions, each a coefficient and a column of handles with one entry per
+combination, and computes whole columns, one ``map`` pass per term
+position (the gates' one- and two-term glue, hundreds of combinations
+per call).  ``lincomb`` takes one combination as ``(coef, handle)`` terms
+and sums it on its own, one column sum per coefficient (a region's cell
+and bucket sums, hundreds of terms in one combination).
 
 Transcript: with ``record_transcript=True`` the engine appends one record
 per message group, ``(round, links, handle)``: a sharing's delivery to
@@ -90,7 +89,7 @@ round and links tuple (see ``cli.write_transcript``).
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dfield, fields as dfields
 from functools import lru_cache, partial, reduce
-from itertools import groupby, islice, repeat
+from itertools import compress, groupby, islice, repeat
 from operator import add, and_, itemgetter, mod, mul, sub
 import random
 from typing import NamedTuple
@@ -413,93 +412,83 @@ class Engine:
     # -- local linear algebra ----------------------------------------------
 
     def lincomb(self, terms: list[tuple[int, Handle]], const: int = 0) -> Handle:
-        """Affine combination of sharings; free of interaction."""
-        return self.lincomb_batch([(terms, const)])[0]
+        """One affine combination of ``(coef, handle)`` terms plus ``const``,
+        summed on its own: one column sum per coefficient, a bare sum where
+        every coefficient is exactly 1.  It is held as a ``lincomb_batch``
+        result is; no terms give the public constant, held by every party."""
+        if not terms:
+            return self.constant(const)
+        rows = list(map(self._h.__getitem__, map(_SECOND, terms)))
+        mask = reduce(and_, map(_LAST, rows))
+        if (mask & self._active).bit_count() <= self.t:
+            raise InsufficientShares(
+                "combination survives at fewer than t+1 live parties"
+            )
+        coefs = list(map(_FIRST, terms))
+        cols = islice(zip(*rows), self.t + 1)
+        if coefs.count(1) == len(coefs):
+            sums = list(map(sum, cols))
+        else:
+            sums = [sum(map(mul, coefs, col)) for col in cols]
+        sums[0] += const
+        return self._store([(*map(mod, sums, repeat(PRIME)), mask)], 1)[0]
 
-    def lincomb_batch(self, combos: list[tuple[list[tuple[int, Handle]], int]]
-                      ) -> list[Handle]:
-        """Affine combinations ``(terms, const)``, registered in list order.
+    def lincomb_batch(self, terms: list[tuple],
+                      const: int | list[int] = 0) -> list[Handle]:
+        """Affine combinations over handle columns, registered in order.
+
+        ``terms`` holds term positions ``(coef, handles)``: combination u
+        is the sum over them of coef[u]*handles[u], plus const[u], where
+        ``coef`` and ``const`` are each one int for every combination or a
+        list with an entry per combination.  All these columns have one
+        length, or the call raises LengthMismatch before any row is read.
 
         Each party applies the combination to its own shares, so a result
         lives at exactly the parties holding every term (failed ones too),
         and at least t+1 of them must be live.  Evaluation is linear, so
         the result's coefficients are the same combination of the terms'
-        coefficients, with ``const`` added to c_0.  Each coefficient is
-        summed unreduced and reduced mod p once; a term position whose
-        coefficients are all exactly 1 adds its bare column.  Combinations
-        of k terms are computed in one of two ways (see ``_combine``):
-
-        - as whole columns when the batch holds at least k of them (the
-          gate glue: one or two terms over hundreds of combinations): one
-          ``map`` pass per term position over the batch;
-        - one by one when k exceeds the number of combinations (the region
-          cell and bucket sums: hundreds of terms in a single combination):
-          one column sum per coefficient over the terms.
-
-        Every combination in a batch has the same number of terms; a batch
-        of mixed lengths raises LengthMismatch before any row is read.
-        Every combination is computed and checked before any is
-        registered, so a refused batch changes nothing.
+        coefficients, with the constant added to c_0.  One ``map`` pass per
+        term position computes whole columns; each coefficient is summed
+        unreduced and reduced mod p once, and a position whose coefficients
+        are all exactly 1 adds its bare column.  Every combination is
+        computed and checked before any is registered, so a refused batch
+        changes nothing.
         """
-        if not combos:
+        columns = [column for term in terms for column in term] + [const]
+        sizes = {len(c) for c in columns if not isinstance(c, int)}
+        if len(sizes) > 1:
+            raise LengthMismatch("columns of one batch differ in length")
+        size = sizes.pop() if sizes else 0
+        if not size:
             return []
-        lengths = list(map(len, map(_FIRST, combos)))
-        if lengths.count(lengths[0]) != len(lengths):
-            raise LengthMismatch("combinations in a batch differ in length")
-        rows, masks = self._combine(combos, lengths[0])
-        live = map(and_, set(masks), repeat(self._active))
-        if min(map(int.bit_count, live)) <= self.t:
-            raise InsufficientShares(
-                "combination survives at fewer than t+1 live parties"
-            )
-        return self._store(rows, len(combos))
-
-    def _combine(self, combos: list, k: int) -> tuple:
-        """Rows and holder masks of combinations that all have k terms.
-
-        Every term's row is read here, so an unknown handle raises before
-        anything is stored; the rows come back as an iterator only when
-        computing them can no longer fail.
-        """
         t = self.t
-        p = PRIME
         shares = self._h
-        if k > len(combos):
-            made, masks = [], []
-            for terms, const in combos:
-                rows = list(map(shares.__getitem__, map(_SECOND, terms)))
-                mask = reduce(and_, map(_LAST, rows))
-                coefs = list(map(_FIRST, terms))
-                cols = islice(zip(*rows), t + 1)
-                if coefs.count(1) == k:
-                    sums = list(map(sum, cols))
-                else:
-                    sums = [sum(map(mul, coefs, col)) for col in cols]
-                sums[0] += const
-                made.append((*map(mod, sums, repeat(p)), mask))
-                masks.append(mask)
-            return made, masks
-
-        size = len(combos)
-        terms = list(map(_FIRST, combos))
         cols = [repeat(0, size) for _ in range(t + 1)]
         masks = [(1 << self.n) - 1] * size
-        for j in range(k):
-            position = list(map(itemgetter(j), terms))
-            coefs = list(map(_FIRST, position))
-            rows = list(map(shares.__getitem__, map(_SECOND, position)))
+        for j, (coef, handles) in enumerate(terms):
+            rows = list(map(shares.__getitem__, handles))
             masks = list(map(and_, masks, map(_LAST, rows)))
-            unit = coefs.count(1) == size
+            if isinstance(coef, int):
+                unit, coef = coef == 1, repeat(coef)
+            else:
+                unit = coef.count(1) == size
             for d in range(t + 1):
                 col = map(itemgetter(d), rows)
                 if not unit:
-                    col = map(mul, coefs, col)
+                    col = map(mul, coef, col)
                 cols[d] = col if j == 0 else map(add, cols[d], col)
-        consts = list(map(_SECOND, combos))
-        if consts.count(0) != size:
-            cols[0] = map(add, cols[0], consts)
-        reduced = [map(mod, col, repeat(p)) for col in cols]
-        return zip(*reduced, masks), masks
+        if isinstance(const, int):
+            if const:
+                cols[0] = map(add, cols[0], repeat(const))
+        elif const.count(0) != size:
+            cols[0] = map(add, cols[0], const)
+        live = map(and_, set(masks), repeat(self._active))
+        if min(map(int.bit_count, live)) <= t:
+            raise InsufficientShares(
+                "combination survives at fewer than t+1 live parties"
+            )
+        reduced = [map(mod, col, repeat(PRIME)) for col in cols]
+        return self._store(zip(*reduced, masks), size)
 
     # -- interactive operations --------------------------------------------
 
@@ -515,17 +504,19 @@ class Engine:
                                        map(links.__getitem__, masks), numbers))
         return pc
 
-    def product_batch(self, pairs: list[tuple[Handle, Handle]], *,
+    def product_batch(self, left: list[Handle], right: list[Handle], *,
                       as_or: bool = False) -> list[Handle]:
         """One round of multiplications with degree reduction.
 
-        Each of 2t+1 senders s multiplies its shares locally, giving
-        d_s = a(x_s)*b(x_s) on the degree-2t product polynomial, and reshares
-        d_s with a fresh degree-t polynomial f_s(x) = d_s + r_s1*x + ... +
-        r_st*x^t.  Target j keeps sum_s lam_s*f_s(j), lam being the Lagrange
-        weights at 0 over the senders, which folds the 2t+1-point
-        interpolation back to a degree-t sharing of the same product
-        (Gennaro, Rabin, Rabin, PODC 1998).
+        Product u multiplies ``left[u]`` by ``right[u]``; factor columns of
+        different lengths raise LengthMismatch before anything is checked,
+        metered, drawn or numbered.  Each of 2t+1 senders s multiplies its
+        shares locally, giving d_s = a(x_s)*b(x_s) on the degree-2t product
+        polynomial, and reshares d_s with a fresh degree-t polynomial f_s(x)
+        = d_s + r_s1*x + ... + r_st*x^t.  Target j keeps sum_s lam_s*f_s(j),
+        lam being the Lagrange weights at 0 over the senders, which folds the
+        2t+1-point interpolation back to a degree-t sharing of the same
+        product (Gennaro, Rabin, Rabin, PODC 1998).
 
         That sum is F(j) for the one combined polynomial F = sum_s lam_s*f_s,
         and the round stores F's coefficients: F_0 = sum_s lam_s*d_s, which
@@ -558,23 +549,25 @@ class Engine:
 
         ``as_or=True`` returns sharings of a + b - ab (the OR of two shared
         bits) instead of ab: each coefficient is a_d + b_d - F_d, which is
-        ``lincomb_batch([(1, a), (1, b), (-1, ab)])`` in coefficients and
-        masks (held where a, b and the party are all live).  The products
-        are never stored, but their numbers are still issued: products take
-        ``first..first+K-1``, which the transcript records name, and the
-        merges ``first+K..first+2K-1``, as if the products had been
-        registered, merged and released.  Rows are stored and transcript
-        records appended in pair order.
+        ``lincomb_batch([(1, left), (1, right), (-1, products)])`` in
+        coefficients and masks (held where both factors and the party are
+        all live).  The products are never stored, but their numbers are
+        still issued: products take ``first..first+K-1``, which the
+        transcript records name, and the merges ``first+K..first+2K-1``, as
+        if the products had been registered, merged and released.  Rows are
+        stored and transcript records appended in product order.
         """
-        if not pairs:
+        if len(left) != len(right):
+            raise LengthMismatch("factor columns differ in length")
+        if not left:
             return []
         t = self.t
         p = PRIME
         size = 2 * t + 1
         active = self._active
         shares = self._h
-        left = list(map(shares.__getitem__, map(_FIRST, pairs)))
-        right = list(map(shares.__getitem__, map(_SECOND, pairs)))
+        left = list(map(shares.__getitem__, left))
+        right = list(map(shares.__getitem__, right))
         # products group by the parties holding both factors
         mask_of = itemgetter(t + 1)
         masks = list(map(and_, map(mask_of, left), map(mask_of, right)))
@@ -586,7 +579,7 @@ class Engine:
                 )
             groups[m] = _plan(m & active, active, t)
 
-        k = len(pairs)
+        k = len(left)
         first = self._next_handle
         links = {m: plan.reshare for m, plan in groups.items()}
         self._charge(masks, links, range(first, first + k)).multiplications += k
@@ -688,18 +681,15 @@ class Engine:
             polys = zip(*[words[d::width] for d in range(width)],
                         repeat(self._active))
             rs = self._store(polys, len(pending))
-            squares = self.product_batch(list(zip(rs, rs)))
+            squares = self.product_batch(rs, rs)
             opened = self.open_batch(squares, kind="rand")
-            kept = [(slot, hr, sq)
-                    for slot, hr, sq in zip(pending, rs, opened) if sq]
             coefs = field.inv_batch([2 * field.sqrt(sq) % p
-                                     for _, _, sq in kept])
-            bits = self.lincomb_batch([
-                ([(coef, hr)], inv2) for (_, hr, _), coef in zip(kept, coefs)
-            ])
-            for (slot, _, _), bit in zip(kept, bits):
+                                     for sq in filter(None, opened)])
+            bits = self.lincomb_batch([(coefs, list(compress(rs, opened)))],
+                                      inv2)
+            for slot, bit in zip(compress(pending, opened), bits):
                 out[slot] = bit
-            pc.random_bits += len(kept)
+            pc.random_bits += len(bits)
             retry = [slot for slot, sq in zip(pending, opened) if not sq]
             self.release(rs)
             self.release(squares)

@@ -166,11 +166,9 @@ def naa_region(engine: Engine, tuples: list[MeterTuple], suppliers: list[int],
              for u in suppliers],
             len(ordered[0].fields[0]),
         )
-        gated = engine.product_batch(list(zip(
-            matches,
-            (rec.readings[s] for s in streams for rec in ordered
-             for _ in suppliers),
-        )))
+        gated = engine.product_batch(
+            matches, [rec.readings[s] for s in streams for rec in ordered
+                      for _ in suppliers])
         engine.release(matches)
         cells = [
             [[engine.lincomb([(1, g) for g in

@@ -39,7 +39,7 @@ class TooManyFailures(MeterShareError):
 
 class LengthMismatch(MeterShareError):
     """Inputs that must have one length do not: bit vectors compared,
-    rows permuted, or the combinations of one ``lincomb_batch``."""
+    rows permuted or packed, or the columns of one batch."""
 
 
 class UnknownSupplier(MeterShareError):

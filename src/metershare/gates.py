@@ -70,7 +70,7 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
             row[k] = c
         nodes += row
         flips += len(at)
-    engine.lincomb_batch([([(-1, bh)], 1) for bh in complement])
+    engine.lincomb_batch([(-1, list(complement))], 1)
     engine.skip_handles(flips - len(complement))
 
     # levelled OR fold: a OR b = a + b - ab, merged inside the product round
@@ -79,9 +79,9 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
     leaves = {zero, *complement.values()}  # gate-owned leaves still live
     while len(cols) > 1:
         half = len(cols) // 2
-        # pair columns 2j and 2j+1, then take the pairs query by query
-        by_query = zip(*map(zip, cols[0:2 * half:2], cols[1:2 * half:2]))
-        merged = engine.product_batch(list(chain.from_iterable(by_query)),
+        # column 2j times column 2j+1, taken query by query
+        merged = engine.product_batch(_interleave(cols[0:2 * half:2]),
+                                      _interleave(cols[1:2 * half:2]),
                                       as_or=True)
         engine.release(chain.from_iterable(compress(cols[:2 * half], made)))
         cols = [merged[j::half] for j in range(half)] + cols[2 * half:]
@@ -92,7 +92,7 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
         leaves = held
 
     (roots,) = cols
-    out = engine.lincomb_batch([([(-1, root)], 1) for root in roots])
+    out = engine.lincomb_batch([(-1, roots)], 1)
     # the fold roots; at width 0 every root is the shared zero
     engine.release(roots if width else [zero])
     return out
@@ -101,12 +101,27 @@ def equals_public_batch(engine: Engine, queries: list[tuple[BitSharedId, int]],
 def compose_bits_batch(engine: Engine, rows: list[BitSharedId]) -> list[Handle]:
     """Pack shared bits (MSB first) into one shared field element per row.
 
-    The packed elements are registered in list order.
+    Every row carries the same number of bits, or the call raises
+    LengthMismatch.  Bit position k is one term column, weighted
+    2**(width-1-k).  The packed elements are registered in list order.
     """
-    return engine.lincomb_batch([
-        ([(1 << (len(bits) - 1 - k), bh) for k, bh in enumerate(bits)], 0)
-        for bits in rows
-    ])
+    if len(set(map(len, rows))) > 1:
+        raise LengthMismatch("rows carry different bit counts")
+    width = len(rows[0]) if rows else 0
+    # the zero constants fix the count of rows that carry no bits
+    return engine.lincomb_batch(
+        [(1 << (width - 1 - k), col) for k, col in enumerate(zip(*rows))],
+        [0] * len(rows))
+
+
+def _interleave(columns: list) -> list:
+    """Entry u of every column in turn, for u = 0, 1, ...: the columns
+    taken row by row, written by one slice assignment per column."""
+    k = len(columns)
+    out = [None] * sum(map(len, columns))
+    for j, col in enumerate(columns):
+        out[j::k] = col
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -173,36 +188,31 @@ def oblivious_permute(engine: Engine, rows: list[tuple],
     mark = min(bits)
     pc = engine.meter.bucket(engine.current_phase)
     pc.exchange_gates += n_gates
-    rows = list(rows)
-    used = 0
+    # wires[s][i] is stream s of row i; a layer reads and writes its gates'
+    # wires as columns, gate-major and stream-minor
     streams = len(rows[0])
+    wires = [list(col) for col in zip(*rows)]
+    used = 0
     for layer in layers:
         ctrls = bits[used:used + len(layer)]
         used += len(layer)
-        deltas = engine.lincomb_batch([
-            ([(1, rows[b][s]), (-1, rows[a][s])], 0)
-            for a, b in layer for s in range(streams)
-        ])
-        moved = engine.product_batch([
-            (c, d) for gi, c in enumerate(ctrls)
-            for d in deltas[gi * streams:(gi + 1) * streams]
-        ])
+        tops, bottoms = zip(*layer)
+        a = _interleave([list(map(col.__getitem__, tops)) for col in wires])
+        b = _interleave([list(map(col.__getitem__, bottoms)) for col in wires])
+        deltas = engine.lincomb_batch([(1, b), (-1, a)])
+        moved = engine.product_batch(_interleave([ctrls] * streams), deltas)
         # a' = a + m and b' = b - m, interleaved per stream
-        updated = engine.lincomb_batch([
-            combo
-            for gi, (a, b) in enumerate(layer)
-            for s, m in enumerate(moved[gi * streams:(gi + 1) * streams])
-            for combo in (([(1, rows[a][s]), (1, m)], 0),
-                          ([(1, rows[b][s]), (-1, m)], 0))
-        ])
-        replaced = []
-        for gi, (a, b) in enumerate(layer):
-            replaced += rows[a] + rows[b]
-            pair = updated[2 * gi * streams:2 * (gi + 1) * streams]
-            rows[a] = tuple(pair[0::2])
-            rows[b] = tuple(pair[1::2])
+        updated = engine.lincomb_batch([(1, _interleave([a, b])),
+                                        ([1, -1] * len(moved),
+                                         _interleave([moved, moved]))])
+        for s, col in enumerate(wires):
+            for i, h in zip(tops, updated[2 * s::2 * streams]):
+                col[i] = h
+            for i, h in zip(bottoms, updated[2 * s + 1::2 * streams]):
+                col[i] = h
         engine.release(deltas)
         engine.release(moved)
         engine.release(ctrls)
-        engine.release(h for h in replaced if h >= mark)
-    return rows
+        engine.release(filter(mark.__le__, chain(a, b)))
+    # rows of no streams come back as they were
+    return list(zip(*wires)) if streams else list(rows)

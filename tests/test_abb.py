@@ -58,24 +58,25 @@ def test_product_oracle(engine, rng):
     p = field.PRIME
     for _ in range(30):
         x, y = rng.randrange(p), rng.randrange(p)
-        h = engine.product_batch([(engine.input(x), engine.input(y))])[0]
+        h = engine.product_batch([engine.input(x)], [engine.input(y)])[0]
         assert open_via_shamir(engine, h) == x * y % p
 
 
 def test_product_batch_oracle_n5(engine5, rng):
     p = field.PRIME
-    pairs, want = [], []
+    left, right, want = [], [], []
     for _ in range(20):
         x, y = rng.randrange(p), rng.randrange(p)
-        pairs.append((engine5.input(x), engine5.input(y)))
+        left.append(engine5.input(x))
+        right.append(engine5.input(y))
         want.append(x * y % p)
-    out = engine5.product_batch(pairs)
+    out = engine5.product_batch(left, right)
     assert [open_via_shamir(engine5, h) for h in out] == want
 
 
 def test_product_output_is_degree_t(engine5):
     """Degree reduction: any t+1 of the product shares must agree."""
-    h = engine5.product_batch([(engine5.input(3), engine5.input(7))])[0]
+    h = engine5.product_batch([engine5.input(3)], [engine5.input(7)])[0]
     shares = [Share(p, v, 2) for p, v in engine5.export_shares(h).items()]
     values = set()
     for i in range(len(shares) - 2):
@@ -85,10 +86,8 @@ def test_product_output_is_degree_t(engine5):
 
 def test_product_costs_one_mult_one_round(engine):
     with engine.phase("probe"):
-        engine.product_batch([
-            (engine.input(1), engine.input(2)),
-            (engine.input(3), engine.input(4)),
-        ])
+        engine.product_batch([engine.input(1), engine.input(3)],
+                             [engine.input(2), engine.input(4)])
     pc = engine.meter.bucket("probe")
     assert pc.multiplications == 2
     assert pc.rounds == 1
@@ -107,7 +106,7 @@ def test_product_messages_per_mult(n, t, failed):
         engine.fail_party(failed)
     live = engine._active.bit_count()
     with engine.phase("probe"):
-        engine.product_batch(list(zip(xs, xs[1:])))
+        engine.product_batch(xs[:-1], xs[1:])
     pc = engine.meter.bucket("probe")
     assert pc.multiplications == 5
     assert pc.msgs_between_dcc == 5 * (2 * t + 1) * (live - 1)
@@ -128,7 +127,7 @@ def test_round_links_follow_the_live_set(n, t):
         if live < n:
             engine.fail_party(n)
         with engine.phase(f"probe{live}"):
-            engine.product_batch([(a, b)])
+            engine.product_batch([a], [b])
             assert engine.open(a) == 3
         product_links, open_links = (r[1] for r in engine.transcript[-2:])
         assert len(product_links) == (2 * t + 1) * (live - 1)
@@ -210,7 +209,7 @@ def test_input_shares_fits_only_held_shares():
     # ... so it does not count toward a product's 2t+1 quorum
     before = engine_state(engine)
     with pytest.raises(InsufficientShares):
-        engine.product_batch([(h, h)])
+        engine.product_batch([h], [h])
     assert engine_state(engine) == before
     # a share outside holders, or at a failed party, is not fitted or checked
     g = engine.input_shares([5, 6, 99], "sm1", holders=0b011)
@@ -310,11 +309,11 @@ def test_engine_outputs_extend_to_any_secret(n, t):
     engine = Engine(params, seed=n)
     rng = random.Random(n * 10 + t)
     xs = [engine.input(rng.randrange(p)) for _ in range(6)]
-    made = engine.product_batch(list(zip(xs, xs[1:] + xs[:1])))
-    made += engine.lincomb_batch([
-        ([(rng.randrange(p), a), (1, b)], rng.randrange(p))
-        for a, b in zip(made, xs)
-    ])
+    made = engine.product_batch(xs, xs[1:] + xs[:1])
+    made += engine.lincomb_batch(
+        [([rng.randrange(p) for _ in made], made), (1, xs)],
+        [rng.randrange(p) for _ in made],
+    )
     for h in made:
         shares = engine.export_shares(h)
         for party, value in shares.items():
@@ -330,7 +329,7 @@ def test_fail_party_then_product_still_correct():
     x = engine.input(6)
     y = engine.input(7)
     engine.fail_party(2)
-    h = engine.product_batch([(x, y)])[0]
+    h = engine.product_batch([x], [y])[0]
     assert engine.open(h) == 42
     values, mask = share_row(engine, h)
     assert values[1] is None and not mask & 0b10
@@ -350,7 +349,7 @@ def test_product_without_mult_quorum_raises():
     engine.fail_party(1)
     # 2 live parties cannot interpolate a degree-2 product polynomial
     with pytest.raises(InsufficientShares):
-        engine.product_batch([(x, y)])
+        engine.product_batch([x], [y])
 
 
 def test_open_after_failures(engine):
@@ -410,8 +409,8 @@ def test_open_and_reconstruct_share_one_rule(n, t, failed):
 
 def test_transcript_recording():
     engine = Engine(SharingParams(3, 1), seed=3, record_transcript=True)
-    engine.product_batch([(engine.input(2, sender="sm1"),
-                           engine.input(3, sender="sm1"))])
+    engine.product_batch([engine.input(2, sender="sm1")],
+                         [engine.input(3, sender="sm1")])
     links = [link.split(",") for _, group, _ in engine.transcript
              for link in group]
     senders = {s for s, _ in links}
@@ -428,9 +427,9 @@ def test_meter_merge_and_matching():
     a = Engine(SharingParams(3, 1), seed=1)
     b = Engine(SharingParams(3, 1), seed=2)
     with a.phase("region_aggregation/1/imp"):
-        a.product_batch([(a.input(1), a.input(1))])
+        a.product_batch([a.input(1)], [a.input(1)])
     with b.phase("region_aggregation/2/imp"):
-        b.product_batch([(b.input(1), b.input(1))])
+        b.product_batch([b.input(1)], [b.input(1)])
     a.meter.merge(b.meter)
     assert a.meter.matching("region_aggregation").multiplications == 2
     assert a.meter.matching("region_aggregation/1").multiplications == 1
@@ -477,13 +476,14 @@ def test_plan_weights_match_the_textbook_formula(n, t):
         assert tuple(expanded) == want
 
 
-def reference_reshare(engine, pairs):
-    """Per-sender degree reduction; returns (values, mask) per product."""
+def reference_reshare(engine, left, right):
+    """Per-sender degree reduction of left[u]*right[u]; returns (values,
+    mask) per product."""
     n, t, p = engine.n, engine.t, field.PRIME
     active = engine._active
     rng = engine.rng
     out = []
-    for ha, hb in pairs:
+    for ha, hb in zip(left, right, strict=True):
         av, am = share_row(engine, ha)
         bv, bm = share_row(engine, hb)
         q = am & bm & active
@@ -567,9 +567,12 @@ RESHARE_CASES = [
 CHUNKS = (abb._CHUNK, 4)
 
 
-def reshare_pairs(handles):
-    pairs = [(handles[k], handles[(5 * k + 3) % 12]) for k in range(12)]
-    return pairs + [(handles[0], handles[0])]
+def reshare_columns(handles):
+    """The factor columns of a 13-product round: twelve pairs over all 12
+    handles, then one square."""
+    left = handles[:12] + [handles[0]]
+    right = [handles[(5 * k + 3) % 12] for k in range(12)] + [handles[0]]
+    return left, right
 
 
 @pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
@@ -578,13 +581,13 @@ def test_product_batch_is_share_exact(n, t, degrade, monkeypatch):
         monkeypatch.setattr(abb, "_CHUNK", chunk)
         engine, handles = loaded_engine(n, t, degrade)
         ref, _ = loaded_engine(n, t, degrade)
-        pairs = reshare_pairs(handles)
+        left, right = reshare_columns(handles)
 
-        out = engine.product_batch(pairs)
+        out = engine.product_batch(left, right)
         assert [share_row(engine, h) for h in out] == \
-            reference_reshare(ref, pairs)
+            reference_reshare(ref, left, right)
         assert engine.rng.getstate() == ref.rng.getstate()
-        for h, (ha, hb) in zip(out, pairs):
+        for h, ha, hb in zip(out, left, right):
             want = engine.open(ha) * engine.open(hb) % field.PRIME
             assert engine.open(h) == want
 
@@ -614,19 +617,19 @@ def test_product_batch_as_or_is_share_exact(n, t, degrade, monkeypatch):
         engine, handles = loaded_engine(n, t, degrade, record_transcript=True)
         plain, _ = loaded_engine(n, t, degrade, record_transcript=True)
         ref, _ = loaded_engine(n, t, degrade)
-        pairs = reshare_pairs(handles)
-        k = len(pairs)
+        left, right = reshare_columns(handles)
+        k = len(left)
         first = engine._next_handle
         engine._h = StoreLog(engine._h)
 
         with engine.phase("probe"):
-            out = engine.product_batch(pairs, as_or=True)
+            out = engine.product_batch(left, right, as_or=True)
         with plain.phase("probe"):
-            products = plain.product_batch(pairs)
+            products = plain.product_batch(left, right)
         assert products == list(range(first, first + k))
-        rows = dict(zip(products, reference_reshare(ref, pairs)))
+        rows = dict(zip(products, reference_reshare(ref, left, right)))
         want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)], extra=rows)
-                for (a, b), ab in zip(pairs, products)]
+                for a, b, ab in zip(left, right, products)]
 
         assert out == list(range(first + k, first + 2 * k))
         assert [share_row(engine, h) for h in out] == want
@@ -639,7 +642,7 @@ def test_product_batch_as_or_is_share_exact(n, t, degrade, monkeypatch):
         # no product number was ever live
         assert engine._h.stored == out
         opened = engine.open_batch(out)
-        for value, (a, b) in zip(opened, pairs):
+        for value, a, b in zip(opened, left, right):
             x, y = engine.open(a), engine.open(b)
             assert value == (x + y - x * y) % field.PRIME
 
@@ -654,14 +657,14 @@ def test_product_batch_redraws_words_above_prime(n, t, degrade, as_or, where,
         monkeypatch.setattr(abb, "_CHUNK", chunk)
         engine, handles = loaded_engine(n, t, degrade)
         ref, _ = loaded_engine(n, t, degrade)
-        pairs = reshare_pairs(handles)
-        k = len(pairs)
+        left, right = reshare_columns(handles)
+        k = len(left)
         step = (2 * t + 1) * t
         draws = k * step
         # the first run: the leading pairs of one holder mask, one chunk at
         # most; "chunk edge" rejects its last word and the next run's first
         masks = [engine.handle_mask(a) & engine.handle_mask(b)
-                 for a, b in pairs]
+                 for a, b in zip(left, right)]
         run = next((u for u, m in enumerate(masks) if m != masks[0]), k)
         edge = min(run, chunk) * step
         # raw word numbers at which the first, a middle and the last draw of
@@ -674,14 +677,14 @@ def test_product_batch_redraws_words_above_prime(n, t, degrade, as_or, where,
         force_rejects(ref.rng, at)
         first = engine._next_handle
 
-        out = engine.product_batch(pairs, as_or=as_or)
-        want = reference_reshare(ref, pairs)
+        out = engine.product_batch(left, right, as_or=as_or)
+        want = reference_reshare(ref, left, right)
         if as_or:
             products = range(first, first + k)
             rows = dict(zip(products, want))
             want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)],
                                       extra=rows)
-                    for (a, b), ab in zip(pairs, products)]
+                    for a, b, ab in zip(left, right, products)]
         shift = k if as_or else 0
         assert out == list(range(first + shift, first + shift + k))
         assert engine._next_handle == first + shift + k
@@ -694,10 +697,11 @@ def test_product_round_transients_are_bounded():
     # and columns at once, 9.0 MB above the rows it stored
     engine = Engine(SharingParams(5, 2), seed=24)
     handles = [engine.input(v) for v in range(200)]
-    pairs = [(handles[u % 200], handles[7 * u % 199]) for u in range(16_000)]
+    left = [handles[u % 200] for u in range(16_000)]
+    right = [handles[7 * u % 199] for u in range(16_000)]
     tracemalloc.start()
     try:
-        out = engine.product_batch(pairs)
+        out = engine.product_batch(left, right)
         stored, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -721,16 +725,17 @@ def test_refused_round_changes_nothing(op):
     # c is held by parties 1-3 only: enough to open, too few to multiply
     c = engine.input_shares(values, holders=0b00111)
     tampered = values[:4] + ((values[4] + 1) % field.PRIME,)
-    engine.open(engine.product_batch([(a, b)])[0])
+    engine.open(engine.product_batch([a], [b])[0])
     if op == "open short":
         engine.fail_party(3)
     before = engine_state(engine)
     with engine.phase("probe"), pytest.raises((InsufficientShares,
                                                InconsistentShares)) as refused:
         if op.startswith("product"):
-            # "late": the refused pair sits in the round's second chunk
-            pairs = [(a, b)] * (abb._CHUNK if "late" in op else 1)
-            engine.product_batch(pairs + [(a, c)], as_or=op.endswith("as_or"))
+            # "late": the refused product sits in the round's second chunk
+            k = abb._CHUNK if "late" in op else 1
+            engine.product_batch([a] * (k + 1), [b] * k + [c],
+                                 as_or=op.endswith("as_or"))
         elif op == "open short":
             engine.open_batch([a, c])
         else:
@@ -753,32 +758,69 @@ def test_refused_lincomb_batch_changes_nothing():
     engine.release([gone])
     before = engine_state(engine)
     with engine.phase("probe"), pytest.raises(InsufficientShares):
-        engine.lincomb_batch([([(1, a), (1, a)], 0), ([(1, c), (1, d)], 0)])
+        engine.lincomb_batch([(1, [a, c]), (1, [a, d])])
     assert engine_state(engine) == before
     assert engine.live_handles() == list(before[-1])
 
-    # a refused or unreadable combination anywhere in a batch, combined
-    # either way: with two others of its length a 1- or 2-term one is
-    # summed as columns, with one other a 3-term one on its own
+    # a refused or unreadable combination anywhere in a batch of columns,
+    # and on its own through lincomb
     good = {1: [([(1, a)], 0), ([(-1, c)], 1)],
             2: [([(2, a), (1, c)], 4), ([(1, a), (1, a)], 0)],
             3: [([(1, a), (5, a), (3, c)], 2)]}
     refused = [([(1, c), (1, d)], 0), ([(1, a), (1, c), (1, d)], 0)]
     for bad in refused + [([(1, gone)], 0), ([(1, a), (1, gone)], 0)]:
+        error = InsufficientShares if bad in refused else KeyError
         same = good[len(bad[0])]
         for at in range(len(same) + 1):
             combos = same[:at] + [bad] + same[at:]
-            with engine.phase("probe"), pytest.raises(
-                    InsufficientShares if bad in refused else KeyError):
-                engine.lincomb_batch(combos)
+            with engine.phase("probe"), pytest.raises(error):
+                engine.lincomb_batch(*as_columns(combos))
             assert engine_state(engine) == before, (bad, at)
-    # a batch of mixed lengths is refused before any row is read, also
-    # when it names a released handle
-    mixed = [combo for same in good.values() for combo in same]
-    for combos in (mixed, mixed + [([(1, gone)], 0)]):
+        with engine.phase("probe"), pytest.raises(error):
+            engine.lincomb(*bad)
+        assert engine_state(engine) == before, bad
+    assert "probe" not in engine.meter.phases
+
+
+def as_columns(combos):
+    """Combinations ``(terms, const)`` of one arity as ``lincomb_batch``
+    arguments: a coefficient list and a handle column per term position,
+    and the list of constants."""
+    positions = zip(*[terms for terms, _ in combos])
+    return ([([c for c, _ in col], [h for _, h in col]) for col in positions],
+            [const for _, const in combos])
+
+
+def test_unequal_columns_change_nothing():
+    # refused before anything is read, checked, metered, drawn or numbered,
+    # also where a column names a released handle or a product or
+    # combination that would be refused
+    engine = Engine(SharingParams(5, 2), seed=26, record_transcript=True)
+    a, b = engine.input(3), engine.input(4)
+    values = share_row(engine, engine.input(5))[0]
+    c = engine.input_shares(values, holders=0b00111)
+    d = engine.input_shares(values, holders=0b11100)
+    gone = engine.input(7)
+    engine.release([gone])
+    before = engine_state(engine)
+    products = [([a, a], [b]), ([a], []), ([], [b]), ([gone], [a, b]),
+                ([a, c], [c])]
+    for left, right in products:
+        for as_or in (False, True):
+            with engine.phase("probe"), pytest.raises(LengthMismatch):
+                engine.product_batch(left, right, as_or=as_or)
+            assert engine_state(engine) == before, (left, right)
+    combos = [([(1, [a, b]), (-1, [a])], 0),
+              ([(1, [gone]), (1, [a, b])], 0),
+              ([(1, [c, d]), ([1], [a, a])], 0),
+              ([([1, 2, 3], [a, b])], 0),
+              ([(2, [gone, a])], [0, 1, 2]),
+              ([(2, [])], [1]),
+              ([([1], [])], 0)]
+    for terms, const in combos:
         with engine.phase("probe"), pytest.raises(LengthMismatch):
-            engine.lincomb_batch(combos)
-        assert engine_state(engine) == before
+            engine.lincomb_batch(terms, const)
+        assert engine_state(engine) == before, (terms, const)
     assert "probe" not in engine.meter.phases
 
 
@@ -872,7 +914,7 @@ def reference_random_bits(engine, k):
             # the coefficients share_values draws after the secret
             coeffs = [engine.rng.randrange(p) for _ in range(engine.t)]
             rs += engine._store([(r, *coeffs, engine._active)], 1)
-        squares = engine.product_batch([(h, h) for h in rs])
+        squares = engine.product_batch(rs, rs)
         opened = engine.open_batch(squares, kind="rand")
         retry = []
         for slot, hr, sq in zip(pending, rs, opened):
@@ -960,33 +1002,34 @@ def coefficients(kind, draw):
 @pytest.mark.parametrize("kind", ["unit", "minus", "mixed", "near p"])
 def test_columnar_lincomb_is_share_exact(n, t, degrade, arity, kind,
                                          monkeypatch):
-    # ten combinations of one arity take the columns; a batch of mixed
-    # arities is refused before any row is read
+    # ten combinations as term columns, one per term position; columns of
+    # mixed lengths are refused before any row is read
     engine, handles = loaded_engine(n, t, degrade, record_transcript=True)
     if degrade == "gapped":
         # one sharing lacks a share, so the combinations' masks differ
         handles = handles[:2] + handles[2::2]
     draw = random.Random(f"{n}{t}{degrade}{arity}{kind}")
     coef = coefficients(kind, draw)
-    arities = [0, 1, 2, 3, 8, 1, 2, 2, 0, 1] if arity == "mixed" else [arity] * 10
-    combos = []
-    for k in arities:
-        terms = [(coef(), draw.choice(handles)) for _ in range(k)]
-        if kind == "unit":
-            const = 0
-        elif kind == "minus":
-            const = 1
-        else:
-            const = draw.choice([0, 7, -3, field.PRIME - 1,
-                                 draw.randrange(field.PRIME)])
-        combos.append((terms, const))
+    lengths = [10, 9, 10, 3] if arity == "mixed" else [10] * arity
+    terms = [([coef() for _ in range(k)],
+              [draw.choice(handles) for _ in range(k)]) for k in lengths]
+    if kind == "unit":
+        const = [0] * 10
+    elif kind == "minus":
+        const = [1] * 10
+    else:
+        const = [draw.choice([0, 7, -3, field.PRIME - 1,
+                              draw.randrange(field.PRIME)])
+                 for _ in range(10)]
     if arity == "mixed":
         before = engine_state(engine)
         with pytest.raises(LengthMismatch):
-            engine.lincomb_batch(combos)
+            engine.lincomb_batch(terms, const)
         assert engine_state(engine) == before
         return
-    want = [reference_lincomb(engine, terms, const) for terms, const in combos]
+    want = [reference_lincomb(engine, [(coefs[u], hs[u]) for coefs, hs in terms],
+                              const[u])
+            for u in range(10)]
     products = []
     real_mul = abb.mul
 
@@ -996,9 +1039,9 @@ def test_columnar_lincomb_is_share_exact(n, t, degrade, arity, kind,
 
     monkeypatch.setattr(abb, "mul", counting_mul)
     first = engine._next_handle
-    out = engine.lincomb_batch(combos)
-    assert out == list(range(first, first + len(combos)))
-    assert engine._next_handle == first + len(combos)
+    out = engine.lincomb_batch(terms, const)
+    assert out == list(range(first, first + 10))
+    assert engine._next_handle == first + 10
     assert [share_row(engine, h) for h in out] == want
     for h in out:
         row = engine._h[h]
@@ -1024,7 +1067,10 @@ def test_lincomb_is_share_exact(n, t, degrade, n_terms):
     const = draw.randrange(-5, field.PRIME)
     want = reference_lincomb(engine, terms, const)
     assert share_row(engine, engine.lincomb(terms, const)) == want
-    batch = engine.lincomb_batch([(terms, const), (terms[::-1], 0)])
+    # the same terms as columns, beside their reverse
+    batch = engine.lincomb_batch(
+        [([c, c2], [h, h2]) for (c, h), (c2, h2) in zip(terms, terms[::-1])],
+        [const, 0])
     assert share_row(engine, batch[0]) == want
     assert share_row(engine, batch[1]) == reference_lincomb(engine, terms)
 
@@ -1071,8 +1117,12 @@ def test_every_stored_row_is_a_tuple(engine5):
         "lincomb 2 terms": e.lincomb([(2, a), (3, b)]),
         "lincomb unit": e.lincomb([(1, a), (1, b), (1, c)]),
         "lincomb general": e.lincomb([(2, a), (3, gapped)]),
-        "product_batch": e.product_batch([(a, b)])[0],
-        "product_batch as_or": e.product_batch([(a, b)], as_or=True)[0],
+        "lincomb no terms": e.lincomb([], 3),
+        "lincomb_batch int": e.lincomb_batch([(2, [a, b]), (1, [c, a])], 1)[0],
+        "lincomb_batch list": e.lincomb_batch([([2, 5], [a, gapped])],
+                                              [1, 0])[1],
+        "product_batch": e.product_batch([a], [b])[0],
+        "product_batch as_or": e.product_batch([a], [b], as_or=True)[0],
         "random_bits_batch": e.random_bits_batch(1)[0],
     }
     for path, h in stored.items():
@@ -1086,11 +1136,94 @@ def test_every_stored_row_is_a_tuple(engine5):
 def test_lincomb_batch_registers_in_order(engine):
     a, b = engine.input(4), engine.input(9)
     first = engine.lincomb([(1, a)])
-    out = engine.lincomb_batch([([(1, a), (1, b)], 0), ([(3, b), (0, a)], 1),
-                                ([(0, a), (0, b)], 5)])
+    out = engine.lincomb_batch([([1, 3, 0], [a, b, a]), ([1, 0, 0], [b, a, b])],
+                               [0, 1, 5])
     assert out == [first + 1, first + 2, first + 3]
     assert engine.open_batch(out) == [13, 28, 5]
     assert engine.lincomb_batch([]) == []
+
+
+@pytest.mark.parametrize("n,t,degrade", RESHARE_CASES)
+@pytest.mark.parametrize("coef", [1, -1, "p + 1", "random"])
+@pytest.mark.parametrize("const", [0, "random"])
+def test_lincomb_batch_int_forms_match_lists(n, t, degrade, coef, const):
+    # one int for every combination against the same value per combination,
+    # for coefficients and constants alike, both against the reference
+    p = field.PRIME
+    draw = random.Random(f"{n}{t}{degrade}{coef}{const}")
+    value = {"p + 1": p + 1, "random": draw.randrange(p)}.get(coef, coef)
+    shift = draw.randrange(p) if const == "random" else const
+    engine, handles = loaded_engine(n, t, degrade)
+    twin, _ = loaded_engine(n, t, degrade)
+    if degrade == "gapped":
+        handles = handles[:2] + handles[2::2]
+    columns = [[draw.choice(handles) for _ in range(7)] for _ in range(3)]
+    want = [reference_lincomb(engine, [(value, col[u]) for col in columns]
+                              + [(3, columns[0][u])], shift)
+            for u in range(7)]
+    out = engine.lincomb_batch(
+        [(value, col) for col in columns] + [(3, columns[0])], shift)
+    listed = twin.lincomb_batch(
+        [([value] * 7, col) for col in columns] + [([3] * 7, columns[0])],
+        [shift] * 7)
+    assert out == listed
+    assert [share_row(engine, h) for h in out] == want
+    assert list(engine._h.items()) == list(twin._h.items())
+
+
+def test_empty_columns_return_nothing():
+    engine = Engine(SharingParams(5, 2), seed=27, record_transcript=True)
+    a = engine.input(3)
+    before = engine_state(engine)
+    for as_or in (False, True):
+        assert engine.product_batch([], [], as_or=as_or) == []
+    assert engine.lincomb_batch([]) == []
+    assert engine.lincomb_batch([], 4) == []
+    assert engine.lincomb_batch([(1, []), ([], [])], []) == []
+    assert engine.random_bits_batch(0) == []
+    assert engine_state(engine) == before
+    # no terms and one constant per combination: public constants
+    assert engine.open_batch(engine.lincomb_batch([], [0, 7])) == [0, 7]
+    assert engine.open(a) == 3
+
+
+@pytest.mark.parametrize("n,t", [(3, 1), (5, 2)])
+def test_lincomb_of_no_terms_is_a_public_zero(n, t):
+    # ncaa's empty bucket: held by every party, also after a failure
+    engine = Engine(SharingParams(n, t), seed=28)
+    engine.fail_party(2)
+    zero = engine.lincomb([])
+    assert share_row(engine, zero) == ((0,) * n, (1 << n) - 1)
+    assert engine._h[zero] == (0,) * (t + 1) + ((1 << n) - 1,)
+    assert engine.open(zero) == 0
+    assert engine.open(engine.lincomb([], -1)) == field.PRIME - 1
+    assert engine.meter.total().multiplications == 0
+
+
+def test_product_batch_takes_its_factor_columns_by_position():
+    # the benchmark's tracer counts a round's multiplications as the length
+    # of product_batch's first positional argument, so both factor columns
+    # are passed by position, and never as an iterator, which has no length
+    # (product_batch itself takes their lengths)
+    iterators = {"map", "filter", "zip", "iter", "reversed", "chain", "islice",
+                 "compress", "repeat"}
+    calls = []
+    for path in sorted(Path(abb.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "product_batch"):
+                calls.append((f"{path.name}:{node.lineno}", node))
+    assert {where.split(":")[0] for where, _ in calls} >= {
+        "abb.py", "gates.py", "aggregation.py"}
+    for where, call in calls:
+        assert len(call.args) == 2, where
+        assert [kw.arg for kw in call.keywords] in ([], ["as_or"]), where
+        for arg in call.args:
+            assert not isinstance(arg, (ast.Starred, ast.GeneratorExp)), where
+            assert not (isinstance(arg, ast.Call)
+                        and isinstance(arg.func, ast.Name)
+                        and arg.func.id in iterators), where
 
 
 def test_lincomb_below_quorum_raises(engine5):
@@ -1110,12 +1243,12 @@ def test_lincomb_counts_live_holders_only(batch):
     a = engine.input_shares([5, 6, 7], holders=0b011)
     b = engine.input(7)
     engine.fail_party(2)
-    combos = [([(2, a)], 1)]
-    if batch:
-        combos = [([(1, b)], 0)] + combos + [([(3, a)], 0)]
     before = engine_state(engine)
     with engine.phase("probe"), pytest.raises(InsufficientShares):
-        engine.lincomb_batch(combos)
+        if batch:
+            engine.lincomb_batch([([1, 2, 3], [b, a, a])], [0, 1, 0])
+        else:
+            engine.lincomb([(2, a)], 1)
     assert engine_state(engine) == before
     assert "probe" not in engine.meter.phases
     # the stored mask is left as it is: b still lists the failed party
@@ -1128,6 +1261,7 @@ def test_lincomb_counts_live_holders_only(batch):
 FUZZ_PARAMS = [(3, 1), (5, 2), (7, 3), (5, 1), (7, 2)]
 P = field.PRIME
 coefs = st.one_of(st.integers(-3, 3), st.integers(0, P - 1))
+coef_columns = coefs | st.lists(coefs, max_size=4)
 slots = st.integers(0, 10 ** 6)
 fuzz_ops = st.lists(st.one_of(
     st.tuples(st.just("input"), st.integers(0, P - 1)),
@@ -1136,8 +1270,9 @@ fuzz_ops = st.lists(st.one_of(
     st.tuples(st.just("lincomb"),
               st.lists(st.tuples(coefs, slots), max_size=4), coefs),
     st.tuples(st.just("lincomb_batch"),
-              st.lists(st.tuples(st.lists(st.tuples(coefs, slots), max_size=4),
-                                 coefs), max_size=4)),
+              st.lists(st.tuples(coef_columns, st.lists(slots, max_size=4)),
+                       max_size=3),
+              coef_columns),
     st.tuples(st.just("product_batch"),
               st.lists(st.tuples(slots, slots), min_size=1, max_size=5)),
     st.tuples(st.just("open_batch"), st.lists(slots, min_size=1, max_size=4)),
@@ -1197,23 +1332,37 @@ def test_fuzz_engine_circuits_match_plaintext(params, ops, fail, seed):
             plain[h] = (value, mask & active)
         elif not handles:
             continue
-        elif op in ("lincomb", "lincomb_batch"):
-            combos = [args] if op == "lincomb" else args[0]
-            combos = [([(c, pick(s)) for c, s in terms], const)
-                      for terms, const in combos]
-            if len({len(terms) for terms, _ in combos}) > 1:
-                with pytest.raises(LengthMismatch):
-                    engine.lincomb_batch(combos)
+        elif op == "lincomb":
+            terms = [(c, pick(s)) for c, s in args[0]]
+            want = combine(terms, args[1])
+            if (want[1] & active).bit_count() < t + 1:
+                with pytest.raises(InsufficientShares):
+                    engine.lincomb(terms, args[1])
                 continue
-            want = [combine(terms, const) for terms, const in combos]
+            plain[engine.lincomb(terms, args[1])] = want
+        elif op == "lincomb_batch":
+            terms = [(c, [pick(s) for s in col]) for c, col in args[0]]
+            const = args[1]
+            lists = [x for x in [*(c for c, _ in terms), const]
+                     if isinstance(x, list)]
+            sizes = {len(x) for x in [*(col for _, col in terms), *lists]}
+            if len(sizes) > 1:
+                with pytest.raises(LengthMismatch):
+                    engine.lincomb_batch(terms, const)
+                continue
+
+            def entry(x, u):
+                return x[u] if isinstance(x, list) else x
+
+            want = [combine([(entry(c, u), col[u]) for c, col in terms],
+                            entry(const, u))
+                    for u in range(sizes.pop() if sizes else 0)]
             if any((m & active).bit_count() < t + 1 for _, m in want):
                 with pytest.raises(InsufficientShares):
-                    engine.lincomb_batch(combos)
+                    engine.lincomb_batch(terms, const)
                 continue
-            if op == "lincomb":
-                got = [engine.lincomb(*combos[0])]
-            else:
-                got = engine.lincomb_batch(combos)
+            got = engine.lincomb_batch(terms, const)
+            assert len(got) == len(want)
             plain.update(zip(got, want))
         elif op == "product_batch":
             pairs = [
@@ -1223,8 +1372,9 @@ def test_fuzz_engine_circuits_match_plaintext(params, ops, fail, seed):
             ]
             if not pairs:
                 continue
-            got = engine.product_batch(pairs)
-            for h, (a, b) in zip(got, pairs):
+            left, right = [a for a, _ in pairs], [b for _, b in pairs]
+            got = engine.product_batch(left, right)
+            for h, a, b in zip(got, left, right):
                 plain[h] = (plain[a][0] * plain[b][0] % P, active)
             products += len(pairs)
             batches += 1

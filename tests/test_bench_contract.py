@@ -145,17 +145,18 @@ def test_post_pass_transcript_reads_work():
 
 
 def test_round_calls_carry_every_counted_operation(monkeypatch):
-    # the benchmark counts multiplications from product_batch's pairs and
-    # rounds from non-empty product and open batches, then fails a traced
-    # pass whose counts differ from the CostMeter; a round that bypasses
-    # either call would fail it
+    # the benchmark counts multiplications as the length of product_batch's
+    # first positional argument, its left factor column, and rounds from
+    # non-empty product and open batches, then fails a traced pass whose
+    # counts differ from the CostMeter; a round that bypasses either call,
+    # or passes its left column as an iterator, would fail it
     seen = {"mults": 0, "rounds": 0}
     product_batch, open_batch = Engine.product_batch, Engine.open_batch
 
-    def products(self, pairs, **kwargs):
-        seen["mults"] += len(pairs)
-        seen["rounds"] += bool(pairs)
-        return product_batch(self, pairs, **kwargs)
+    def products(self, left, right, **kwargs):
+        seen["mults"] += len(left)
+        seen["rounds"] += bool(left)
+        return product_batch(self, left, right, **kwargs)
 
     def opens(self, handles, *args, **kwargs):
         seen["rounds"] += bool(handles)

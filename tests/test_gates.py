@@ -61,6 +61,33 @@ def test_compose_bits(rng):
     assert engine.open_batch(hs) == values
 
 
+def test_compose_bits_matches_one_lincomb_per_row():
+    # one term column per bit position gives the rows and numbers of one
+    # row-form combination per packed element
+    def make():
+        engine = Engine(SharingParams(5, 2), seed=10)
+        return engine, [input_bits(engine, v, 6) for v in (0, 5, 63, 40)]
+
+    (engine, rows), (ref, ref_rows) = make(), make()
+    out = compose_bits_batch(engine, rows)
+    want = [ref.lincomb([(1 << (5 - k), bh) for k, bh in enumerate(bits)])
+            for bits in ref_rows]
+    assert out == want
+    assert list(engine._h.items()) == list(ref._h.items())
+    assert compose_bits_batch(engine, []) == []
+    # rows of no bits pack to zeros
+    assert engine.open_batch(compose_bits_batch(engine, [[], []])) == [0, 0]
+
+
+def test_compose_bits_refuses_ragged_rows():
+    engine = Engine(SharingParams(3, 1), seed=11)
+    rows = [input_bits(engine, 3, 4), input_bits(engine, 3, 3)]
+    before = (engine._next_handle, engine.live_handles())
+    with pytest.raises(LengthMismatch):
+        compose_bits_batch(engine, rows)
+    assert (engine._next_handle, engine.live_handles()) == before
+
+
 def test_exchange_layers_known_size():
     layers = exchange_layers(8)
     assert sum(len(l) for l in layers) == 19
@@ -199,9 +226,9 @@ def test_equals_public_batch_in_flight_bound(rng):
         inner = engine.product_batch
         in_flight = []
 
-        def counting(pairs, **kwargs):
+        def counting(left, right, **kwargs):
             in_flight.append(len(engine.live_handles()) - caller)
-            return inner(pairs, **kwargs)
+            return inner(left, right, **kwargs)
 
         engine.product_batch = counting
         equals_public_batch(engine, queries, width)
@@ -240,13 +267,14 @@ def reference_permute(engine, rows, setup_phase):
     for layer in layers:
         ctrls = bits[used:used + len(layer)]
         used += len(layer)
-        deltas = []
+        controls, deltas = [], []
         for (a, b), c in zip(layer, ctrls):
             for s in range(streams):
-                deltas.append((c, engine.lincomb(
+                controls.append(c)
+                deltas.append(engine.lincomb(
                     [(1, rows[b][s]), (-1, rows[a][s])]
-                )))
-        moved = engine.product_batch(deltas)
+                ))
+        moved = engine.product_batch(controls, deltas)
         replaced = []
         for gi, (a, b) in enumerate(layer):
             ra, rb = rows[a], rows[b]
@@ -259,7 +287,7 @@ def reference_permute(engine, rows, setup_phase):
             rows[a] = tuple(na)
             rows[b] = tuple(nb)
             replaced += ra + rb
-        engine.release(d for _, d in deltas)
+        engine.release(deltas)
         engine.release(moved)
         engine.release(ctrls)
         engine.release(h for h in replaced if h >= mark)
@@ -295,12 +323,12 @@ def reference_equals(engine, queries, width):
     """The earlier form of ``equals_public_batch``: a node list per query
     and one flipped row per (query, set bit)."""
     zero = mark = engine.constant(0)
-    flipped = iter(engine.lincomb_batch([
-        ([(-1, bh)], 1)
+    flipped = iter(engine.lincomb_batch([(-1, [
+        bh
         for bits, public_id in queries
         for k, bh in enumerate(bits)
         if public_id >> (width - 1 - k) & 1
-    ]))
+    ])], 1))
     nodes = [
         [zero] + [
             next(flipped) if public_id >> (width - 1 - k) & 1 else bh
@@ -311,14 +339,14 @@ def reference_equals(engine, queries, width):
     size = width + 1
     while size > 1:
         half = size // 2
-        pairs = [pair for lst in nodes
-                 for pair in zip(lst[0:2 * half:2], lst[1:2 * half:2])]
-        merged = engine.product_batch(pairs, as_or=True)
+        left = [h for lst in nodes for h in lst[0:2 * half:2]]
+        right = [h for lst in nodes for h in lst[1:2 * half:2]]
+        merged = engine.product_batch(left, right, as_or=True)
         nodes = [merged[qi * half:(qi + 1) * half] + lst[2 * half:]
                  for qi, lst in enumerate(nodes)]
         size -= half
-        engine.release({h for pair in pairs for h in pair if h >= mark})
-    out = engine.lincomb_batch([([(-1, lst[0])], 1) for lst in nodes])
+        engine.release({h for h in left + right if h >= mark})
+    out = engine.lincomb_batch([(-1, [lst[0] for lst in nodes])], 1)
     engine.release({lst[0] for lst in nodes})
     return out
 
@@ -393,9 +421,9 @@ def test_equals_public_batch_one_complement_per_bit():
     inner = engine.product_batch
     in_flight = []
 
-    def counting(pairs, **kwargs):
+    def counting(left, right, **kwargs):
         in_flight.append(len(engine.live_handles()) - caller)
-        return inner(pairs, **kwargs)
+        return inner(left, right, **kwargs)
 
     engine.product_batch = counting
     equals_public_batch(engine, [(bits, u) for bits in meters
