@@ -315,42 +315,49 @@ class Distribution:
         return sum(len(links) for links, _ in self.records)
 
 
+def recipient_bundles(view: dict) -> dict:
+    """Every recipient's bundle cut from a ``grid_view``: the grid operator
+    (``tso``) gets the view itself, each region operator its rows, each
+    supplier its columns, with their totals.  Bundles share no list."""
+    matrices = [view[f"{stream}_matrix"] for stream in STREAMS]
+    bundles: dict = {"tso": view}
+    for j in range(len(matrices[0])):
+        bundle = bundles[f"dno:{j + 1}"] = {}
+        for stream, matrix in zip(STREAMS, matrices):
+            bundle[f"{stream}_by_supplier"] = list(matrix[j])
+            bundle[f"{stream}_total"] = view[f"{stream}_region_totals"][j]
+    for k in range(len(matrices[0][0])):
+        bundle = bundles[f"supplier:{k + 1}"] = {}
+        for stream, matrix in zip(STREAMS, matrices):
+            bundle[f"{stream}_by_region"] = [row[k] for row in matrix]
+            bundle[f"{stream}_total"] = view[f"{stream}_supplier_totals"][k]
+    return bundles
+
+
 def distribute_outputs(cells: list, params: SharingParams,
                        failed: frozenset = frozenset()) -> Distribution:
     """Send each recipient exactly the ``grid_aggregate`` cells it is owed.
 
-    Per cell, every live holder sends its share; recipients interpolate
-    and derive their own totals locally, so totals travel as zero extra
-    shares.  The grid operator sees the whole matrix, each region
-    operator its row, each supplier its column.  Each recipient pulls
-    its stream views in ``STREAMS`` order.
+    Per cell, every live holder sends its share to each recipient owed it
+    (``recipient_bundles``), each pulling its stream views in ``STREAMS``
+    order.  Every recipient of a cell interpolates the same shares, so
+    each cell is reconstructed once; totals travel as zero extra shares.
     """
-    t = params.t
-    records: list = []
     regions, suppliers = range(len(cells[0])), range(len(cells[0][0]))
-
-    def pull(s: int, j: int, k: int, receiver: str) -> int:
-        cell = cells[s][j][k]
+    streams = range(len(STREAMS))
+    sends = [(s, j, k, "tso") for s in streams for j in regions
+             for k in suppliers]
+    sends += [(s, j, k, f"dno{j + 1}") for j in regions for s in streams
+              for k in suppliers]
+    sends += [(s, j, k, f"sup{k + 1}") for k in suppliers for s in streams
+              for j in regions]
+    records = []
+    for s, j, k, receiver in sends:
         links = tuple(f"p{party},{receiver}"
-                      for _, shares in sorted(cell.items())
+                      for _, shares in sorted(cells[s][j][k].items())
                       for party in sorted(shares) if party not in failed)
         records.append((links, f"cell/{STREAMS[s]}/{j + 1}/{k + 1}"))
-        return reconstruct_cell(cell, t, failed)
-
-    bundles: dict = {"tso": grid_view([
-        [[pull(s, j, k, "tso") for k in suppliers] for j in regions]
-        for s in range(len(STREAMS))
-    ])}
-    for j in regions:
-        bundle = bundles[f"dno:{j + 1}"] = {}
-        for s, stream in enumerate(STREAMS):
-            row = [pull(s, j, k, f"dno{j + 1}") for k in suppliers]
-            bundle[f"{stream}_by_supplier"] = row
-            bundle[f"{stream}_total"] = sum(row)
-    for k in suppliers:
-        bundle = bundles[f"supplier:{k + 1}"] = {}
-        for s, stream in enumerate(STREAMS):
-            col = [pull(s, j, k, f"sup{k + 1}") for j in regions]
-            bundle[f"{stream}_by_region"] = col
-            bundle[f"{stream}_total"] = sum(col)
-    return Distribution(bundles=bundles, records=records)
+    view = grid_view([[[reconstruct_cell(cell, params.t, failed)
+                        for cell in row] for row in matrix]
+                      for matrix in cells])
+    return Distribution(bundles=recipient_bundles(view), records=records)

@@ -160,11 +160,13 @@ def build_table(params: CostParams, trusted_tso: bool = False) -> list[dict]:
     return rows
 
 
-def sweep_series(params: CostParams, m_values: list[int]) -> dict:
+def sweep_series(params: CostParams, m_values: list[int],
+                 trusted_tso: bool = False) -> dict:
     """Curve points over meter-population sizes, one table per plot.
 
     ``compute`` carries multiplication counts and projected CPU seconds
-    per algorithm; the three ``comm_*`` tables carry bits per protocol.
+    per algorithm; the three ``comm_*`` tables carry bits per protocol,
+    with ``trusted_tso`` as in ``formula_comm``.
     """
     compute = []
     comm = {seg: [] for seg in SEGMENTS}
@@ -180,7 +182,8 @@ def sweep_series(params: CostParams, m_values: list[int]) -> dict:
         for seg in SEGMENTS:
             comm[seg].append({
                 "sm_per_region": m,
-                **{proto: formula_comm(proto, seg, p) for proto in PROTOCOLS},
+                **{proto: formula_comm(proto, seg, p, trusted_tso)
+                   for proto in PROTOCOLS},
             })
     return {"compute": compute, **{f"comm_{seg}": comm[seg] for seg in SEGMENTS}}
 
@@ -218,6 +221,11 @@ def _region_params(scenario, m: int) -> CostParams:
                       sigma=scenario.sigma, sm_per_region=m)
 
 
+def _formula_streams(alg: str) -> int:
+    """Region formulas per region: naa's counts one of two streams."""
+    return len(STREAMS) if alg == "naa" else 1
+
+
 def region_mult_rows(scenario, meter, region: int, included: int) -> list:
     """Per-region measured multiplication counters with analytic references.
 
@@ -234,17 +242,15 @@ def region_mult_rows(scenario, meter, region: int, included: int) -> list:
 
     rows = []
     if alg in ("naa", "niaa"):
-        # naa's streams share one phase, whose formula counts both
-        phases = ([(BOTH_STREAMS, len(STREAMS))] if alg == "naa"
-                  else [(stream, 1) for stream in STREAMS])
-        for stream, streams in phases:
+        # naa's streams share one phase, niaa's have one each
+        for stream in [BOTH_STREAMS] if alg == "naa" else STREAMS:
             pc = meter.matching(f"region_aggregation/{region}/{stream}")
             rows.append({
                 "region": region,
                 "stream": stream,
                 "included_sms": included,
                 "measured_mults": pc.multiplications,
-                "formula_mults": streams * formula(),
+                "formula_mults": _formula_streams(alg) * formula(),
                 "opens": pc.opens,
                 "rounds": pc.rounds,
             })
@@ -288,15 +294,11 @@ def build_report(run, threads: int = 1) -> dict:
     grid = CostParams(n_dno=sc.n_dno, n_suppliers=sc.n_suppliers,
                       sigma=sc.sigma, sm_per_region=1)
 
-    seg_measured = {
-        "sms_to_dcc": (total.msgs_sm_to_dcc, total.bytes_sm_to_dcc),
-        "between_dcc": (total.msgs_between_dcc, total.bytes_between_dcc),
-        "dcc_to_recipients": (
-            total.msgs_dcc_to_recipients, total.bytes_dcc_to_recipients
-        ),
-    }
+    messages = (total.msgs_sm_to_dcc, total.msgs_between_dcc,
+                total.msgs_dcc_to_recipients)   # in SEGMENTS order
     segments = {}
-    for seg, (msgs, nbytes) in seg_measured.items():
+    for seg, msgs in zip(SEGMENTS, messages):
+        nbytes = msgs * SHARE_BYTES
         if seg == "dcc_to_recipients":
             formula_bits = formula_comm(alg, seg, grid)
         else:
@@ -320,9 +322,8 @@ def build_report(run, threads: int = 1) -> dict:
         }
 
     cpu_params = CostParams(threads=threads)
-    # naa's region formula counts one stream, ncaa's table both
-    streams = len(STREAMS) if alg == "naa" else 1
-    formula_region_mults = streams * sum(formula_mults(alg, p) for p in regions)
+    formula_region_mults = _formula_streams(alg) * sum(
+        formula_mults(alg, p) for p in regions)
     report = {
         "metadata": {
             "prime": field.PRIME,

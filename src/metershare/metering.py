@@ -18,7 +18,6 @@ from .abb import Engine
 from .aggregation import STREAMS, MeterTuple, grid_view
 from .errors import (
     IdOverflow,
-    InsufficientShares,
     InvalidParams,
     ScenarioError,
     UnknownSupplier,
@@ -119,7 +118,8 @@ class Scenario:
                if not 1 <= s <= self.n_servers]
         if bad:
             raise ScenarioError(f"no such servers: {bad}")
-        if len(set(self.fail_servers)) > self.n_servers - (self.threshold + 1):
+        alive = self.n_servers - len(set(self.fail_servers))
+        if alive < self.threshold + 1:
             raise ScenarioError(
                 "failing that many servers leaves fewer than t+1 alive"
             )
@@ -129,6 +129,9 @@ class Scenario:
             raise ScenarioError(
                 "total meter population could overflow the field"
             )
+        if self.algorithm in ("naa", "ncaa") and alive < 2 * self.threshold + 1:
+            raise ScenarioError(f"{self.algorithm} multiplies and needs 2t+1 "
+                                f"live servers, {alive} remain")
 
     @property
     def params(self) -> SharingParams:
@@ -300,11 +303,6 @@ def submit(engine: Engine, scenario: Scenario,
     n, t = scenario.n_servers, scenario.threshold
     dead = set(scenario.fail_servers)
     alive = [s for s in range(1, n + 1) if s not in dead]
-    if scenario.algorithm in ("naa", "ncaa") and len(alive) < 2 * t + 1:
-        raise InsufficientShares(
-            f"{scenario.algorithm} multiplies and needs 2t+1 live servers, "
-            f"{len(alive)} remain"
-        )
     # Live holders a meter needs, as received is a subset of alive.  naa's
     # equality circuits only ever mix shares of the same meter, so any 2t+1
     # form a workable quorum; ncaa's permutation mixes every row with every

@@ -1,11 +1,12 @@
 """Region algorithms against the plaintext group-by oracle."""
 
+import copy
 import gc
 import random
 
 import pytest
 
-from metershare import cli, field
+from metershare import aggregation, cli, field
 from metershare.abb import Engine
 from metershare.aggregation import (
     STREAMS,
@@ -19,6 +20,7 @@ from metershare.aggregation import (
     naa_region,
     ncaa_region,
     niaa_region,
+    recipient_bundles,
     reconstruct_cell,
 )
 from metershare.errors import (
@@ -332,6 +334,52 @@ def test_grid_view_totals():
         "exp_supplier_totals": [8, 7],
         "exp_grid_total": 15,
     }
+
+
+@pytest.mark.parametrize("alg", ["naa", "ncaa", "niaa"])
+def test_run_reconstructs_each_cell_once(monkeypatch, alg):
+    # faults split cells into holder groups and a failed server's shares
+    # are gone; every recipient still reads one reconstruction per cell
+    sc = Scenario(n_dno=3, n_suppliers=4, sm_per_region=[9, 0, 7], seed=5,
+                  sigma=3, algorithm=alg, n_servers=5, fault_rate=0.2,
+                  fail_servers=[2])
+    calls = []
+    original = aggregation.reconstruct_cell
+
+    def counting(cell, t, failed=frozenset()):
+        calls.append(cell)
+        return original(cell, t, failed)
+
+    monkeypatch.setattr(aggregation, "reconstruct_cell", counting)
+    run = cli.run_scenario(sc)
+    assert cli.check_result(run) == []
+    assert len(calls) == 2 * sc.n_dno * sc.n_suppliers
+    if alg == "niaa":
+        assert any(len(cell) > 1 for cell in calls)
+
+
+def test_recipient_bundles_layout_and_isolation():
+    matrices = [[[1, 2], [3, 4], [5, 6]], [[0, 7], [8, 0], [0, 0]]]
+    view = grid_view(copy.deepcopy(matrices))
+    bundles = recipient_bundles(view)
+    assert bundles["tso"] is view
+    assert len(bundles) == 1 + 3 + 2
+    assert bundles["dno:2"] == {"imp_by_supplier": [3, 4], "imp_total": 7,
+                                "exp_by_supplier": [8, 0], "exp_total": 8}
+    assert bundles["supplier:1"] == {"imp_by_region": [1, 3, 5],
+                                     "imp_total": 9, "exp_by_region": [0, 8, 0],
+                                     "exp_total": 8}
+    # changing a list of one recipient's bundle in place changes no other
+    # bundle and not the grid operator's view
+    for name, bundle in bundles.items():
+        if name == "tso":
+            continue
+        for key in [k for k, v in bundle.items() if isinstance(v, list)]:
+            fresh = recipient_bundles(grid_view(copy.deepcopy(matrices)))
+            before = copy.deepcopy(fresh)
+            fresh[name][key][0] += 1
+            del fresh[name], before[name]
+            assert fresh == before
 
 
 def test_distribution_message_count():

@@ -399,6 +399,16 @@ def test_selftest_command_exit_codes(monkeypatch, capsys):
     assert "FAIL equality_exhaustive" in capsys.readouterr().out
 
 
+def test_selftest_command_runs_every_stage_in_full(capsys):
+    # unpatched: the exhaustive 8-bit equality stage included
+    assert cli.main(["selftest"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in out] == [
+        ["PASS", "shamir_roundtrip"], ["PASS", "equality_exhaustive"],
+        ["PASS", "aggregation_equivalence"],
+    ]
+
+
 def test_console_entry_point(tmp_path):
     path = write_scenario(tmp_path, sm_per_region=[3, 2])
     # pytest's pythonpath setting reaches only its own process
@@ -717,7 +727,8 @@ def test_report_rows_round_trip_through_writer(tmp_path):
 # sha256 of outputs no golden scenario covers, recorded before the cost-table
 # rows were built in one place; they must not move when that code changes.
 # The ncaa and niaa run reports were re-recorded when their
-# region_multiplications row gained its formula_mults cell.
+# region_multiplications row gained its formula_mults cell, the
+# trusted-tso sweep stdout when its recipient series took the flag.
 PINNED_RUN_CSV = {
     "naa": "10c646797f4461647499a672191fe4769b77e011cfc800a0075bd2fa26b32e21",
     "ncaa": "6d99cfe3b10bdb91fd7e82b2a7967e0cdfcd6a66b74b817d9996f06c294cde18",
@@ -734,7 +745,7 @@ PINNED_RUN_FORMULA_MULTS = {
 PINNED_COSTS_STDOUT = {
     "costs": "050c66104801c3c5e079eecdec052d2062b7bffdbdf5968c1044a09232e619e4",
     "costs --trusted-tso --sweep sm=1k:3k:1k":
-        "3c203e6745f845652f471431306116871b55dd3955a26ba6c4a8a89f730752f2",
+        "4199546036d5205cc4a8f83fa52e91e2b626473ecc19ff1f4e6e20499e140332",
 }
 PINNED_SWEEP_FILES = {
     "sweep_comm_between_dcc.csv":

@@ -1,5 +1,6 @@
 """Closed-form cost model against hand-computed reference values."""
 
+import csv
 from dataclasses import replace
 import math
 
@@ -163,6 +164,23 @@ def test_sweep_series_shapes_and_monotonicity():
     # recipient traffic is independent of the meter population
     rec = series["comm_dcc_to_recipients"]
     assert len({r["naa"] for r in rec}) == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--trusted-tso"]])
+def test_sweep_recipient_rows_equal_the_table(tmp_path, flags):
+    # every sweep point prices recipient traffic as the table does, with
+    # the trusted-grid-operator variant or without it
+    assert cli.main(["costs", "--out", str(tmp_path), "--sweep",
+                     "sm=1k:3k:1k", *flags]) == 0
+    with open(tmp_path / "cost_table.csv") as fh:
+        table = {r["protocol"]: r["formula_bits"] for r in csv.DictReader(fh)
+                 if r["segment"] == "dcc_to_recipients"}
+    with open(tmp_path / "sweep_comm_dcc_to_recipients.csv") as fh:
+        points = list(csv.DictReader(fh))
+    assert len(points) == 3
+    for point in points:
+        assert {proto: point[proto] for proto in table} == table
+    assert table["naa"] == ("55992" if flags else "158760")
 
 
 def test_bytes_from_transcript_classification():

@@ -10,7 +10,6 @@ from metershare import cli, field
 from metershare.abb import Engine
 from metershare.errors import (
     IdOverflow,
-    InsufficientShares,
     ScenarioError,
     UnknownSupplier,
 )
@@ -91,6 +90,9 @@ def test_meters_and_readings_draw_as_randint(n_suppliers):
     dict(fault_rate=True),
     dict(fault_rate="0.1"),
     dict(n_servers=256),                   # party indices fit one byte
+    # multiplying algorithms need a 2t+1 quorum of live servers
+    dict(algorithm="naa", n_servers=5, threshold=2, fail_servers=[1]),
+    dict(algorithm="ncaa", fail_servers=[3]),
 ])
 def test_scenario_validation_rejects(bad):
     with pytest.raises(ScenarioError):
@@ -103,9 +105,9 @@ def test_scenario_accepts_ids_up_to_62_bits():
 
 def test_scenario_accepts_tuples_for_lists():
     # only the entry types are checked; callers may pass tuples
-    sc = scenario(sm_per_region=(4, 5), fail_servers=(2,))
+    sc = scenario(sm_per_region=(4, 5), n_servers=5, fail_servers=(2,))
     assert build_meters(sc) == build_meters(
-        scenario(sm_per_region=[4, 5], fail_servers=[2]))
+        scenario(sm_per_region=[4, 5], n_servers=5, fail_servers=[2]))
 
 
 def test_scenario_rejects_population_overflow():
@@ -288,16 +290,6 @@ def test_submit_full_coverage_rule_for_permutation(rng):
         with engine.phase("input_distribution"):
             tuples, report = submit(engine, sc, enc, FixedDrops(script))
         assert (enc[0].sm in report.included) == survives
-
-
-def test_submit_requires_mult_quorum_of_servers(rng):
-    sc = scenario(algorithm="naa", n_servers=5, threshold=2,
-                  fail_servers=[1])
-    engine = Engine(sc.params, seed=1)
-    for s in sc.fail_servers:
-        engine.fail_party(s)
-    with engine.phase("input_distribution"), pytest.raises(InsufficientShares):
-        submit(engine, sc, encode_all(sc, rng), rng)
 
 
 @pytest.mark.parametrize("alg, fault_rate", [("naa", 0.0), ("niaa", 0.3)])
