@@ -306,7 +306,8 @@ class Distribution:
 
     bundles: dict
     # one (links, label) transcript record per (cell, receiver): links
-    # holds a "sender,receiver" string per share sent
+    # holds a "sender,receiver" string per share sent, one tuple for all
+    # records with the same receiver and holder groups
     records: list
 
     @property
@@ -352,10 +353,12 @@ def distribute_outputs(cells: list, params: SharingParams,
     sends += [(s, j, k, f"sup{k + 1}") for k in suppliers for s in streams
               for j in regions]
     records = []
+    shared: dict = {}  # one links tuple per (receiver, holder groups)
     for s, j, k, receiver in sends:
         links = tuple(f"p{party},{receiver}"
                       for _, shares in sorted(cells[s][j][k].items())
                       for party in sorted(shares) if party not in failed)
+        links = shared.setdefault(links, links)
         records.append((links, f"cell/{STREAMS[s]}/{j + 1}/{k + 1}"))
     view = grid_view([[[reconstruct_cell(cell, params.t, failed)
                         for cell in row] for row in matrix]

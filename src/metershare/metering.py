@@ -12,6 +12,7 @@ from dataclasses import MISSING, dataclass, field as dfield, asdict
 import hashlib
 import json
 import random
+import struct
 
 from . import field
 from .abb import Engine
@@ -30,6 +31,17 @@ BYTE_ACCOUNTING = ("paper", "measured")
 # Default draw ceilings for synthetic readings, in watt-hours per slot.
 DEFAULT_IMP_LEVEL = 5000
 DEFAULT_EXP_LEVEL = 3000
+
+# Per-meter work that grows with N_s, refused before any meter is built:
+# niaa's bundle, built whole on the meter, holds a reading-or-zero sharing
+# per supplier and stream, and naa tests each of a meter's two IDs against
+# every supplier, so both do 2 * N_s per meter.  The paper's N_s = 10 needs
+# 20.
+MAX_PER_METER = 1 << 12
+
+# synthetic draws read SHA-256 blocks as 64-bit words (see ``_draws``)
+_WORD_RANGE = 1 << 64
+_unpack_block = struct.Struct("<4Q").unpack
 
 
 def derive_seed(*parts) -> int:
@@ -132,6 +144,14 @@ class Scenario:
         if self.algorithm in ("naa", "ncaa") and alive < 2 * self.threshold + 1:
             raise ScenarioError(f"{self.algorithm} multiplies and needs 2t+1 "
                                 f"live servers, {alive} remain")
+        work = {"niaa": "one-hot sharings",
+                "naa": "equality tests"}.get(self.algorithm)
+        if work and 2 * self.n_suppliers > MAX_PER_METER:
+            raise ScenarioError(
+                f"{self.algorithm} needs {2 * self.n_suppliers} {work} per "
+                f"meter for {self.n_suppliers} suppliers, above the "
+                f"per-meter limit of {MAX_PER_METER}"
+            )
 
     @property
     def params(self) -> SharingParams:
@@ -181,45 +201,63 @@ class SmartMeter:
         return (self.supplier_imp, self.supplier_exp)
 
 
-def _below(getrandbits, n: int) -> int:
-    """A draw in [0, n) by ``randrange(n)``'s rule, which ``randint`` uses:
-    ``getrandbits(n.bit_length())``, redrawn while >= n.  Same values and
-    generator state as ``randint``, without its Python layers."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
+def _block(text: str) -> tuple:
+    """The SHA-256 digest of ``text`` as four 64-bit little-endian words."""
+    return _unpack_block(hashlib.sha256(text.encode()).digest())
+
+
+def _draws(text: str, ns: tuple) -> tuple:
+    """One draw in [0, n) for each n of ``ns``, read from ``text``'s block.
+
+    A draw takes the next word w and gives ``w % n``, accepted only when
+    ``w < 2**64 - 2**64 % n``, so every value is exactly as likely; a
+    rejected word is skipped.  Past the block's last word the blocks of
+    ``text#1``, ``text#2``, ... follow.  The draws depend on ``text`` and
+    ``ns`` only: no generator is seeded and none carries state.
+    """
+    words = _block(text)
+    out = []
+    i = 0
+    for n in ns:
+        limit = _WORD_RANGE - _WORD_RANGE % n
+        while True:
+            if i == len(words):
+                words += _block(f"{text}#{i // 4}")
+            w = words[i]
+            i += 1
+            if w < limit:
+                break
+        out.append(w % n)
+    return tuple(out)
 
 
 def build_meters(scenario: Scenario) -> list[SmartMeter]:
-    """Deterministic meter population; supplier choice per meter, per flow,
-    each as ``randint(1, n_suppliers)`` draws it (see ``_below``)."""
+    """Deterministic meter population, numbered from 1 region by region.
+
+    Meter i's import and export suppliers are the two draws in
+    [1, n_suppliers] of the block of ``seed/meter/i`` (see ``_draws``), so
+    they depend on the seed and i only.
+    """
     meters = []
-    sm_id = 0
-    n_s = scenario.n_suppliers
+    ns = (scenario.n_suppliers,) * 2
+    prefix = f"{scenario.seed}/meter/"
+    first = 1
     for region, count in enumerate(scenario.sm_per_region, start=1):
-        for _ in range(count):
-            sm_id += 1
-            draw = random.Random(
-                derive_seed(scenario.seed, "meter", sm_id)).getrandbits
-            imp = _below(draw, n_s) + 1
-            meters.append(SmartMeter(sm_id, region, imp,
-                                     _below(draw, n_s) + 1))
+        for sm_id in range(first, first + count):
+            imp, exp = _draws(f"{prefix}{sm_id}", ns)
+            meters.append(SmartMeter(sm_id, region, imp + 1, exp + 1))
+        first += count
     return meters
 
 
 def generate_readings(scenario: Scenario, meters: list[SmartMeter],
                       slot: int = 0) -> dict:
-    """Per-slot readings, reproducible per (seed, slot, meter), each as
-    ``randint(0, level)`` draws it (see ``_below``)."""
-    readings = {}
-    for m in meters:
-        draw = random.Random(
-            derive_seed(scenario.seed, "reading", slot, m.sm_id)).getrandbits
-        imp = _below(draw, DEFAULT_IMP_LEVEL + 1)
-        readings[m.sm_id] = (imp, _below(draw, DEFAULT_EXP_LEVEL + 1))
-    return readings
+    """Per-slot readings: meter i's (import, export) in a slot are the two
+    draws in [0, DEFAULT_IMP_LEVEL] and [0, DEFAULT_EXP_LEVEL] of the block
+    of ``seed/reading/slot/i`` (see ``_draws``)."""
+    levels = (DEFAULT_IMP_LEVEL + 1, DEFAULT_EXP_LEVEL + 1)
+    prefix = f"{scenario.seed}/reading/{slot}/"
+    return {m.sm_id: _draws(f"{prefix}{m.sm_id}", levels) for m in meters}
 
 
 def _check_supplier(meter: SmartMeter, supplier: int, scenario: Scenario) -> None:

@@ -9,6 +9,7 @@ import math
 import os
 import pathlib
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,12 @@ import pytest
 from metershare import cli, costs
 from metershare.abb import Engine
 from metershare.errors import UnknownSupplier
-from metershare.metering import Scenario, build_meters, derive_seed
+from metershare.metering import (
+    MAX_PER_METER,
+    Scenario,
+    build_meters,
+    derive_seed,
+)
 from metershare.shamir import SHARE_BYTES
 from test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
@@ -109,6 +115,24 @@ def test_run_huge_sigma_exits_1(tmp_path, capsys):
     assert cli.main(["run", "--scenario", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: sigma must be below 63, got {2**40}\n"
+
+
+def test_run_refuses_per_meter_work_over_the_limit(tmp_path):
+    # one niaa meter over 2**30 suppliers is refused before its one-hot
+    # bundle is built; the address-space cap turns a regression into a
+    # MemoryError instead of an 8 GiB list
+    path = write_scenario(tmp_path, n_dno=1, n_suppliers=2**30, sigma=31,
+                          sm_per_region=[1], algorithm="niaa")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = run_module("run", "--scenario", str(path), "--check",
+                      preexec_fn=cap)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: niaa needs {2**31} one-hot sharings per meter for {2**30} "
+        f"suppliers, above the per-meter limit of {MAX_PER_METER}\n")
 
 
 def test_run_infeasible_failures_exit_1(tmp_path, capsys):
@@ -409,17 +433,19 @@ def test_selftest_command_runs_every_stage_in_full(capsys):
     ]
 
 
-def test_console_entry_point(tmp_path):
-    path = write_scenario(tmp_path, sm_per_region=[3, 2])
+def run_module(*args, **kw) -> subprocess.CompletedProcess:
+    """``python -m metershare`` with ``args``, in a process of its own."""
     # pytest's pythonpath setting reaches only its own process
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "metershare", "run", "--scenario", str(path),
-         "--check"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "metershare", *args],
+                          capture_output=True, text=True, env=env, **kw)
+
+
+def test_console_entry_point(tmp_path):
+    path = write_scenario(tmp_path, sm_per_region=[3, 2])
+    proc = run_module("run", "--scenario", str(path), "--check")
     assert proc.returncode == 0, proc.stderr
     assert "check ok" in proc.stdout
 
@@ -636,6 +662,60 @@ def test_transcript_matches_meter(tmp_path, alg, n, t, rate, failed):
     lines = path.read_text().splitlines()
     shares = sum(len(links) for _, links, _ in run.transcript)
     assert len(lines) == 1 + shares
+
+
+# every algorithm at (3,1), (5,1) and (5,2) with faults, and with server 2
+# failed where the quorum allows it
+TRAFFIC_SHAPES = [
+    (alg, n, t, failed)
+    for alg in ("naa", "ncaa", "niaa") for n, t in ((3, 1), (5, 1), (5, 2))
+    for failed in ([], [2])
+    if alg == "niaa" or n - len(failed) >= 2 * t + 1
+]
+
+
+@pytest.mark.parametrize("alg,n,t,failed", TRAFFIC_SHAPES)
+def test_traffic_does_not_depend_on_the_data(monkeypatch, alg, n, t, failed):
+    # who sends what to whom in which round, every counter and the admitted
+    # meters follow from the shape, the seed and the faults alone: other
+    # suppliers and readings change the outputs and nothing else
+    sc = Scenario(n_dno=2, n_suppliers=3, sm_per_region=[6, 5], seed=21,
+                  sigma=4, n_servers=n, threshold=t, algorithm=alg,
+                  fault_rate=0.2, fail_servers=failed)
+    first = cli.run_scenario(sc, record_transcript=True)
+    real_meters, real_readings = cli.build_meters, cli.generate_readings
+
+    def other_meters(scenario):
+        ns = scenario.n_suppliers
+        return [dataclasses.replace(m, supplier_imp=m.supplier_imp % ns + 1,
+                                    supplier_exp=(m.supplier_exp + 1) % ns + 1)
+                for m in real_meters(scenario)]
+
+    def other_readings(scenario, meters, slot=0):
+        return {sm: (imp // 2 + 1, exp + 7) for sm, (imp, exp)
+                in real_readings(scenario, meters, slot).items()}
+
+    monkeypatch.setattr(cli, "build_meters", other_meters)
+    monkeypatch.setattr(cli, "generate_readings", other_readings)
+    second = cli.run_scenario(sc, record_transcript=True)
+    assert cli.check_result(second) == []
+    assert second.oracle != first.oracle
+    assert second.transcript == first.transcript
+    assert second.meter.phases == first.meter.phases
+    assert second.excluded == first.excluded
+
+
+@pytest.mark.parametrize("name", ["naa-t2-faults", "niaa-faults-failed"])
+def test_deliveries_share_one_links_tuple_per_link_list(name):
+    # write_transcript cuts a record's lines once per run of records that
+    # hold the same links object, so equal deliveries must share one
+    run = cli.run_scenario(Scenario(**GOLDEN_SCENARIOS[name]),
+                           record_transcript=True)
+    deliveries = [links for _, links, label in run.transcript
+                  if label.startswith("cell/")]
+    assert len(deliveries) == 2 * 3 * run.scenario.n_dno \
+        * run.scenario.n_suppliers
+    assert len({id(links) for links in deliveries}) == len(set(deliveries))
 
 
 @pytest.mark.parametrize("alg", ["naa", "ncaa", "niaa"])

@@ -1,12 +1,13 @@
 """Scenario handling, meter population, encoding, and submission rules."""
 
 import copy
+import hashlib
 import json
 import random
 
 import pytest
 
-from metershare import cli, field
+from metershare import cli, field, metering
 from metershare.abb import Engine
 from metershare.errors import (
     IdOverflow,
@@ -16,6 +17,7 @@ from metershare.errors import (
 from metershare.metering import (
     DEFAULT_EXP_LEVEL,
     DEFAULT_IMP_LEVEL,
+    MAX_PER_METER,
     Scenario,
     SmartMeter,
     build_meters,
@@ -42,21 +44,88 @@ def test_derive_seed_is_stable():
     assert 0 <= derive_seed("x") < 2 ** 64
 
 
+def block_words(text: str) -> list:
+    """The SHA-256 digest of ``text`` as four 64-bit little-endian words."""
+    digest = hashlib.sha256(text.encode()).digest()
+    return [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 32, 8)]
+
+
 @pytest.mark.parametrize("n_suppliers", [10, 16])
-def test_meters_and_readings_draw_as_randint(n_suppliers):
-    # 5,000 meters, each drawing from its own derived seeds; 16 suppliers
-    # need 5-bit words, half of which are redrawn
+def test_meters_and_readings_draw_from_one_hash_block(n_suppliers):
+    # 5,000 meters: suppliers are the first two words of seed/meter/id mod
+    # N_s, readings those of seed/reading/slot/id mod each level + 1; no
+    # word here is rejected (16 divides 2**64, so it never rejects)
     sc = scenario(n_suppliers=n_suppliers, sm_per_region=[2000, 3000],
                   seed=n_suppliers)
     meters = build_meters(sc)
     readings = generate_readings(sc, meters, slot=2)
+    assert [m.sm_id for m in meters] == list(range(1, 5001))
+    levels = (DEFAULT_IMP_LEVEL + 1, DEFAULT_EXP_LEVEL + 1)
     for m in meters:
-        rng = random.Random(derive_seed(sc.seed, "meter", m.sm_id))
-        assert m.suppliers == (rng.randint(1, n_suppliers),
-                               rng.randint(1, n_suppliers))
-        rng = random.Random(derive_seed(sc.seed, "reading", 2, m.sm_id))
-        assert readings[m.sm_id] == (rng.randint(0, DEFAULT_IMP_LEVEL),
-                                     rng.randint(0, DEFAULT_EXP_LEVEL))
+        words = block_words(f"{sc.seed}/meter/{m.sm_id}")[:2]
+        assert max(words) < 2**64 - 2**64 % n_suppliers
+        assert m.suppliers == tuple(w % n_suppliers + 1 for w in words)
+        words = block_words(f"{sc.seed}/reading/2/{m.sm_id}")[:2]
+        assert all(w < 2**64 - 2**64 % n for w, n in zip(words, levels))
+        assert readings[m.sm_id] == tuple(w % n for w, n in zip(words, levels))
+
+
+def test_draws_depend_on_seed_and_meter_only():
+    # the same meter id draws the same suppliers and readings whatever the
+    # sizes of the regions, the region it falls in, or the meters beside it
+    small = scenario(sm_per_region=[4, 5])
+    large = scenario(n_dno=3, sm_per_region=[9, 0, 250])
+    a, b = build_meters(small), build_meters(large)
+    assert [m.region for m in a[4:]] != [m.region for m in b[4:9]]
+    assert [m.suppliers for m in a] == [m.suppliers for m in b[:9]]
+    readings = generate_readings(large, b[::-1], slot=3)
+    assert generate_readings(small, a, slot=3) == {
+        m.sm_id: readings[m.sm_id] for m in a}
+
+
+def test_supplier_draws_pass_a_chi_square_bound():
+    # 20,000 draws over 10 suppliers; 27.88 is chi-square's 0.999 quantile
+    # at 9 degrees of freedom
+    meters = build_meters(scenario(n_dno=1, n_suppliers=10,
+                                   sm_per_region=[10_000], seed=2024))
+    counts = [0] * 10
+    for m in meters:
+        for u in m.suppliers:
+            counts[u - 1] += 1
+    expected = 2 * len(meters) / 10
+    assert sum((c - expected) ** 2 / expected for c in counts) < 27.88
+
+
+def test_draws_skip_rejected_words_and_extend_past_the_block(monkeypatch):
+    # every first block reads (top, w1, top, top): top is rejected for any
+    # n that does not divide 2**64, so a meter's first draw is w1 and its
+    # second the first word of the block of text#1
+    real = metering._block
+    top = 2**64 - 1
+
+    def block(text):
+        words = real(text)
+        return words if "#" in text else (top, words[1], top, top)
+
+    monkeypatch.setattr(metering, "_block", block)
+    sc = scenario(n_suppliers=10, sm_per_region=[40, 30])
+    meters = build_meters(sc)
+    readings = generate_readings(sc, meters, slot=1)
+    assert build_meters(sc) == meters
+    assert generate_readings(sc, meters, slot=1) == readings
+    levels = (DEFAULT_IMP_LEVEL + 1, DEFAULT_EXP_LEVEL + 1)
+    for m in meters:
+        text = f"{sc.seed}/meter/{m.sm_id}"
+        assert m.suppliers == (real(text)[1] % 10 + 1,
+                               real(f"{text}#1")[0] % 10 + 1)
+        text = f"{sc.seed}/reading/1/{m.sm_id}"
+        assert readings[m.sm_id] == (real(text)[1] % levels[0],
+                                     real(f"{text}#1")[0] % levels[1])
+        assert all(1 <= u <= 10 for u in m.suppliers)
+        assert all(0 <= r < n for r, n in zip(readings[m.sm_id], levels))
+    # draws past the first block read on through the block of text#1
+    assert metering._draws("x", (10,) * 3) == (
+        real("x")[1] % 10, real("x#1")[0] % 10, real("x#1")[1] % 10)
 
 
 @pytest.mark.parametrize("bad", [
@@ -93,6 +162,9 @@ def test_meters_and_readings_draw_as_randint(n_suppliers):
     # multiplying algorithms need a 2t+1 quorum of live servers
     dict(algorithm="naa", n_servers=5, threshold=2, fail_servers=[1]),
     dict(algorithm="ncaa", fail_servers=[3]),
+    # per-meter work over MAX_PER_METER: niaa's one-hot bundle, naa's tests
+    dict(algorithm="niaa", n_suppliers=2**30, sigma=31, sm_per_region=[1, 0]),
+    dict(algorithm="naa", n_suppliers=2**30, sigma=31, sm_per_region=[1, 0]),
 ])
 def test_scenario_validation_rejects(bad):
     with pytest.raises(ScenarioError):
@@ -101,6 +173,16 @@ def test_scenario_validation_rejects(bad):
 
 def test_scenario_accepts_ids_up_to_62_bits():
     assert scenario(sigma=62).sigma == 62
+
+
+def test_scenario_per_meter_limit_is_inclusive():
+    ns = MAX_PER_METER // 2
+    for algorithm in ("naa", "niaa"):
+        assert scenario(algorithm=algorithm, n_suppliers=ns, sigma=12)
+        with pytest.raises(ScenarioError, match="per-meter limit"):
+            scenario(algorithm=algorithm, n_suppliers=ns + 1, sigma=12)
+    # ncaa's bitwise bundle does not grow with N_s
+    assert scenario(algorithm="ncaa", n_suppliers=ns + 1, sigma=12)
 
 
 def test_scenario_accepts_tuples_for_lists():
