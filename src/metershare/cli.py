@@ -19,7 +19,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import costs, field
 from .abb import CostMeter, Engine
@@ -322,14 +322,8 @@ def cmd_run(args) -> int:
 
 
 def _cost_params(args) -> CostParams:
-    return CostParams(
-        n_dno=args.n_dno,
-        n_suppliers=args.n_suppliers,
-        sigma=args.sigma,
-        sm_per_region=args.sm,
-        per_mult_seconds=args.per_mult_seconds,
-        threads=args.threads,
-    )
+    return CostParams(**{f.name: getattr(args, f.name)
+                         for f in fields(CostParams)})
 
 
 def parse_sweep(spec: str) -> list[int]:
@@ -417,11 +411,6 @@ def _output(out_dir: str | None, name: str):
     if out_dir is None:
         return contextlib.nullcontext(sys.stdout)
     return open(os.path.join(out_dir, name), "w", newline="")
-
-
-def cmd_sweep(args) -> int:
-    args.sweep = args.spec
-    return cmd_costs(args)
 
 
 # -- selftest ----------------------------------------------------------------
@@ -530,18 +519,19 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="artifact directory")
     p_run.add_argument("--format", choices=("csv", "json"), default="json",
                        help="cost report format")
-    p_run.add_argument("--threads", type=int, default=1,
+    p_run.add_argument("--threads", type=int, default=CostParams.threads,
                        help="threads the cost report's CPU projection assumes")
     p_run.set_defaults(func=cmd_run)
 
     def add_cost_flags(p):
-        p.add_argument("--n-dno", type=int, default=14)
-        p.add_argument("--n-suppliers", type=int, default=10)
-        p.add_argument("--sigma", type=int, default=8)
-        p.add_argument("--sm", type=int, default=2_200_000,
-                       help="meters per region")
-        p.add_argument("--per-mult-seconds", type=float, default=20.8e-6)
-        p.add_argument("--threads", type=int, default=1)
+        # one flag per CostParams field, with the field's type and default
+        for f in fields(CostParams):
+            if f.name == "sm_per_region":
+                p.add_argument("--sm", dest=f.name, metavar="SM", type=f.type,
+                               default=f.default, help="meters per region")
+            else:
+                p.add_argument("--" + f.name.replace("_", "-"), type=f.type,
+                               default=f.default)
         p.add_argument("--trusted-tso", action="store_true",
                        help="recipient traffic via the grid operator only")
         p.add_argument("--out", default=None)
@@ -555,8 +545,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="emit curve series over meter counts")
     add_cost_flags(p_sweep)
-    p_sweep.add_argument("spec", help="range spec, e.g. sm=0.5M:4M:0.5M")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.add_argument("sweep", metavar="spec",
+                         help="range spec, e.g. sm=0.5M:4M:0.5M")
+    p_sweep.set_defaults(func=cmd_costs)
 
     p_self = sub.add_parser("selftest", help="run built-in correctness checks")
     p_self.set_defaults(func=cmd_selftest)

@@ -27,6 +27,9 @@ SEGMENTS = ("sms_to_dcc", "between_dcc", "dcc_to_recipients")
 # product and every live holder to every other live party per open
 MESSAGES_PER_MULT = 6
 
+# shared fields in a naa/ncaa meter's bundle: both supplier IDs, both readings
+BUNDLE_FIELDS = 4
+
 # bit widths of the paper's model
 DATA_BITS = 32          # one plaintext reading
 SHARE_BITS = 63         # one share on the wire, nominal
@@ -118,7 +121,7 @@ def formula_comm(protocol: str, segment: str, params: CostParams,
     if segment == "sms_to_dcc":
         if protocol == "niaa":
             return 6 * nd * m * ns * s
-        return 12 * nd * m * s
+        return 3 * BUNDLE_FIELDS * nd * m * s  # a bundle to each server
     if segment == "between_dcc":
         if protocol == "niaa":
             return 0
@@ -162,30 +165,26 @@ def build_table(params: CostParams, trusted_tso: bool = False) -> list[dict]:
 
 def sweep_series(params: CostParams, m_values: list[int],
                  trusted_tso: bool = False) -> dict:
-    """Curve points over meter-population sizes, one table per plot.
-
-    ``compute`` carries multiplication counts and projected CPU seconds
-    per algorithm; the three ``comm_*`` tables carry bits per protocol,
-    with ``trusted_tso`` as in ``formula_comm``.
+    """Curve points over meter-population sizes, one table per plot: each
+    point is ``build_table`` at that size, pivoted into ``compute`` (counts
+    and CPU seconds per algorithm) and ``comm_*`` (bits per protocol).
     """
-    compute = []
-    comm = {seg: [] for seg in SEGMENTS}
+    series = {"compute": [], **{f"comm_{seg}": [] for seg in SEGMENTS}}
     for m in m_values:
-        p = replace(params, sm_per_region=m)
-        row = {"sm_per_region": m}
-        for alg in ALGORITHMS:
-            mults = formula_mults(alg, p)
-            row[f"{alg}_mults"] = mults
-            row[f"{alg}_cpu_seconds"] = extrapolate_cpu(mults, p)
-        row["ncaa_batcher_mults"] = formula_mults("ncaa", p, variant="batcher")
-        compute.append(row)
-        for seg in SEGMENTS:
-            comm[seg].append({
-                "sm_per_region": m,
-                **{proto: formula_comm(proto, seg, p, trusted_tso)
-                   for proto in PROTOCOLS},
-            })
-    return {"compute": compute, **{f"comm_{seg}": comm[seg] for seg in SEGMENTS}}
+        points = {name: {"sm_per_region": m} for name in series}
+        compute = points["compute"]
+        for row in build_table(replace(params, sm_per_region=m), trusted_tso):
+            proto, seg = row["protocol"], row["segment"]
+            if seg in SEGMENTS:
+                points[f"comm_{seg}"][proto] = row["formula_bits"]
+            elif seg == "region_multiplications":
+                compute[f"{proto}_mults"] = row["formula_mults"]
+                compute[f"{proto}_cpu_seconds"] = row["cpu_seconds"]
+            else:  # the batcher variant: its count only
+                compute[f"{proto}_batcher_mults"] = row["formula_mults"]
+        for name, point in points.items():
+            series[name].append(point)
+    return series
 
 
 def bytes_from_transcript(records: list[tuple]) -> dict:
@@ -305,8 +304,8 @@ def build_report(run, threads: int = 1) -> dict:
             formula_bits = sum(formula_comm(alg, seg, p) for p in regions)
         nominal = msgs * SHARE_BITS
         if seg == "sms_to_dcc" and alg in ("naa", "ncaa"):
-            # the paper's bundle carries four shared fields
-            nominal_formula_fields = 4 * run.delivered_bundles * SHARE_BITS
+            nominal_formula_fields = \
+                BUNDLE_FIELDS * run.delivered_bundles * SHARE_BITS
         else:
             nominal_formula_fields = nominal
         segments[seg] = {

@@ -39,6 +39,11 @@ DEFAULT_EXP_LEVEL = 3000
 # 20.
 MAX_PER_METER = 1 << 12
 
+# Region x supplier grid cells, refused the same way: every algorithm builds
+# N_s cells per region and the grid, bundles and oracle hold all of them, so
+# this bounds ncaa and grids of empty regions too.  The paper's is 14 x 10.
+MAX_GRID_CELLS = 1 << 16
+
 # synthetic draws read SHA-256 blocks as 64-bit words (see ``_draws``)
 _WORD_RANGE = 1 << 64
 _unpack_block = struct.Struct("<4Q").unpack
@@ -152,6 +157,10 @@ class Scenario:
                 f"meter for {self.n_suppliers} suppliers, above the "
                 f"per-meter limit of {MAX_PER_METER}"
             )
+        cells = self.n_dno * self.n_suppliers
+        if cells > MAX_GRID_CELLS:
+            raise ScenarioError(f"n_dno x n_suppliers is {cells} grid cells, "
+                                f"above the grid limit of {MAX_GRID_CELLS}")
 
     @property
     def params(self) -> SharingParams:

@@ -1,5 +1,6 @@
 """Command-line pipeline: artifacts, exit codes, determinism, self-tests."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -21,6 +22,7 @@ from metershare import cli, costs
 from metershare.abb import Engine
 from metershare.errors import UnknownSupplier
 from metershare.metering import (
+    MAX_GRID_CELLS,
     MAX_PER_METER,
     Scenario,
     build_meters,
@@ -117,22 +119,41 @@ def test_run_huge_sigma_exits_1(tmp_path, capsys):
     assert err == f"error: sigma must be below 63, got {2**40}\n"
 
 
-def test_run_refuses_per_meter_work_over_the_limit(tmp_path):
-    # one niaa meter over 2**30 suppliers is refused before its one-hot
-    # bundle is built; the address-space cap turns a regression into a
-    # MemoryError instead of an 8 GiB list
-    path = write_scenario(tmp_path, n_dno=1, n_suppliers=2**30, sigma=31,
-                          sm_per_region=[1], algorithm="niaa")
+def run_capped(path) -> subprocess.CompletedProcess:
+    """``run --check`` on ``path`` in a child under a 1 GiB address space.
 
+    The cap turns a scenario that passes validation and then builds its
+    cells into a MemoryError, instead of a list of gigabytes.
+    """
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = run_module("run", "--scenario", str(path), "--check",
+    return run_module("run", "--scenario", str(path), "--check",
                       preexec_fn=cap)
+
+
+def test_run_refuses_per_meter_work_over_the_limit(tmp_path):
+    # one niaa meter over 2**30 suppliers is refused before its one-hot
+    # bundle is built
+    path = write_scenario(tmp_path, n_dno=1, n_suppliers=2**30, sigma=31,
+                          sm_per_region=[1], algorithm="niaa")
+    proc = run_capped(path)
     assert proc.returncode == 1
     assert proc.stderr == (
         f"error: niaa needs {2**31} one-hot sharings per meter for {2**30} "
         f"suppliers, above the per-meter limit of {MAX_PER_METER}\n")
+
+
+def test_run_refuses_a_grid_over_the_limit(tmp_path):
+    # ncaa's bundle does not grow with N_s, but its region row, the grid
+    # total and the bundles hold a cell per supplier
+    path = write_scenario(tmp_path, n_dno=1, n_suppliers=2**30, sigma=31,
+                          sm_per_region=[1], algorithm="ncaa")
+    proc = run_capped(path)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: n_dno x n_suppliers is {2**30} grid cells, above the grid "
+        f"limit of {MAX_GRID_CELLS}\n")
 
 
 def test_run_infeasible_failures_exit_1(tmp_path, capsys):
@@ -319,7 +340,8 @@ def test_usage_errors_exit_1(capsys, argv):
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["costs", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["costs", "--help"],
+                                  ["sweep", "--help"]])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -349,9 +371,46 @@ def test_sweep_refuses_fractional_counts(capsys, spec, count):
                   f"of meters\n"
 
 
-def test_sweep_command(tmp_path):
-    assert cli.main(["sweep", "sm=1k:2k:1k", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "sweep_comm_between_dcc.csv").exists()
+def test_sweep_command(tmp_path, capsys):
+    # sweep SPEC is costs --sweep SPEC, on standard output and in --out
+    flags = ["--trusted-tso", "--n-dno", "3", "--sigma", "12", "--threads",
+             "4", "--per-mult-seconds", "1e-5", "--format", "json"]
+    outs = []
+    spec = "sm=1k:2k:1k"
+    for argv in (["sweep", spec], ["costs", "--sweep", spec]):
+        assert cli.main([*argv, *flags]) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / argv[0]
+        assert cli.main([*argv, *flags, "--out", str(out)]) == 0
+        outs.append((stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert outs[0] == outs[1]
+    assert "# sweep comm_between_dcc" in outs[0][0]
+    assert sorted(outs[0][1]) == ["cost_table.json",
+                                  *sorted(PINNED_SWEEP_FILES)]
+
+
+# the costs and sweep flag of each CostParams field
+COST_FLAGS = {
+    "n_dno": "--n-dno",
+    "n_suppliers": "--n-suppliers",
+    "sigma": "--sigma",
+    "sm_per_region": "--sm",
+    "per_mult_seconds": "--per-mult-seconds",
+    "threads": "--threads",
+}
+
+
+@pytest.mark.parametrize("command", ["costs", "sweep"])
+def test_cost_flags_are_the_cost_params_fields(command):
+    (sub,) = [a for a in cli.make_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    actions = sub.choices[command]._actions
+    params = dataclasses.fields(costs.CostParams)
+    assert [f.name for f in params] == list(COST_FLAGS)
+    for f in params:
+        (action,) = [a for a in actions if a.dest == f.name]
+        assert action.option_strings == [COST_FLAGS[f.name]]
+        assert action.type is f.type and action.default == f.default
 
 
 def test_selftest_stage_functions_pass():

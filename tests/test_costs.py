@@ -183,6 +183,35 @@ def test_sweep_recipient_rows_equal_the_table(tmp_path, flags):
     assert table["naa"] == ("55992" if flags else "158760")
 
 
+@pytest.mark.parametrize("trusted_tso", [False, True])
+@pytest.mark.parametrize("params", [
+    DEFAULTS,
+    CostParams(n_dno=3, sigma=12, threads=4, per_mult_seconds=1e-5),
+])
+def test_sweep_points_are_the_table(params, trusted_tso):
+    # every cell of every series, compute included, is the table's cell at
+    # that population
+    ms = [1, 2, 1000, 2_200_000]
+    series = sweep_series(params, ms, trusted_tso)
+    for i, m in enumerate(ms):
+        table = {(r["protocol"], r["segment"]): r for r in build_table(
+            replace(params, sm_per_region=m), trusted_tso)}
+        want = {"compute": {"sm_per_region": m}}
+        for alg in ("naa", "ncaa", "niaa"):
+            row = table[(alg, "region_multiplications")]
+            want["compute"][f"{alg}_mults"] = row["formula_mults"]
+            want["compute"][f"{alg}_cpu_seconds"] = row["cpu_seconds"]
+        want["compute"]["ncaa_batcher_mults"] = \
+            table[("ncaa", "region_multiplications_batcher")]["formula_mults"]
+        for seg in SEGMENTS:
+            want[f"comm_{seg}"] = {"sm_per_region": m, **{
+                proto: table[(proto, seg)]["formula_bits"]
+                for proto in ("trad", "dep2sa", "naa", "ncaa", "niaa")}}
+        # the same cells, series and columns in the same order
+        got = [(name, list(rows[i].items())) for name, rows in series.items()]
+        assert got == [(name, list(p.items())) for name, p in want.items()]
+
+
 def test_bytes_from_transcript_classification():
     records = [
         (0, ("sm4,p1",), "h1"),

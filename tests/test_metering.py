@@ -17,6 +17,7 @@ from metershare.errors import (
 from metershare.metering import (
     DEFAULT_EXP_LEVEL,
     DEFAULT_IMP_LEVEL,
+    MAX_GRID_CELLS,
     MAX_PER_METER,
     Scenario,
     SmartMeter,
@@ -165,6 +166,9 @@ def test_draws_skip_rejected_words_and_extend_past_the_block(monkeypatch):
     # per-meter work over MAX_PER_METER: niaa's one-hot bundle, naa's tests
     dict(algorithm="niaa", n_suppliers=2**30, sigma=31, sm_per_region=[1, 0]),
     dict(algorithm="naa", n_suppliers=2**30, sigma=31, sm_per_region=[1, 0]),
+    # grid cells over MAX_GRID_CELLS: ncaa's suppliers, niaa's empty regions
+    dict(algorithm="ncaa", n_suppliers=2**30, sigma=31, sm_per_region=[1, 0]),
+    dict(algorithm="niaa", n_dno=10**6, sm_per_region=[0] * 10**6),
 ])
 def test_scenario_validation_rejects(bad):
     with pytest.raises(ScenarioError):
@@ -183,6 +187,22 @@ def test_scenario_per_meter_limit_is_inclusive():
             scenario(algorithm=algorithm, n_suppliers=ns + 1, sigma=12)
     # ncaa's bitwise bundle does not grow with N_s
     assert scenario(algorithm="ncaa", n_suppliers=ns + 1, sigma=12)
+
+
+def test_scenario_grid_limit_is_inclusive():
+    # many regions of a few suppliers; for ncaa, whose bundle does not grow
+    # with N_s, also one region of many
+    shapes = [(alg, MAX_GRID_CELLS // 16, 16) for alg in metering.ALGORITHMS]
+    shapes.append(("ncaa", 1, MAX_GRID_CELLS))
+    for algorithm, n_dno, ns in shapes:
+        sigma = ns.bit_length()
+        assert scenario(algorithm=algorithm, n_dno=n_dno, n_suppliers=ns,
+                        sigma=sigma, sm_per_region=[0] * n_dno)
+        with pytest.raises(ScenarioError, match=(
+                f"is {(n_dno + 1) * ns} grid cells, above the grid limit "
+                f"of {MAX_GRID_CELLS}$")):
+            scenario(algorithm=algorithm, n_dno=n_dno + 1, n_suppliers=ns,
+                     sigma=sigma, sm_per_region=[0] * (n_dno + 1))
 
 
 def test_scenario_accepts_tuples_for_lists():
