@@ -48,8 +48,10 @@ computes its new coefficients directly (see ``product_batch``).  A share
 is evaluated only where one is read: ``export_shares``, by
 ``shamir.evaluate``; shares are read into coefficients only at intake
 (``input_shares``, by ``shamir.fit``'s rule, which checks every further
-live holder's share).  Coefficients are drawn by ``shamir.draw``.  A row
-is stored once (``_admit``, ``_store``) and never changed.
+live holder's share).  Coefficients are drawn by ``shamir``'s one draw
+rule: a product round's run as one block (``shamir.draw_block``), every
+other draw as a list (``shamir.draw``).  A row is stored once (``_admit``,
+``_store``) and never changed.
 One flat tuple because a region holds tens of thousands of rows at once:
 it is one allocation towards the next collection, not two as with nested
 coefficients, and the cyclic garbage collector stops tracking a tuple of
@@ -59,6 +61,9 @@ Why a product needs no shares: the 2t+1 senders' local products
 a(x_s)*b(x_s) lie on A*B, of degree 2t, so their Lagrange combination at
 0 over those 2t+1 points is (A*B)(0) = a_0*b_0 (Gennaro, Rabin, Rabin,
 PODC 1998).  That is the combined reshare polynomial's constant term.
+Its other coefficients weigh the senders' draws by the same weights; a
+round sums them for a whole run at once on lanes of Python ints, in the
+layout ``shamir`` draws them in (``_reshare_columns``).
 
 Affine combinations are local: each party applies one to its own shares,
 so they send no message (Ben-Or, Goldwasser, Wigderson, STOC 1988), and
@@ -88,7 +93,7 @@ round and links tuple (see ``cli.write_transcript``).
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dfield, fields as dfields
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import compress, groupby, islice, repeat
 from operator import add, and_, itemgetter, mod, mul, sub
 import random
@@ -105,9 +110,11 @@ from .shamir import (
     SHARE_BYTES,
     SharingParams,
     draw,
+    draw_block,
     evaluate,
     fit,
     fit_rule,
+    lanes,
     share_values,  # noqa: F401  not called here; bench/tracer.py probes it
 )
 
@@ -183,15 +190,14 @@ class CostMeter:
 _FIRST, _SECOND, _LAST = itemgetter(0), itemgetter(1), itemgetter(-1)
 
 # Most products a product round computes at once (see product_batch).  One
-# 16,000-pair round at (5,2) peaks 1.1 MB above its stored rows, against 9.0
-# computed whole (tracemalloc), and takes 55 ms as_or, against 77 whole and
-# no less at 256 or 4,096 (medians of 15 runs, one process, Python 3.11).
+# 16,000-pair as_or round at (5,2) peaks 0.74 MB above its stored rows,
+# against 3.7 computed whole and 1.9 at 4,096 (tracemalloc), and takes 23.8
+# ms, against 27.6 whole, 26.0 at 256 and 23.9 at 4,096 (medians of 15 runs,
+# one process, Python 3.11, 2-core x86-64 host).
 _CHUNK = 1024
 
-# element-wise sum and difference of two columns; reduce() folds a list of
-# columns with them
-_add_columns = partial(map, add)
-_sub_columns = partial(map, sub)
+# 2^63 mod p: a lane x is folded to (x mod 2^63) + _FOLD*(x >> 63)
+_FOLD = (1 << 63) - PRIME
 
 
 class _Plan(NamedTuple):
@@ -200,6 +206,8 @@ class _Plan(NamedTuple):
     rule: tuple         # shamir.fit_rule of those points, read by intake
     factored: tuple     # Lagrange weights at 0 of the first 2t+1 holders,
                         # by magnitude, see _factor
+    lanes: tuple        # (width, bias, folds) of the reshare kernel, see
+                        # _lane_rule
     reshare: tuple      # "pI,pJ" links of a product round
     broadcast: tuple    # "pI,pJ" links of an opening
 
@@ -215,26 +223,96 @@ def _plan(q: int, live: int, t: int) -> _Plan:
     rule = fit_rule(points, t)
     # the Lagrange weights at 0 are row 0 of the fit through the senders
     base = points[: 2 * t + 1]
-    weights = fit_rule(base, len(base) - 1)[1][0]
+    factored = _factor(fit_rule(base, len(base) - 1)[1][0])
     receivers = [j for j in range(live.bit_length()) if live >> j & 1]
     broadcast = tuple(f"p{i + 1},p{j + 1}"
                       for i in holders for j in receivers if j != i)
-    reshare = broadcast[: len(weights) * (len(receivers) - 1)]
-    return _Plan(holders, points, rule, _factor(weights), reshare, broadcast)
+    reshare = broadcast[: len(base) * (len(receivers) - 1)]
+    return _Plan(holders, points, rule, factored, _lane_rule(factored),
+                 reshare, broadcast)
 
 
 def _factor(weights: tuple) -> tuple:
-    """Weights as terms ``(w, plus, minus)``, one per magnitude |w|, with
-    sum_s weights[s]*r_s = sum over terms of w*(sum of r_s over the sender
-    numbers s in plus - sum over minus).  Senders weighted w and -w share
-    one multiplication: (3, -3, 1) is 3*(r_0 - r_1) + r_2.  A magnitude
-    that only negative weights have becomes one term with w < 0."""
+    """Weights as terms ``(m, plus, minus)``, one per magnitude m = |w| > 0,
+    with sum_s weights[s]*r_s = sum over terms of m*(sum of r_s over the
+    sender numbers s in plus - sum over minus).  Senders weighted w and -w
+    share one multiplication: (3, -3, 1) is 3*(r_0 - r_1) + r_2.  A
+    magnitude that only negative weights have has no plus senders."""
     signs: dict = {}
     for s, w in enumerate(weights):
         signs.setdefault(abs(w), ([], []))[w < 0].append(s)
-    return tuple((m, tuple(plus), tuple(minus)) if plus
-                 else (-m, tuple(minus), ())
+    return tuple((m, tuple(plus), tuple(minus))
                  for m, (plus, minus) in signs.items())
+
+
+def _lane_rule(factored: tuple) -> tuple:
+    """How ``_reshare_columns`` packs a reshare's weighted sums into lanes:
+    ``(width, bias, folds)``.
+
+    A lane holds bias + the sum over terms of m*(sum of the plus senders'
+    draws - sum of the minus senders'), each draw in [0, p).  ``bias``, the
+    sum of m*|minus|*p, is 0 mod p and keeps every lane at or above 0, and
+    no lane exceeds bias + the sum of m*|plus|*(p-1).  ``width`` rounds that
+    bound's bits up to whole 64-bit words, so no lane carries into the
+    next: 128 bits, or 192 where weights near p/2 push the bound past 2^128
+    (it stays below 2^133 for 255 senders).  ``folds`` counts the folds
+    x -> (x mod 2^63) + _FOLD*(x >> 63) that bring every lane below 2^64,
+    where one machine word reads it.
+    """
+    p = PRIME
+    bias = sum(m * len(minus) for m, _, minus in factored) * p
+    bound = bias + sum(m * len(plus) for m, plus, _ in factored) * (p - 1)
+    width = -(-bound.bit_length() // 64) * 64
+    folds = 0
+    while bound >> 64:
+        bound = (1 << 63) - 1 + _FOLD * (bound >> 63)
+        folds += 1
+    return width, bias, folds
+
+
+@lru_cache(maxsize=16)
+def _lane_constants(bias: int, count: int, width: int) -> tuple:
+    """``bias``, the mask of the low 63 bits and the mask of the bits above
+    them, each in every one of ``count`` lanes of ``width`` bits.  An entry
+    takes 3*count*width/8 bytes; the cache keeps the 16 shapes used last."""
+    return (lanes(bias, count, width), lanes((1 << 63) - 1, count, width),
+            lanes((1 << (width - 63)) - 1, count, width))
+
+
+def _reshare_columns(block: bytes, plan: _Plan, count: int, t: int) -> list:
+    """F_1..F_t of ``count`` products, each a list with an entry below 2^64
+    per product, congruent mod p to sum_s lam_s*r_sd.
+
+    ``block`` is the products' ``shamir.draw_block``, (2t+1)*t words per
+    product in sender, then d order.  Sender s's draws for every product
+    and d are copied, by strided ``memoryview`` slices, into the low words
+    of zeroed lanes of ``plan.lanes``' width, product-major, and read as
+    one int.  The terms of ``plan.factored`` and the bias are summed over
+    those ints, lanes folded mod p, and each F_d is read off as every
+    (t*width/64)-th word.
+    """
+    width, bias, folds = plan.lanes
+    words = memoryview(block).cast("Q")
+    step = (2 * t + 1) * t
+    span = width >> 6             # words per lane
+    stride = span * t             # words per product
+    size = count * stride * 8
+    lane_bytes = bytearray(size)
+    slots = memoryview(lane_bytes).cast("Q")
+
+    def widened(s):
+        for d in range(t):
+            slots[d * span::stride] = words[s * t + d::step]
+        return int.from_bytes(lane_bytes, "little")
+
+    acc, low, high = _lane_constants(bias, count * t, width)
+    for m, plus, minus in plan.factored:
+        term = sum(map(widened, plus)) - sum(map(widened, minus))
+        acc += term if m == 1 else m * term
+    for _ in range(folds):
+        acc = (acc & low) + _FOLD * (acc >> 63 & high)
+    out = memoryview(acc.to_bytes(size, "little")).cast("Q")
+    return [out[d * span::stride].tolist() for d in range(t)]
 
 
 class Engine:
@@ -523,8 +601,9 @@ class Engine:
         is a_0*b_0 because lam interpolates the degree-2t product at 0 from
         2t+1 points, and F_d = sum_s lam_s*r_sd for d >= 1.  No share is
         evaluated.  The round computes whole coefficient columns over runs
-        of its products with ``map``, reading column d off the factors' rows
-        with ``itemgetter(d)`` and their masks with ``itemgetter(t+1)``:
+        of its products: F_0 with ``map``, reading c_0 off the factors'
+        rows and their masks with ``itemgetter(t+1)``, and F_1..F_t on
+        packed lanes (``_reshare_columns``):
 
         - Products are grouped by the parties holding both factors.  Every
           group's live holders must form a 2t+1 quorum, and all groups are
@@ -533,19 +612,23 @@ class Engine:
           weights lam weigh its products' draws.
         - The round is metered and recorded whole, then computed in runs of
           consecutive products of one group, at most ``_CHUNK`` each, so
-          the draw words and columns held at once do not grow with K.  A
-          run draws its (2t+1)*t words per product from one list, in
-          product, then sender, then d order, by ``randrange(p)``'s rule
-          (``shamir.draw``), which gives the words of one list per round.
+          the draws and columns held at once do not grow with K.  A run
+          draws its (2t+1)*t words per product as one block
+          (``shamir.draw_block``), in product, then sender, then d order,
+          by ``randrange(p)``'s rule, which gives the words of one draw
+          per round.
         - A run's weights are taken by magnitude (``_Plan.factored``): the
-          draw columns of senders weighted w and -w are subtracted, and
-          their difference is multiplied by w once; a weight of 1
-          multiplies nothing.  From consecutive holders the weights come in
-          such pairs, so F_d is 3*(r_0d - r_1d) + r_2d at (3,1) and
-          5*(r_0d - r_3d) + 10*(r_2d - r_1d) + r_4d at (5,2).  The integer
-          sums do not change, so neither do the stored coefficients.
-        - Each coefficient is summed unreduced and reduced mod p once, and
-          each product is stored as one tuple ``(F_0, ..., F_t, mask)``.
+          draws of senders weighted w and -w are subtracted, and their
+          difference is multiplied by |w| once; a weight of 1 multiplies
+          nothing.  From consecutive holders the weights come in such
+          pairs, so F_d is 3*(r_0d - r_1d) + r_2d at (3,1) and 5*(r_0d -
+          r_3d) + 10*(r_2d - r_1d) + r_4d at (5,2).  Each sender's draws
+          for the whole run are one int of lanes wide enough that no sum
+          carries into the next lane (``_Plan.lanes``), so each term is a
+          few big-int operations for the run, not one per product.
+        - F_0 is summed unreduced and F_1..F_t are folded below 2^64 on the
+          lanes; each is reduced mod p once, and each product is stored as
+          one tuple ``(F_0, ..., F_t, mask)``.
 
         ``as_or=True`` returns sharings of a + b - ab (the OR of two shared
         bits) instead of ab: each coefficient is a_d + b_d - F_d, which is
@@ -587,32 +670,22 @@ class Engine:
             # the products' numbers: named by the transcript, never stored
             self.skip_handles(k)
 
-        # in a run, product u's draws for sender s are words[u*step + s*t:][:t]
-        step = size * t
+        step = size * t  # draws per product
         out = []
         end = 0
         for m, run in groupby(masks):
             start, end = end, end + len(list(run))
-            factored = groups[m].factored
+            plan = groups[m]
             # a merge lives where both factors and the party do
             held = repeat(m & active if as_or else active)
             for lo in range(start, end, _CHUNK):
                 hi = min(lo + _CHUNK, end)
                 a, b = left[lo:hi], right[lo:hi]
-                words = draw(self.rng, (hi - lo) * step)
+                block = draw_block(self.rng, (hi - lo) * step)
                 # the factors' c_0 columns, read once for product and merge
                 firsts = [list(map(_FIRST, a)), list(map(_FIRST, b))]
-                cols = [map(mul, *firsts)]
-                for d in range(t):
-                    draws = [words[s * t + d::step] for s in range(size)]
-                    terms = []
-                    for w, plus, minus in factored:
-                        col = reduce(_add_columns, [draws[s] for s in plus])
-                        col = reduce(_sub_columns,
-                                     [draws[s] for s in minus], col)
-                        terms.append(col if w == 1
-                                     else map(mul, col, repeat(w)))
-                    cols.append(reduce(_add_columns, terms))
+                cols = [map(mul, *firsts),
+                        *_reshare_columns(block, plan, hi - lo, t)]
                 if as_or:
                     factors = [firsts] + [
                         [map(get, a), map(get, b)]

@@ -106,8 +106,11 @@ def _run_region(scenario: Scenario, region: int, meters, readings,
     )
     for s in scenario.fail_servers:
         engine.fail_party(s)
-    enc_rng = random.Random(derive_seed(scenario.seed, "encode", region))
-    fault_rng = random.Random(derive_seed(scenario.seed, "fault", region))
+    # a region without meters draws from neither stream, so seeds neither
+    enc_rng = fault_rng = None
+    if meters:
+        enc_rng = random.Random(derive_seed(scenario.seed, "encode", region))
+        fault_rng = random.Random(derive_seed(scenario.seed, "fault", region))
     # encoded lazily: each meter's bundle is delivered before the next is
     # drawn, and enc_rng and fault_rng are separate streams, so the draws
     # match encoding every meter up front

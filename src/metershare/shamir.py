@@ -6,18 +6,26 @@ tolerates n-(t+1) missing shares and any t shares reveal nothing,
 which is the honest-majority setting the aggregation engine assumes.
 
 This module holds the only polynomial rules (Shamir, CACM 1979), which
-the engine's coefficient rows use too: ``draw`` (coefficients by
-``randrange(p)``'s rule), ``evaluate`` (values at a list of points) and
-``fit_rule``/``fit`` (the polynomial through t+1 points, checked against
-the rest; a rule's row 0 is the Lagrange weights at 0 of reconstruction
-and of a product's reshare, Gennaro, Rabin, Rabin, PODC 1998).
+the engine's coefficient rows use too: ``draw_block`` (coefficients by
+``randrange(p)``'s rule, as the lanes of one block) and ``draw`` (the same
+as a list), ``evaluate`` (values at a list of points) and ``fit_rule``/
+``fit`` (the polynomial through t+1 points, checked against the rest; a
+rule's row 0 is the Lagrange weights at 0 of reconstruction and of a
+product's reshare, Gennaro, Rabin, Rabin, PODC 1998).
+
+Lanes: a block of k words is one int of k 64-bit lanes, lane i in bits
+64i..64i+63, or its 8k bytes, little-endian, so that lane i is bytes
+8i..8i+7.  Those bytes are read with ``memoryview.cast("Q")``, which reads
+8-byte words in host order, so word i of the view is lane i only on a
+little-endian host; the module refuses to load on any other.  ``lanes``
+repeats one value over the lanes of a mask or constant.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from operator import mul
 import random
+import sys
 
 from . import field
 from .errors import (
@@ -36,9 +44,35 @@ PRIME = field.PRIME
 SHARE_BYTES = 1 + 1 + 8
 
 # randrange(PRIME) draws words of this many bits and rejects those >= PRIME.
-# draw and share_values draw by that rule; the shares of every golden
-# scenario depend on it matching randrange draw for draw.
+# draw_block, draw and share_values draw by that rule; the shares of every
+# golden scenario depend on it matching randrange draw for draw.  CPython
+# builds getrandbits(63) from two 32-bit generator outputs g0, g1 as
+# g0 | (g1 >> 1) << 32, and getrandbits(64*k) from 2k outputs, lane i being
+# g_2i | g_2i+1 << 32: a lane with its upper 32 bits shifted down one bit is
+# the word getrandbits(63) gives, and the generator advances alike.
 RAND_BITS = PRIME.bit_length()
+
+if sys.byteorder != "little":
+    raise ImportError("metershare reads 64-bit lanes as little-endian "
+                      "machine words; this host is big-endian")
+
+
+def lanes(value: int, count: int, width: int = 64) -> int:
+    """``count`` lanes of ``width`` bits (a multiple of 8), each holding
+    ``value``, as one int: lane i is bits width*i..width*(i+1)-1."""
+    return int.from_bytes(value.to_bytes(width >> 3, "little") * count,
+                          "little")
+
+
+@lru_cache(maxsize=16)
+def _block_masks(k: int) -> tuple:
+    """Masks over k lanes: the lower 32 bits, bits 32..62, 2^63 - p (a word
+    w is >= p exactly when w + 2^63 - p sets bit 63) and bit 63.  An entry
+    takes 32k bytes; the cache keeps the 16 block lengths used last, so
+    the lengths a long run passes through do not pile up."""
+    return (lanes((1 << 32) - 1, k), lanes(((1 << 31) - 1) << 32, k),
+            lanes((1 << RAND_BITS) - PRIME, k), lanes(1 << RAND_BITS, k))
+
 
 @dataclass(frozen=True)
 class SharingParams:
@@ -63,23 +97,37 @@ class Share:
     degree: int
 
 
-def draw(rng: random.Random, k: int) -> list[int]:
-    """k field elements by ``randrange(p)``'s rule, in draw order.
+def draw_block(rng: random.Random, k: int) -> bytes:
+    """k field elements by ``randrange(p)``'s rule, in draw order, as the
+    8k bytes of one block (lane i is element i, see the module docstring).
 
-    Words at or above p are dropped and the list is topped up one word
-    at a time, which accepts exactly the words k ``randrange`` calls
-    would (see ``RAND_BITS``) and leaves the same rng state.
+    One ``getrandbits(64*k)`` call gives k lanes; each becomes the word
+    ``getrandbits(63)`` would have given (see ``RAND_BITS``) by two masks
+    and a shift, and one add and mask over the block finds a word >= p.
+    Such words are dropped and the block topped up one word at a time,
+    which accepts exactly the words k ``randrange`` calls would and leaves
+    the same rng state.
     """
-    p = PRIME
-    getrandbits = rng.getrandbits
-    words = list(map(getrandbits, repeat(RAND_BITS, k)))
-    if k and max(words) >= p:
-        words = [w for w in words if w < p]
-        while len(words) < k:
-            w = getrandbits(RAND_BITS)
+    if not k:
+        return b""
+    low, high, gap, top = _block_masks(k)
+    raw = rng.getrandbits(k << 6)
+    words = raw & low | raw >> 1 & high
+    block = words.to_bytes(k << 3, "little")
+    if (words + gap) & top:
+        p = PRIME
+        kept = [w for w in memoryview(block).cast("Q") if w < p]
+        while len(kept) < k:
+            w = rng.getrandbits(RAND_BITS)
             if w < p:
-                words.append(w)
-    return words
+                kept.append(w)
+        block = b"".join(w.to_bytes(8, "little") for w in kept)
+    return block
+
+
+def draw(rng: random.Random, k: int) -> list[int]:
+    """``draw_block``'s k field elements as a list."""
+    return memoryview(draw_block(rng, k)).cast("Q").tolist()
 
 
 def evaluate(coeffs, xs) -> list[int]:

@@ -37,21 +37,31 @@ def share_row(engine, h):
 
 
 def _force_rejects(rng, at):
-    """Make ``rng.getrandbits`` return a word >= PRIME at the given call
-    numbers (0 = the next call) without consuming the generator there.
+    """Make ``rng`` draw a word >= PRIME at the given word numbers (0 = the
+    next word) without consuming the generator there.
 
     A word that large turns up with probability 25/2**63, so a rejection
-    path is only ever exercised by forcing one.  ``randrange`` draws
-    through the instance attribute too, so references see the same words.
+    path is only ever exercised by forcing one.  Words are numbered across
+    both calls that draw them: a ``getrandbits(RAND_BITS)`` call is one
+    word and a block call ``getrandbits(64*k)`` is k, built lane by lane,
+    a forced word as an all-ones lane and any other as one real
+    ``getrandbits(64)``, which is the lane the real block would hold
+    there.  ``randrange`` draws through the instance attribute too, so
+    references see the same words.
     """
     real = rng.getrandbits
-    calls = itertools.count()
+    words = itertools.count()
+
+    def lane():
+        return (1 << 64) - 1 if next(words) in at else real(64)
 
     def getrandbits(k):
-        if next(calls) in at:
-            assert k == RAND_BITS
-            return (1 << RAND_BITS) - 1
-        return real(k)
+        if k == RAND_BITS:
+            return (1 << RAND_BITS) - 1 if next(words) in at else real(k)
+        assert k % 64 == 0
+        return int.from_bytes(
+            b"".join(lane().to_bytes(8, "little") for _ in range(k // 64)),
+            "little")
 
     rng.getrandbits = getrandbits
 

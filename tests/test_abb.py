@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import itertools
 from pathlib import Path
 import random
 import tracemalloc
@@ -19,6 +20,7 @@ from metershare.errors import (
     TooManyFailures,
 )
 from metershare.shamir import (
+    RAND_BITS,
     SHARE_BYTES,
     Share,
     SharingParams,
@@ -276,14 +278,18 @@ def test_random_bits_batch_leaves_only_its_bits(engine, monkeypatch):
 
 
 def zero_first(getrandbits):
-    """``getrandbits`` that returns a zero word at its first call, without
-    consuming the generator there; ``randrange`` and ``shamir.draw`` both
-    draw through it, so the first field element either of them draws is 0."""
+    """``getrandbits`` that draws a zero word first, without consuming the
+    generator there; ``randrange`` and ``shamir.draw`` both draw through
+    it, so the first field element either of them draws is 0.  A first
+    block call ``getrandbits(64*k)`` gets a zero lane 0 above k-1 real
+    lanes, which are the lanes a real block would hold there."""
     calls = []
 
     def draw(k):
         calls.append(k)
-        return 0 if len(calls) == 1 else getrandbits(k)
+        if len(calls) > 1:
+            return getrandbits(k)
+        return 0 if k == RAND_BITS else getrandbits(k - 64) << 64
 
     return draw
 
@@ -534,6 +540,9 @@ def reference_lincomb(engine, terms, const=0, extra=None):
     return tuple(vals[i] if mask >> i & 1 else None for i in range(n)), mask
 
 
+FAILED_PARTY = {"failed": 2, "failed3": 3, "failed4": 4}
+
+
 def loaded_engine(n, t, degrade, record_transcript=False):
     """Engine holding 12 sharings, optionally with a failed party or with
     sharings missing one party's share."""
@@ -547,8 +556,8 @@ def loaded_engine(n, t, degrade, record_transcript=False):
             h = engine.input_shares(share_row(engine, h)[0],
                                     holders=(1 << n) - 1 - (1 << k % n))
         handles.append(h)
-    if degrade in ("failed", "failed3"):
-        engine.fail_party(3 if degrade == "failed3" else 2)
+    if degrade in FAILED_PARTY:
+        engine.fail_party(FAILED_PARTY[degrade])
     return engine, handles
 
 
@@ -558,6 +567,9 @@ RESHARE_CASES = [
     (5, 1, "failed"), (7, 2, "failed"), (9, 3, "failed"),
     # senders {1, 2, 4}: weights (8/3, -2, 1/3), no two of one magnitude
     (5, 1, "failed3"),
+    # 13 senders without party 4: weights near p/2 whose lane sums reach
+    # 2^129, beyond a 128-bit lane (abb._lane_rule)
+    (15, 6, "failed4"),
     (5, 1, "gapped"), (7, 2, "gapped"), (9, 3, "gapped"),
 ]
 
@@ -692,9 +704,56 @@ def test_product_batch_redraws_words_above_prime(n, t, degrade, as_or, where,
         assert engine.rng.getstate() == ref.rng.getstate()
 
 
+def script_words(rng, word):
+    """Make ``rng`` draw ``word(i)`` as its i-th word (0 = the next), in
+    ``getrandbits(RAND_BITS)`` calls and in block calls alike, without
+    consuming the generator.  A block lane holds word w as CPython would:
+    its upper 32 bits, shifted down one bit, are w's."""
+    words = itertools.count()
+
+    def getrandbits(k):
+        if k == RAND_BITS:
+            return word(next(words))
+        return int.from_bytes(b"".join(
+            (w & 0xFFFFFFFF | w >> 32 << 33).to_bytes(8, "little")
+            for w in map(word, itertools.islice(words, k // 64))), "little")
+
+    rng.getrandbits = getrandbits
+
+
+@pytest.mark.parametrize("as_or", [False, True])
+@pytest.mark.parametrize("n,t,degrade", [case for case in RESHARE_CASES
+                                         if case[2] != "gapped"])
+def test_product_batch_is_share_exact_at_the_lane_bound(n, t, degrade, as_or):
+    # senders a term adds draw p - 1 and senders it subtracts draw 0, so
+    # every lane of the reshare sums reaches its bound: 2^129 at (15,6)
+    # without party 4, which a 128-bit lane would carry into the next
+    engine, handles = loaded_engine(n, t, degrade)
+    ref, _ = loaded_engine(n, t, degrade)
+    live = engine._active
+    plan = abb._plan(live, live, t)
+    assert plan.lanes[0] == (192 if degrade == "failed4" else 128)
+    plus = {s for _, senders, _ in plan.factored for s in senders}
+    step = (2 * t + 1) * t
+    for rng in (engine.rng, ref.rng):
+        script_words(rng, lambda i: field.PRIME - 1 if i % step // t in plus
+                     else 0)
+    left, right = reshare_columns(handles)
+    first = engine._next_handle
+
+    out = engine.product_batch(left, right, as_or=as_or)
+    want = reference_reshare(ref, left, right)
+    if as_or:
+        rows = dict(zip(range(first, first + len(left)), want))
+        want = [reference_lincomb(ref, [(1, a), (1, b), (-1, ab)], extra=rows)
+                for a, b, ab in zip(left, right, rows)]
+    assert [share_row(engine, h) for h in out] == want
+
+
 def test_product_round_transients_are_bounded():
-    # one 16,000-pair round at (5,2) computed whole held all its draw words
-    # and columns at once, 9.0 MB above the rows it stored
+    # one 16,000-pair round at (5,2) computed whole holds its draw block
+    # and lane ints at once, 3.7 MB above the rows it stores (9.0 MB with
+    # a list per draw column)
     engine = Engine(SharingParams(5, 2), seed=24)
     handles = [engine.input(v) for v in range(200)]
     left = [handles[u % 200] for u in range(16_000)]

@@ -547,6 +547,28 @@ def test_empty_regions_list_unassigned_and_fully_excluded(alg, fault_rate,
         assert region.mult_equivalents == 0
 
 
+@pytest.mark.parametrize("alg", ["naa", "ncaa", "niaa"])
+def test_regions_without_meters_seed_no_meter_streams(alg, monkeypatch):
+    # a region with no meters never draws from its encode or fault stream,
+    # so it seeds neither; its engine and sample streams are still seeded
+    seeds = []
+
+    class Counting(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(cli.random, "Random", Counting)
+    sc = Scenario(n_dno=3, n_suppliers=2, sm_per_region=[0, 4, 0], seed=8,
+                  sigma=3, algorithm=alg, fault_rate=0.2)
+    run = cli.run_scenario(sc)
+    assert cli.check_result(run) == []
+    for j in (1, 2, 3):
+        for stream in ("engine", "encode", "fault", "sample"):
+            seeded = seeds.count(derive_seed(sc.seed, stream, j))
+            assert seeded == (j == 2 or stream in ("engine", "sample"))
+
+
 def test_region_rows_read_their_own_region_only():
     # the run's meter merges every region's phases: region 1's row must not
     # fold in region 10's, whose label starts with the same characters

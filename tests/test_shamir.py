@@ -19,6 +19,7 @@ from metershare.shamir import (
     Share,
     SharingParams,
     draw,
+    draw_block,
     evaluate,
     extend_to_secret,
     fit,
@@ -34,21 +35,32 @@ def naive_poly(coeffs, x):
     return sum(c * pow(x, i, field.PRIME) for i, c in enumerate(coeffs)) % field.PRIME
 
 
-@pytest.mark.parametrize("where", [None, "first", "middle", "last", "all"])
-@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("where", [None, "first", "middle", "last", "all",
+                                   "last and top-up"])
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 3072])
 def test_draw_matches_randrange(k, where, force_rejects):
-    # the one draw rule: a word >= p at any draw is dropped and the next
-    # word taken, exactly as k randrange calls do
-    ours, ref = random.Random(k), random.Random(k)
-    if where is not None:
-        at = {"first": {0}, "middle": {k // 2}, "last": {k - 1},
-              "all": set(range(k))}[where]
-        force_rejects(ours, at)
-        force_rejects(ref, at)
-    assert draw(ours, k) == [ref.randrange(PRIME) for _ in range(k)]
-    assert ours.getstate() == ref.getstate()
-    assert draw(ours, 0) == []
-    assert ours.getstate() == ref.getstate()
+    # the one draw rule: lane i of draw_block's block is draw's element i
+    # and the i-th randrange element, and all three leave one rng state.
+    # The block is one getrandbits(64*k) call; a word >= p at any draw is
+    # dropped and the next word taken, exactly as k randrange calls do,
+    # the block topped up one word at a time
+    at = {None: set(), "first": {0}, "middle": {k // 2}, "last": {k - 1},
+          "all": set(range(k)), "last and top-up": {k - 1, k}}[where]
+    ours, listed, ref = (random.Random(k) for _ in range(3))
+    for rng in (ours, listed, ref):
+        force_rejects(rng, at)
+    calls = []
+    forced = ours.getrandbits
+    ours.getrandbits = lambda bits: calls.append(bits) or forced(bits)
+
+    block = draw_block(ours, k)
+    assert len(block) == 8 * k
+    assert memoryview(block).cast("Q").tolist() == draw(listed, k) \
+        == [ref.randrange(PRIME) for _ in range(k)]
+    assert ours.getstate() == listed.getstate() == ref.getstate()
+    assert calls == [64 * k] * bool(k) + [RAND_BITS] * (len(at) if k else 0)
+    assert draw(listed, 0) == []
+    assert listed.getstate() == ref.getstate()
 
 
 def test_evaluate_matches_naive_poly(rng):
@@ -80,7 +92,9 @@ class ScriptedBits(random.Random):
     """Replays scripted words for every getrandbits call.
 
     Overriding getrandbits makes randrange draw through it too, so
-    the same script can be fed to share_values and to randrange.
+    the same script can be fed to share_values and to randrange.  A block
+    call ``getrandbits(64*k)`` takes the next k words, each as the lane
+    whose upper 32 bits, shifted down one bit, give the word.
     """
 
     def __init__(self, words):
@@ -88,8 +102,14 @@ class ScriptedBits(random.Random):
         self.words = list(words)
 
     def getrandbits(self, k):
-        assert k == RAND_BITS
-        return self.words.pop(0)
+        if k == RAND_BITS:
+            return self.words.pop(0)
+        assert k % 64 == 0
+        block = 0
+        for i in range(k // 64):
+            w = self.words.pop(0)
+            block |= (w & 0xFFFFFFFF | w >> 32 << 33) << 64 * i
+        return block
 
 
 def test_share_values_draws_like_randrange():
